@@ -17,12 +17,12 @@ benchmark studies, and a CLI that emits plot-ready CSV traces.
 from .design import (
     Certificate,
     CubicObserverDesign,
-    LinearObserverDesign,
     certify_stability,
     degenerate_linear,
     error_field,
     explicit_cubic_design,
     feedback_certificate,
+    lyapunov_derivative_at,
     place_poles_single_output,
     robustness_bound,
     search_nonzero_equilibria,
@@ -50,10 +50,8 @@ from .sim import (
     Trace,
     compute_metrics,
     integrate_rk4,
-    lyapunov_derivative_at,
     simulate_closed_loop,
     simulate_cubic_observer,
-    simulate_linear_observer,
     simulate_perturbed,
 )
 from .sysmodel import (
@@ -79,7 +77,6 @@ __all__ = [
     "DesignError",
     "DimensionError",
     "DivergenceError",
-    "LinearObserverDesign",
     "LinearSystem",
     "Metrics",
     "NumericalError",
@@ -111,7 +108,6 @@ __all__ = [
     "search_nonzero_equilibria",
     "simulate_closed_loop",
     "simulate_cubic_observer",
-    "simulate_linear_observer",
     "simulate_perturbed",
     "synthesize_cubic_gain",
 ]

@@ -61,6 +61,7 @@ EXIT_CONFIG = 2
 
 OUT_DIR_ENV = "CUBIC_OBS_OUT_DIR"
 
+_TOP_LEVEL_FIELDS = ("system", "observer", "sim", "feedback", "lqr", "outputs")
 _OBSERVER_TYPES = ("linear", "cubic", "cubic_explicit")
 _OUTPUT_KINDS = ("trace", "metrics", "certificate", "lyapunov")
 
@@ -69,16 +70,24 @@ _OUTPUT_KINDS = ("trace", "metrics", "certificate", "lyapunov")
 # config parsing; every complaint names the offending field
 
 
-def _load_json_file(path):
+def _load_config(path):
+    """Read a JSON config file and reject unknown top-level fields.
+
+    Returns the raw document with its parsed system and observer sections,
+    which every subcommand that reads a config needs.
+    """
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
+    _reject_unknown(cfg, _TOP_LEVEL_FIELDS, "config")
+    system = build_system(cfg)
+    return cfg, system, parse_observer(cfg, system)
 
 
 def _as_dict(value, path):
@@ -250,11 +259,16 @@ def parse_observer(cfg, system):
     return parsed
 
 
+def _observer_gain(system, obs):
+    """The configured gain_lc, or else the gain placing the configured poles."""
+    if obs["gain_lc"] is not None:
+        return obs["gain_lc"]
+    return place_poles_single_output(system, obs["poles"])
+
+
 def realize_design(system, obs):
     """Turn parsed observer parameters into a concrete design (may fail)."""
-    gain_lc = obs["gain_lc"]
-    if gain_lc is None:
-        gain_lc = place_poles_single_output(system, obs["poles"]).gain_l
+    gain_lc = _observer_gain(system, obs)
     kind = obs["type"]
     if kind == "linear" or (kind == "cubic" and obs["gamma"] == 0.0):
         return degenerate_linear(system, gain_lc, obs["q"])
@@ -315,6 +329,16 @@ def _build_signal(doc, path, n_u):
     )
 
 
+def _initial_state(doc, key, n):
+    value = doc.get(key)
+    if value is None:
+        return None
+    value = _as_number_list(value, f"sim.{key}")
+    if len(value) != n:
+        raise ConfigError(f"sim.{key}: expected {n} entries, got {len(value)}")
+    return value
+
+
 def build_sim_config(cfg, system, dt=None, horizon=None, eps=None):
     doc = _as_dict(cfg.get("sim", {}), "sim")
     _reject_unknown(
@@ -328,18 +352,8 @@ def build_sim_config(cfg, system, dt=None, horizon=None, eps=None):
         dt = _as_number(doc.get("dt", 1e-3), "sim.dt")
     if eps is None and "eps" in doc:
         eps = _as_number(doc["eps"], "sim.eps")
-    x0 = doc.get("x0")
-    if x0 is not None:
-        x0 = _as_number_list(x0, "sim.x0")
-        if len(x0) != system.n:
-            raise ConfigError(f"sim.x0: expected {system.n} entries, got {len(x0)}")
-    xhat0 = doc.get("xhat0")
-    if xhat0 is not None:
-        xhat0 = _as_number_list(xhat0, "sim.xhat0")
-        if len(xhat0) != system.n:
-            raise ConfigError(
-                f"sim.xhat0: expected {system.n} entries, got {len(xhat0)}"
-            )
+    x0 = _initial_state(doc, "x0", system.n)
+    xhat0 = _initial_state(doc, "xhat0", system.n)
     signal = _build_signal(doc.get("input"), "sim.input", system.n_inputs)
     try:
         return SimConfig(
@@ -411,12 +425,12 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _emit(text, out_path):
-    """Write to the resolved file when --out was given, else to stdout."""
-    if out_path is None:
-        _sys.stdout.write(text)
+def _emit(text, out):
+    """Write to the resolved --out file when one was given, else to stdout."""
+    if out:
+        _write_text(_resolve_out(out, None), text)
     else:
-        _write_text(out_path, text)
+        _sys.stdout.write(text)
 
 
 def _render_doc(doc, fmt):
@@ -438,39 +452,41 @@ def _print_certificate_failure(cert):
         _sys.stderr.write(f"  margin {key} = {cert.margins[key]:.6g}\n")
 
 
-# ---------------------------------------------------------------------------
-# subcommands
+def _certify(system, design, obs, feedback_k, **search):
+    """Certificate for the configured run, with the robustness radius.
 
-
-def cmd_design(args):
-    cfg = _load_json_file(args.config)
-    _reject_unknown(cfg, ("system", "observer", "sim", "feedback", "lqr", "outputs"), "config")
-    system = build_system(cfg)
-    obs = parse_observer(cfg, system)
-    feedback_k = parse_feedback(cfg, system)
-
-    design = realize_design(system, obs)
+    The loop certificate when feedback is configured, else the observer
+    certificate; search options go to certify_stability.
+    """
     if feedback_k is not None:
         cert = feedback_certificate(
             system, design, feedback_k, strict_damping=obs["strict_damping"]
         )
     else:
         cert = certify_stability(
-            system,
-            design,
-            strict_damping=obs["strict_damping"],
-            equilibrium_search=args.equilibrium_search,
-            seed=args.seed,
+            system, design, strict_damping=obs["strict_damping"], **search
         )
-    cert = dataclasses.replace(cert, robustness_eps_max=robustness_bound(design))
+    return dataclasses.replace(cert, robustness_eps_max=robustness_bound(design))
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+
+
+def cmd_design(args):
+    cfg, system, obs = _load_config(args.config)
+    feedback_k = parse_feedback(cfg, system)
+
+    design = realize_design(system, obs)
+    search = {"equilibrium_search": args.equilibrium_search, "seed": args.seed}
+    cert = _certify(system, design, obs, feedback_k, **search)
 
     doc = {
         "observer_type": "linear" if design.is_degenerate else "cubic",
         "design": serialize.design_to_jsonable(design),
         "certificate": serialize.certificate_to_jsonable(cert),
     }
-    out = _resolve_out(args.out, None) if args.out else None
-    _emit(_render_doc(doc, args.format), out)
+    _emit(_render_doc(doc, args.format), args.out)
     if not cert.all_ok:
         _print_certificate_failure(cert)
         return EXIT_RUNTIME
@@ -478,10 +494,7 @@ def cmd_design(args):
 
 
 def cmd_simulate(args):
-    cfg = _load_json_file(args.config)
-    _reject_unknown(cfg, ("system", "observer", "sim", "feedback", "lqr", "outputs"), "config")
-    system = build_system(cfg)
-    obs = parse_observer(cfg, system)
+    cfg, system, obs = _load_config(args.config)
     sim_cfg = build_sim_config(
         cfg, system, dt=args.dt, horizon=args.horizon, eps=args.eps
     )
@@ -501,8 +514,6 @@ def cmd_simulate(args):
         trace = exc.trace
         diverged_at = exc.last_time
         _sys.stderr.write(f"error: {exc}\n")
-        if trace is None:
-            return EXIT_RUNTIME
 
     metrics = compute_metrics(
         trace, lqr_weights=lqr_weights if trace.control is not None else None
@@ -524,15 +535,7 @@ def cmd_simulate(args):
     if "metrics" in outputs:
         doc["metrics"] = serialize.metrics_to_jsonable(metrics)
     if "certificate" in outputs:
-        if feedback_k is not None:
-            cert = feedback_certificate(
-                system, design, feedback_k, strict_damping=obs["strict_damping"]
-            )
-        else:
-            cert = certify_stability(
-                system, design, strict_damping=obs["strict_damping"]
-            )
-        cert = dataclasses.replace(cert, robustness_eps_max=robustness_bound(design))
+        cert = _certify(system, design, obs, feedback_k)
         doc["certificate"] = serialize.certificate_to_jsonable(cert)
     _sys.stdout.write(_render_doc(doc, args.format))
     return EXIT_RUNTIME if diverged_at is not None else EXIT_OK
@@ -581,10 +584,7 @@ def _sweep_jsonable(rows):
 
 
 def cmd_sweep_gamma(args):
-    cfg = _load_json_file(args.config)
-    _reject_unknown(cfg, ("system", "observer", "sim", "feedback", "lqr", "outputs"), "config")
-    system = build_system(cfg)
-    obs = parse_observer(cfg, system)
+    cfg, system, obs = _load_config(args.config)
     if obs["type"] != "cubic":
         raise ConfigError(
             "observer.type: sweep-gamma needs a synthesizable cubic observer"
@@ -607,27 +607,16 @@ def cmd_sweep_gamma(args):
     if min(gammas) < 0.0:
         raise ConfigError(f"--gammas: values must be nonnegative, got {min(gammas)}")
 
-    gain_lc = obs["gain_lc"]
-    if gain_lc is None:
-        gain_lc = place_poles_single_output(system, obs["poles"]).gain_l
+    gain_lc = _observer_gain(system, obs)
     rows = gamma_sweep(
         system, gain_lc, obs["q"], obs["theta"], gammas, sim_cfg, feedback_k
     )
 
-    out = _resolve_out(args.out, None) if args.out else None
     if args.format == "json":
-        _emit(serialize.dumps_json(_sweep_jsonable(rows)), out)
+        _emit(serialize.dumps_json(_sweep_jsonable(rows)), args.out)
     else:
-        _emit(_sweep_csv(rows), out)
+        _emit(_sweep_csv(rows), args.out)
     return EXIT_OK
-
-
-_METRIC_TRACES = {
-    "linear": "linear_trace",
-    "cubic": "cubic_trace",
-    "perturbed_linear": "perturbed_linear_trace",
-    "perturbed_cubic": "perturbed_cubic_trace",
-}
 
 
 def _comparison_block(metrics_linear, metrics_cubic):
@@ -693,7 +682,7 @@ def write_bundle(bundle, out_dir):
 
     for key in sorted(bundle["metrics"]):
         met = bundle["metrics"][key]
-        trace = bundle["traces"][_METRIC_TRACES[key]]
+        trace = bundle["traces"][f"{key}_trace"]
         n = trace.n
         cols = ["t"] + [f"J{i + 1}" for i in range(n)] + ["J"]
         arrays = [trace.times]

@@ -1,11 +1,8 @@
 """Observer gain synthesis and stability certificates.
 
 The observers handled here estimate the state of an observable LTI plant.
-The linear observer is the classical output-injection design
-
-    d(xhat)/dt = (a - l c) xhat + l y + b u.
-
-The cubic observer adds an odd cubic output-residual correction
+The cubic observer adds an odd cubic output-residual correction to the
+classical output-injection design
 
     d(xhat)/dt = (a - lc c) xhat + lc y + b u - (r^T theta r) nc r,
     r = y - c xhat,
@@ -20,7 +17,9 @@ With p solving (a - lc c)^T p + p (a - lc c) = -q, the constructive choice
 
 makes p nc c + c^T nc^T p = -2 gamma c^T theta c, which both damps the
 quadratic Lyapunov derivative by an extra quartic term and guarantees the
-origin is the only equilibrium of the error dynamics.
+origin is the only equilibrium of the error dynamics. The linear observer
+d(xhat)/dt = (a - lc c) xhat + lc y + b u is the same design with nc = 0
+and gamma = 0, built by degenerate_linear().
 
 certify_stability evaluates three conditions against a candidate design:
 
@@ -52,18 +51,6 @@ GAIN_IDENTITY_RTOL = 1e-10
 PLACEMENT_TOL = 1e-8
 # scaling grid searched by feedback_certificate
 FEEDBACK_BETA_GRID = tuple(10.0 ** k for k in range(9))
-
-
-@dataclass(frozen=True)
-class LinearObserverDesign:
-    """Output-injection gain l of shape (n, n_y)."""
-
-    gain_l: np.ndarray
-
-    def __post_init__(self):
-        l = numlin.as_matrix(self.gain_l, "gain_l")
-        l.setflags(write=False)
-        object.__setattr__(self, "gain_l", l)
 
 
 @dataclass(frozen=True)
@@ -190,7 +177,8 @@ def _check_conjugate_closed(poles):
 def place_poles_single_output(sys, desired):
     """Observer pole placement for single-output systems.
 
-    Computes l with eig(a - l c) equal to the desired multiset via the
+    Returns the (n, 1) gain l with eig(a - l c) equal to the desired
+    multiset, computed via the
     characteristic-polynomial (Ackermann) formula
 
         l = phi(a) O^{-1} e_n,
@@ -243,7 +231,7 @@ def place_poles_single_output(sys, desired):
             f"pole placement achieved eigenvalues off by {err:.3e}; "
             "the observability matrix is probably too ill-conditioned"
         )
-    return LinearObserverDesign(l.reshape(n, 1))
+    return l.reshape(n, 1)
 
 
 def _as_theta(theta, n_y):
@@ -251,6 +239,20 @@ def _as_theta(theta, n_y):
     if t.ndim == 0:
         t = float(t) * np.eye(n_y)
     return numlin.symmetrize(t, "theta")
+
+
+def _lyapunov_pair(sys, lc, q):
+    """Check a - lc c is Hurwitz, then solve its Lyapunov equation for q.
+
+    Returns (p, q) with q symmetrized, as a design stores them.
+    """
+    f = sys.a - lc @ sys.c
+    if not numlin.is_hurwitz(f):
+        raise DesignError(
+            "hurwitz condition violated: a - gain_lc c has spectral abscissa "
+            f"{numlin.spectral_abscissa(f):.6g} >= 0"
+        )
+    return numlin.solve_lyapunov(f, q), numlin.symmetrize(q, "q")
 
 
 def synthesize_cubic_gain(sys, gain_lc, q, theta=None, gamma=1.0):
@@ -275,13 +277,7 @@ def synthesize_cubic_gain(sys, gain_lc, q, theta=None, gamma=1.0):
     if not numlin.is_positive_semidefinite(theta):
         raise ContractError("theta must be symmetric positive semidefinite")
 
-    f = sys.a - lc @ sys.c
-    if not numlin.is_hurwitz(f):
-        raise DesignError(
-            "hurwitz condition violated: a - gain_lc c has spectral abscissa "
-            f"{numlin.spectral_abscissa(f):.6g} >= 0"
-        )
-    p = numlin.solve_lyapunov(f, q)
+    p, q = _lyapunov_pair(sys, lc, q)
     nc = -gamma * np.linalg.solve(p, sys.c.T @ theta)
 
     s = sys.c.T @ theta @ sys.c
@@ -300,7 +296,7 @@ def synthesize_cubic_gain(sys, gain_lc, q, theta=None, gamma=1.0):
         theta=theta,
         gamma=gamma,
         lyapunov_p=p,
-        lyapunov_q=numlin.symmetrize(q, "q"),
+        lyapunov_q=q,
         synthesized=True,
     )
 
@@ -313,13 +309,7 @@ def degenerate_linear(sys, gain_lc, q):
     for certificates and energy traces.
     """
     lc = _as_gain(gain_lc, sys.n, sys.n_outputs, "gain_lc")
-    f = sys.a - lc @ sys.c
-    if not numlin.is_hurwitz(f):
-        raise DesignError(
-            "hurwitz condition violated: a - gain_lc c has spectral abscissa "
-            f"{numlin.spectral_abscissa(f):.6g} >= 0"
-        )
-    p = numlin.solve_lyapunov(f, q)
+    p, q = _lyapunov_pair(sys, lc, q)
     ny = sys.n_outputs
     return CubicObserverDesign(
         gain_lc=lc,
@@ -327,7 +317,7 @@ def degenerate_linear(sys, gain_lc, q):
         theta=np.zeros((ny, ny)),
         gamma=0.0,
         lyapunov_p=p,
-        lyapunov_q=numlin.symmetrize(q, "q"),
+        lyapunov_q=q,
         synthesized=True,
     )
 
@@ -343,24 +333,35 @@ def explicit_cubic_design(sys, gain_lc, gain_nc, theta, q=None, gamma=1.0):
     lc = _as_gain(gain_lc, sys.n, sys.n_outputs, "gain_lc")
     nc = _as_gain(gain_nc, sys.n, sys.n_outputs, "gain_nc")
     theta = _as_theta(theta, sys.n_outputs)
-    f = sys.a - lc @ sys.c
-    if not numlin.is_hurwitz(f):
-        raise DesignError(
-            "hurwitz condition violated: a - gain_lc c has spectral abscissa "
-            f"{numlin.spectral_abscissa(f):.6g} >= 0"
-        )
     if q is None:
         q = np.eye(sys.n)
-    p = numlin.solve_lyapunov(f, q)
+    p, q = _lyapunov_pair(sys, lc, q)
     return CubicObserverDesign(
         gain_lc=lc,
         gain_nc=nc,
         theta=theta,
         gamma=float(gamma),
         lyapunov_p=p,
-        lyapunov_q=numlin.symmetrize(q, "q"),
+        lyapunov_q=q,
         synthesized=False,
     )
+
+
+def _error_terms(sys, design):
+    """The terms of the error dynamics that every certificate reads.
+
+    Returns (f, s, w, d): f = a - lc c, s = c^T theta c, the quadratic
+    Lyapunov form w = f^T p + p f and the damping form
+    d = p nc c + c^T nc^T p.
+    """
+    c = sys.c
+    p = design.lyapunov_p
+    nc = design.gain_nc
+    f = sys.a - design.gain_lc @ c
+    s = c.T @ design.theta @ c
+    w = f.T @ p + p @ f
+    d = p @ nc @ c + c.T @ nc.T @ p
+    return f, s, w, d
 
 
 def _sym_extremes(m):
@@ -386,18 +387,10 @@ def certify_stability(
     equilibria of the error dynamics runs as an extra falsifier; any root
     found is counted in the margins.
     """
-    f = sys.a - design.gain_lc @ sys.c
-    p = design.lyapunov_p
-    q = design.lyapunov_q
-    nc = design.gain_nc
-    theta = design.theta
-    s = sys.c.T @ theta @ sys.c
-
-    w = f.T @ p + p @ f
+    f, s, w, d = _error_terms(sys, design)
     w_min, w_max = _sym_extremes(w)
     hurwitz_ok = numlin.is_negative_definite_quadform(w)
 
-    d = p @ nc @ sys.c + sys.c.T @ nc.T @ p
     d_min, d_max = _sym_extremes(d)
     damping_strict = numlin.is_positive_definite(-d)
     damping_semi = numlin.is_positive_semidefinite(-d)
@@ -410,7 +403,7 @@ def certify_stability(
     damping_ok = damping_strict if mode == "strict" else damping_semi
 
     margins = {
-        "q_min_eig": float(np.linalg.eigvalsh(q)[0]),
+        "q_min_eig": float(np.linalg.eigvalsh(design.lyapunov_q)[0]),
         "spectral_abscissa": numlin.spectral_abscissa(f),
         "hurwitz_margin": -w_max,
         "damping_margin": -d_max,
@@ -418,7 +411,7 @@ def certify_stability(
     }
 
     try:
-        m = s @ np.linalg.solve(f, nc @ sys.c)
+        m = s @ np.linalg.solve(f, design.gain_nc @ sys.c)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"a - gain_lc c is singular, uniqueness test impossible: {exc}"
@@ -501,8 +494,7 @@ def feedback_certificate(sys, design, k, strict_damping=None):
     p1 = numlin.solve_lyapunov(acl, np.eye(n))
     top_left = acl.T @ p1 + p1 @ acl
     off = p1 @ sys.b @ k
-    f = sys.a - design.gain_lc @ sys.c
-    w_obs = f.T @ design.lyapunov_p + design.lyapunov_p @ f
+    f, _, w_obs, _ = _error_terms(sys, design)
 
     feedback_ok = False
     feedback_beta = None
@@ -539,8 +531,7 @@ def feedback_certificate(sys, design, k, strict_damping=None):
 
 def error_field(sys, design):
     """Right-hand side of the estimation-error dynamics as a callable f(e)."""
-    f = sys.a - design.gain_lc @ sys.c
-    s = sys.c.T @ design.theta @ sys.c
+    f, s, _, _ = _error_terms(sys, design)
     nc = design.gain_nc
     c = sys.c
 
@@ -551,6 +542,23 @@ def error_field(sys, design):
     return rhs
 
 
+def lyapunov_derivative_at(sys, design, e):
+    """Evaluate dV/dt of V = e^T p e at a single error point.
+
+    Returns (vdot_cubic, vdot_linear): the derivative along the cubic
+    observer's error dynamics and along the linear observer's (the
+    quadratic part alone). Their gap is the quartic damping the cubic
+    correction buys at that point.
+    """
+    e = numlin.as_vector(e, "e")
+    if e.size != sys.n:
+        raise DimensionError(f"e must have {sys.n} entries, got {e.size}")
+    _, s, w, d = _error_terms(sys, design)
+    vdot_linear = float(e @ w @ e)
+    vdot_cubic = vdot_linear + float(e @ s @ e) * float(e @ d @ e)
+    return vdot_cubic, vdot_linear
+
+
 def search_nonzero_equilibria(sys, design, n_starts=100, seed=0, tol=1e-10):
     """Damped-Newton search for nonzero equilibria of the error dynamics.
 
@@ -559,8 +567,7 @@ def search_nonzero_equilibria(sys, design, n_starts=100, seed=0, tol=1e-10):
     proves nothing. For certified designs it should come back empty.
     """
     rhs = error_field(sys, design)
-    f = sys.a - design.gain_lc @ sys.c
-    s = sys.c.T @ design.theta @ sys.c
+    f, s, _, _ = _error_terms(sys, design)
     nc = design.gain_nc
     c = sys.c
     n = sys.n

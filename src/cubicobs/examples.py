@@ -70,7 +70,7 @@ def example_1():
         c=[[1.0, 0.0]],
     )
     poles = (-2.0, -5.0)
-    gain_lc = place_poles_single_output(system, poles).gain_l
+    gain_lc = place_poles_single_output(system, poles)
     return ObserverBenchmark(
         name="example1",
         description="double integrator, sinusoid input, poles {-2, -5}",
@@ -100,7 +100,7 @@ def example_2():
         c=[[1.0, 1.0, 2.0]],
     )
     poles = (-30.0, -10.0, -5.0)
-    gain_lc = place_poles_single_output(system, poles).gain_l
+    gain_lc = place_poles_single_output(system, poles)
     return ObserverBenchmark(
         name="example2",
         description="stable three-state plant, poles {-30, -10, -5}",
@@ -168,6 +168,13 @@ def build_designs(fx, gamma=None):
     return linear, cubic
 
 
+def _simulate(sys, design, cfg, feedback_k):
+    """The observer run, closed through u = -k xhat when feedback_k is set."""
+    if feedback_k is None:
+        return simulate_cubic_observer(sys, design, cfg)
+    return simulate_closed_loop(sys, design, feedback_k, cfg)
+
+
 def gamma_sweep(sys, gain_lc, q, theta, gammas, cfg, feedback_k=None):
     """Simulate one observer per gamma and collect the metrics.
 
@@ -184,10 +191,7 @@ def gamma_sweep(sys, gain_lc, q, theta, gammas, cfg, feedback_k=None):
             design = degenerate_linear(sys, gain_lc, q)
         else:
             design = synthesize_cubic_gain(sys, gain_lc, q, theta, g)
-        if feedback_k is None:
-            trace = simulate_cubic_observer(sys, design, cfg)
-        else:
-            trace = simulate_closed_loop(sys, design, feedback_k, cfg)
+        trace = _simulate(sys, design, cfg, feedback_k)
         metrics = compute_metrics(trace)
         rows.append(
             {
@@ -217,16 +221,11 @@ def compute_bundle(number):
         cert = certify_stability(sys, cubic)
     cert = replace(cert, robustness_eps_max=robustness_bound(cubic))
 
-    if fx.feedback_k is None:
-        trace_linear = simulate_cubic_observer(sys, linear, fx.sim)
-        trace_cubic = simulate_cubic_observer(sys, cubic, fx.sim)
-        metrics_linear = compute_metrics(trace_linear)
-        metrics_cubic = compute_metrics(trace_cubic)
-    else:
-        trace_linear = simulate_closed_loop(sys, linear, fx.feedback_k, fx.sim)
-        trace_cubic = simulate_closed_loop(sys, cubic, fx.feedback_k, fx.sim)
-        metrics_linear = compute_metrics(trace_linear, lqr_weights=fx.lqr_weights)
-        metrics_cubic = compute_metrics(trace_cubic, lqr_weights=fx.lqr_weights)
+    # fixtures without feedback carry lqr_weights = None
+    trace_linear = _simulate(sys, linear, fx.sim, fx.feedback_k)
+    trace_cubic = _simulate(sys, cubic, fx.sim, fx.feedback_k)
+    metrics_linear = compute_metrics(trace_linear, lqr_weights=fx.lqr_weights)
+    metrics_cubic = compute_metrics(trace_cubic, lqr_weights=fx.lqr_weights)
 
     bundle = {
         "number": int(number),

@@ -3,7 +3,7 @@
 Everything here targets the matrix sizes that occur in observer design
 (n up to a few tens). Routines prefer clear failure over silent garbage:
 they validate shapes, reject non-finite input, and cross-check their own
-results (Lyapunov residual, inverse defect) before returning.
+results (Lyapunov residual, definiteness) before returning.
 
 Matrices are plain float64 ndarrays in row-major semantic order; vectors
 are 1-D arrays. Definiteness checks use relative tolerances so they behave
@@ -20,8 +20,6 @@ SYMMETRY_RTOL = 1e-9
 DEFINITENESS_TOL = 1e-10
 # accepted relative residual of a Lyapunov solution
 LYAPUNOV_RESIDUAL_RTOL = 1e-8
-# largest condition number invert() will touch
-MAX_CONDITION = 1e12
 
 
 def as_matrix(values, name="matrix"):
@@ -178,19 +176,3 @@ def solve_lyapunov(f, q):
         raise NumericalError("Lyapunov solution is not positive definite")
     return p
 
-
-def invert(m):
-    """Matrix inverse guarded by a condition estimate and a defect check."""
-    m = require_square(m)
-    cond = float(np.linalg.cond(m))
-    if not np.isfinite(cond) or cond > MAX_CONDITION:
-        raise NumericalError(
-            f"matrix is singular or near-singular (condition estimate {cond:.3e})"
-        )
-    inv = np.linalg.inv(m)
-    defect = max_abs(m @ inv - np.eye(m.shape[0]))
-    if defect > 1e-10 * max(1.0, cond):
-        raise NumericalError(
-            f"inverse failed verification: ||m m^-1 - I|| = {defect:.3e}"
-        )
-    return inv

@@ -55,15 +55,17 @@ def trace_rows(trace):
     return np.hstack(blocks)
 
 
+def _write_csv(path, columns, rows):
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(format_float(v) for v in row) + "\n")
+
+
 def write_trace_csv(trace, path):
     if not isinstance(trace, Trace):
         raise TypeError(f"expected a Trace, got {type(trace).__name__}")
-    names = trace_columns(trace)
-    rows = trace_rows(trace)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in rows:
-            fh.write(",".join(format_float(v) for v in row) + "\n")
+    _write_csv(path, trace_columns(trace), trace_rows(trace))
 
 
 def write_series_csv(path, columns, arrays):
@@ -71,10 +73,7 @@ def write_series_csv(path, columns, arrays):
     mat = np.column_stack([np.asarray(a, dtype=float) for a in arrays])
     if len(columns) != mat.shape[1]:
         raise ValueError("column names do not match the number of series")
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in mat:
-            fh.write(",".join(format_float(v) for v in row) + "\n")
+    _write_csv(path, columns, mat)
 
 
 def _array_to_lists(values):

@@ -7,9 +7,9 @@ same floating-point trace, bit for bit.
 
 The cubic observer correction is always evaluated from the output residual
 r = y - c xhat, never from the unmeasurable state error, so the simulated
-observer only uses quantities it could measure. The linear observer runs
-through the identical code path with zero cubic coefficients, which makes
-the gamma -> 0 limit exact.
+observer only uses quantities it could measure. The linear observer is
+the zero-gain cubic design from design.degenerate_linear, so it runs
+through the identical code path and the gamma -> 0 limit is exact.
 """
 
 from dataclasses import dataclass, replace
@@ -18,8 +18,8 @@ import numpy as np
 
 from . import numlin
 from .errors import ContractError, DimensionError, DivergenceError
-from .design import CubicObserverDesign, LinearObserverDesign
-from .sysmodel import ZeroInput, evaluate_input
+from .design import CubicObserverDesign
+from .sysmodel import ZeroInput, evaluate_input, perturb
 
 # trajectory norm beyond which integration is declared divergent
 DIVERGENCE_LIMIT = 1e12
@@ -68,9 +68,9 @@ class SimConfig:
 class Trace:
     """Sampled joint trajectory of a plant/observer run.
 
-    lyapunov carries e^T p e when the run had Lyapunov data available;
-    lyapunov_zubov is the bounded transform 1 - exp(-e^T p e). control is
-    only present for closed-loop runs.
+    lyapunov carries e^T p e with the design's p (None once stripped for
+    output); lyapunov_zubov is the bounded transform 1 - exp(-e^T p e).
+    control is only present for closed-loop runs.
     """
 
     times: np.ndarray
@@ -127,42 +127,39 @@ def _time_grid(dt, horizon):
     return times
 
 
-def _rk4(field, y0, dt, horizon):
-    """March the ODE, returning (times, states) or raising DivergenceError."""
-    times = _time_grid(dt, horizon)
-    n_steps = times.size - 1
-    states = np.empty((times.size, y0.size))
-    y = y0.astype(float).copy()
-    states[0] = y
-    for k in range(n_steps):
-        t0 = times[k]
-        h = times[k + 1] - t0
-        half = 0.5 * h
-        k1 = field(t0, y)
-        k2 = field(t0 + half, y + half * k1)
-        k3 = field(t0 + half, y + half * k2)
-        k4 = field(times[k + 1], y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)) or float(np.max(np.abs(y))) > DIVERGENCE_LIMIT:
-            raise DivergenceError(
-                f"trajectory diverged between t={t0:g} and t={times[k + 1]:g}",
-                last_time=t0,
-                trace=(times[: k + 1].copy(), states[: k + 1].copy()),
-            )
-        states[k + 1] = y
-    return times, states
-
-
 def integrate_rk4(derivative, x0, cfg):
     """Integrate dy/dt = derivative(t, y) over the grid described by cfg.
 
     Returns (times, states) with states[k] the solution at times[k]. The
     grid is uniform with step cfg.dt except for a shortened final step
     landing exactly on cfg.horizon. Non-finite states or a norm beyond
-    1e12 raise DivergenceError carrying the partial arrays.
+    1e12 raise DivergenceError carrying the partial arrays. Overflow on the
+    way there raises only that error, not also a numpy RuntimeWarning; the
+    floating-point error state is set once around the loop, not per step.
     """
-    y0 = numlin.as_vector(x0, "x0")
-    return _rk4(derivative, y0, cfg.dt, cfg.horizon)
+    times = _time_grid(cfg.dt, cfg.horizon)
+    n_steps = times.size - 1
+    y = numlin.as_vector(x0, "x0")
+    states = np.empty((times.size, y.size))
+    states[0] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            t0 = times[k]
+            h = times[k + 1] - t0
+            half = 0.5 * h
+            k1 = derivative(t0, y)
+            k2 = derivative(t0 + half, y + half * k1)
+            k3 = derivative(t0 + half, y + half * k2)
+            k4 = derivative(times[k + 1], y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(y)) or float(np.max(np.abs(y))) > DIVERGENCE_LIMIT:
+                raise DivergenceError(
+                    f"trajectory diverged between t={t0:g} and t={times[k + 1]:g}",
+                    last_time=t0,
+                    trace=(times[: k + 1].copy(), states[: k + 1].copy()),
+                )
+            states[k + 1] = y
+    return times, states
 
 
 def _bind_config(sys, cfg):
@@ -183,18 +180,29 @@ def _bind_config(sys, cfg):
     return x0, xhat0, signal
 
 
-def _run_joint(sys, gain_l, gain_nc, theta, cfg, feedback_k=None, lyapunov_p=None):
+def _check_design(sys, design):
+    if not isinstance(design, CubicObserverDesign):
+        raise ContractError(f"unsupported design type {type(design).__name__}")
+    if design.n != sys.n or design.gain_lc.shape[1] != sys.n_outputs:
+        raise DimensionError("design dimensions do not match the system")
+
+
+def _run_joint(sys, design, cfg, feedback_k=None):
     n = sys.n
     x0, xhat0, signal = _bind_config(sys, cfg)
     eps = 0.0 if cfg.eps is None else float(cfg.eps)
     a = sys.a if eps == 0.0 else sys.a + eps * np.eye(n)
     c = sys.c
     b = sys.b
+    lc = design.gain_lc
+    gain_nc = design.gain_nc
+    theta = design.theta
+    lyapunov_p = design.lyapunov_p
 
     m = np.zeros((2 * n, 2 * n))
     m[:n, :n] = a
-    m[n:, :n] = gain_l @ c
-    m[n:, n:] = a - gain_l @ c
+    m[n:, :n] = lc @ c
+    m[n:, n:] = a - lc @ c
     bstack = np.vstack([b, b])
     c_res = np.hstack([c, -c])  # r = y - c xhat
 
@@ -217,7 +225,7 @@ def _run_joint(sys, gain_l, gain_nc, theta, cfg, feedback_k=None, lyapunov_p=Non
 
     z0 = np.concatenate([x0, xhat0])
     try:
-        times, states = _rk4(field, z0, cfg.dt, cfg.horizon)
+        times, states = integrate_rk4(field, z0, cfg)
     except DivergenceError as exc:
         part_times, part_states = exc.trace
         exc.trace = _assemble_trace(
@@ -239,11 +247,8 @@ def _assemble_trace(sys, times, states, signal, feedback_k, lyapunov_p):
     else:
         inputs = -(xhat @ np.asarray(feedback_k).T)
         control = inputs
-    lyap = None
-    zubov = None
-    if lyapunov_p is not None:
-        lyap = np.einsum("ij,jk,ik->i", errors, lyapunov_p, errors)
-        zubov = -np.expm1(-lyap)
+    lyap = np.einsum("ij,jk,ik->i", errors, lyapunov_p, errors)
+    zubov = -np.expm1(-lyap)
     return Trace(
         times=times,
         plant_states=x,
@@ -257,73 +262,32 @@ def _assemble_trace(sys, times, states, signal, feedback_k, lyapunov_p):
     )
 
 
-def _zero_cubic(sys):
-    ny = sys.n_outputs
-    return np.zeros((sys.n, ny)), np.zeros((ny, ny))
-
-
-def simulate_linear_observer(sys, obs, cfg, lyapunov_p=None):
-    """Simulate the plant with a linear output-injection observer.
-
-    obs is a LinearObserverDesign. Passing lyapunov_p records the energy
-    e^T p e along the run (useful for comparing against a cubic observer
-    that shares the same p). The run shares the cubic observer's code path
-    with zero cubic coefficients, so it is the exact gamma -> 0 limit.
-    """
-    if obs.gain_l.shape != (sys.n, sys.n_outputs):
-        raise DimensionError(
-            f"gain_l must have shape ({sys.n}, {sys.n_outputs}), "
-            f"got {obs.gain_l.shape}"
-        )
-    nc, theta = _zero_cubic(sys)
-    return _run_joint(sys, obs.gain_l, nc, theta, cfg, lyapunov_p=lyapunov_p)
-
-
 def simulate_cubic_observer(sys, design, cfg):
     """Simulate the plant with a cubic observer design.
 
     The correction term is computed from the output residual only. The
     design need not be certified; simulating uncertified gains is exactly
-    how one falsifies them.
+    how one falsifies them. The linear observer is the degenerate_linear
+    design, which runs the same code path with zero cubic coefficients.
     """
-    if design.n != sys.n or design.gain_lc.shape[1] != sys.n_outputs:
-        raise DimensionError("design dimensions do not match the system")
-    return _run_joint(
-        sys,
-        design.gain_lc,
-        design.gain_nc,
-        design.theta,
-        cfg,
-        lyapunov_p=design.lyapunov_p,
-    )
+    _check_design(sys, design)
+    return _run_joint(sys, design, cfg)
 
 
 def simulate_closed_loop(sys, design, k, cfg):
     """Simulate observer-based state feedback u = -k xhat.
 
-    design may be a CubicObserverDesign or a LinearObserverDesign; the
-    linear case runs with zero cubic coefficients. The trace's control
-    series records the applied input.
+    design is a CubicObserverDesign; pass degenerate_linear() for the
+    linear observer in the loop. The trace's control series records the
+    applied input.
     """
     k = numlin.as_matrix(k, "k")
     if k.shape != (sys.n_inputs, sys.n):
         raise DimensionError(
             f"k must have shape ({sys.n_inputs}, {sys.n}), got {k.shape}"
         )
-    if isinstance(design, LinearObserverDesign):
-        nc, theta = _zero_cubic(sys)
-        return _run_joint(sys, design.gain_l, nc, theta, cfg, feedback_k=k)
-    if isinstance(design, CubicObserverDesign):
-        return _run_joint(
-            sys,
-            design.gain_lc,
-            design.gain_nc,
-            design.theta,
-            cfg,
-            feedback_k=k,
-            lyapunov_p=design.lyapunov_p,
-        )
-    raise ContractError(f"unsupported design type {type(design).__name__}")
+    _check_design(sys, design)
+    return _run_joint(sys, design, cfg, feedback_k=k)
 
 
 def simulate_perturbed(family, design, eps, cfg):
@@ -333,8 +297,6 @@ def simulate_perturbed(family, design, eps, cfg):
     matrix is perturbed, so the recorded error follows the perturbed error
     dynamics. eps = 0 reproduces the nominal run exactly.
     """
-    from .sysmodel import perturb
-
     sys_eps = perturb(family, eps)
     return simulate_cubic_observer(sys_eps, design, replace(cfg, eps=None))
 
@@ -427,23 +389,3 @@ def compute_metrics(trace, settle_threshold=SETTLE_THRESHOLD, lqr_weights=None):
         lqr_cost_series=lqr_series,
     )
 
-
-def lyapunov_derivative_at(sys, design, e):
-    """Evaluate dV/dt of V = e^T p e at a single error point.
-
-    Returns (vdot_cubic, vdot_linear): the derivative along the cubic
-    observer's error dynamics and along the linear observer's (the
-    quadratic part alone). Their gap is the quartic damping the cubic
-    correction buys at that point.
-    """
-    e = numlin.as_vector(e, "e")
-    if e.size != sys.n:
-        raise DimensionError(f"e must have {sys.n} entries, got {e.size}")
-    f = sys.a - design.gain_lc @ sys.c
-    p = design.lyapunov_p
-    w = f.T @ p + p @ f
-    s = sys.c.T @ design.theta @ sys.c
-    d = p @ design.gain_nc @ sys.c + sys.c.T @ design.gain_nc.T @ p
-    vdot_linear = float(e @ w @ e)
-    vdot_cubic = vdot_linear + float(e @ s @ e) * float(e @ d @ e)
-    return vdot_cubic, vdot_linear

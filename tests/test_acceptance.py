@@ -199,7 +199,7 @@ def test_gain_identity_on_random_systems():
         gamma = float(rng.uniform(0.1, 5.0))
         theta = float(rng.uniform(0.1, 10.0))
         try:
-            lc = co.place_poles_single_output(sys, poles).gain_l
+            lc = co.place_poles_single_output(sys, poles)
             design = co.synthesize_cubic_gain(
                 sys, lc, np.eye(sys.n), [[theta]], gamma
             )
@@ -264,19 +264,37 @@ def test_pointwise_decay_bound():
 
 
 def test_degenerate_run_is_bit_identical_to_linear_observer(fx1, designs1):
+    """The zero-gain cubic design reproduces, bit for bit, the textbook
+    linear observer integrated directly:
+
+        d/dt [x; xhat] = [a, 0; l c, a - l c] [x; xhat] + [b; b] u.
+
+    The field is applied as one block matrix; summing l c x and
+    (a - l c) xhat as separate products rounds differently.
+    """
     linear_design, _ = designs1
-    obs = co.LinearObserverDesign(gain_l=fx1.gain_lc)
-    tr_lin = co.simulate_linear_observer(
-        fx1.system, obs, fx1.sim, lyapunov_p=linear_design.lyapunov_p
+    sys, cfg = fx1.system, fx1.sim
+    n, l = sys.n, fx1.gain_lc
+    m = np.block([[sys.a, np.zeros((n, n))], [l @ sys.c, sys.a - l @ sys.c]])
+    bstack = np.vstack([sys.b, sys.b])
+    z0 = np.concatenate([cfg.x0, np.zeros(n)])
+    times, states = co.integrate_rk4(
+        lambda t, z: m @ z + bstack @ cfg.input.sample(t), z0, cfg
     )
-    tr_deg = co.simulate_cubic_observer(fx1.system, linear_design, fx1.sim)
-    assert np.array_equal(tr_lin.times, tr_deg.times)
-    assert np.array_equal(tr_lin.plant_states, tr_deg.plant_states)
-    assert np.array_equal(tr_lin.estimates, tr_deg.estimates)
-    assert np.array_equal(tr_lin.errors, tr_deg.errors)
-    assert np.array_equal(tr_lin.outputs, tr_deg.outputs)
-    assert np.array_equal(tr_lin.inputs, tr_deg.inputs)
-    assert np.array_equal(tr_lin.lyapunov, tr_deg.lyapunov)
+    x, xhat = states[:, :n], states[:, n:]
+    errors = x - xhat
+    outputs = x @ sys.c.T
+    inputs = np.array([co.evaluate_input(cfg.input, t) for t in times])
+    lyapunov = np.einsum("ij,jk,ik->i", errors, linear_design.lyapunov_p, errors)
+
+    tr_deg = co.simulate_cubic_observer(sys, linear_design, cfg)
+    assert np.array_equal(times, tr_deg.times)
+    assert np.array_equal(x, tr_deg.plant_states)
+    assert np.array_equal(xhat, tr_deg.estimates)
+    assert np.array_equal(errors, tr_deg.errors)
+    assert np.array_equal(outputs, tr_deg.outputs)
+    assert np.array_equal(inputs, tr_deg.inputs)
+    assert np.array_equal(lyapunov, tr_deg.lyapunov)
 
 
 def test_gamma_continuity_toward_the_linear_observer(fx1, designs1):

@@ -25,21 +25,22 @@ def scalar_plant():
 def test_placement_double_integrator_each_pole_sets_a_gain_entry():
     # char poly of a - l c is s^2 + l1 s + l2, so {-2, -5} means l = (7, 10)
     sys = double_integrator()
-    obs = co.place_poles_single_output(sys, [-2.0, -5.0])
-    assert np.allclose(obs.gain_l[:, 0], [7.0, 10.0], atol=1e-9)
+    l = co.place_poles_single_output(sys, [-2.0, -5.0])
+    assert l.shape == (2, 1)
+    assert np.allclose(l[:, 0], [7.0, 10.0], atol=1e-9)
 
 
 def test_placement_repeated_poles():
     sys = double_integrator()
-    obs = co.place_poles_single_output(sys, [-1.0, -1.0])
-    assert np.allclose(obs.gain_l[:, 0], [2.0, 1.0], atol=1e-9)
+    l = co.place_poles_single_output(sys, [-1.0, -1.0])
+    assert np.allclose(l[:, 0], [2.0, 1.0], atol=1e-9)
 
 
 def test_placement_conjugate_pair():
     # s^2 + 2 s + 5 for poles -1 +/- 2j
     sys = double_integrator()
-    obs = co.place_poles_single_output(sys, [complex(-1, 2), complex(-1, -2)])
-    assert np.allclose(obs.gain_l[:, 0], [2.0, 5.0], atol=1e-9)
+    l = co.place_poles_single_output(sys, [complex(-1, 2), complex(-1, -2)])
+    assert np.allclose(l[:, 0], [2.0, 5.0], atol=1e-9)
 
 
 def test_placement_matches_characteristic_polynomial():
@@ -49,10 +50,10 @@ def test_placement_matches_characteristic_polynomial():
         sys = random_observable_system(rng)
         poles = separated_stable_poles(rng, sys.n)
         try:
-            obs = co.place_poles_single_output(sys, poles)
+            l = co.place_poles_single_output(sys, poles)
         except co.NumericalError:
             continue  # ill-conditioned draw, the routine refused it
-        f = sys.a - obs.gain_l @ sys.c
+        f = sys.a - l @ sys.c
         achieved = np.poly(f).real
         target = np.poly(poles).real
         assert np.allclose(achieved, target, rtol=0.0, atol=1e-6 * max(np.abs(target)))

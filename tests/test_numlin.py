@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cubicobs import ContractError, DesignError, DimensionError, NumericalError
+from cubicobs import ContractError, DesignError, DimensionError
 from cubicobs import numlin
 
 
@@ -180,26 +180,3 @@ def test_solve_lyapunov_properties(seed):
     assert residual <= 1e-8 * numlin.max_abs(q)
     assert np.linalg.eigvalsh(p)[0] > 0.0
 
-
-def test_invert_known_2x2():
-    m = np.array([[4.0, 7.0], [2.0, 6.0]])
-    inv = numlin.invert(m)
-    assert np.allclose(inv, np.array([[0.6, -0.7], [-0.2, 0.4]]), atol=1e-12)
-
-
-def test_invert_rejects_singular_and_near_singular():
-    with pytest.raises(NumericalError):
-        numlin.invert([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(NumericalError):
-        numlin.invert([[1.0, 0.0], [0.0, 1e-15]])
-
-
-@given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=40)
-def test_invert_round_trip(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 6))
-    m = rng.normal(size=(n, n)) + 3.0 * np.eye(n)
-    assume(np.linalg.cond(m) < 1e6)
-    inv = numlin.invert(m)
-    assert numlin.max_abs(m @ inv - np.eye(n)) < 1e-9
