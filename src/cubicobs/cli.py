@@ -456,11 +456,11 @@ def _certify(system, design, obs, feedback_k, **search):
     """Certificate for the configured run, with the robustness radius.
 
     The loop certificate when feedback is configured, else the observer
-    certificate; search options go to certify_stability.
+    certificate; search options go to either.
     """
     if feedback_k is not None:
         cert = feedback_certificate(
-            system, design, feedback_k, strict_damping=obs["strict_damping"]
+            system, design, feedback_k, strict_damping=obs["strict_damping"], **search
         )
     else:
         cert = certify_stability(

@@ -454,7 +454,9 @@ def robustness_bound(design):
     return q_min / (2.0 * p_max)
 
 
-def feedback_certificate(sys, design, k, strict_damping=None):
+def feedback_certificate(
+    sys, design, k, strict_damping=None, equilibrium_search=False, seed=0
+):
     """Certify observer-based state feedback u = -k xhat around the design.
 
     Builds the composite quadratic form for the stacked (x, e) dynamics,
@@ -469,13 +471,21 @@ def feedback_certificate(sys, design, k, strict_damping=None):
     same test expressed through the block-triangular composite matrix of
     the linear-observer loop. A False here only means this particular
     composite Lyapunov candidate failed, not that the loop is unstable.
+    strict_damping, equilibrium_search and seed go to the observer
+    certificate from certify_stability.
     """
     k = numlin.as_matrix(k, "k")
     if k.shape != (sys.n_inputs, sys.n):
         raise DimensionError(
             f"k must have shape ({sys.n_inputs}, {sys.n}), got {k.shape}"
         )
-    base = certify_stability(sys, design, strict_damping=strict_damping)
+    base = certify_stability(
+        sys,
+        design,
+        strict_damping=strict_damping,
+        equilibrium_search=equilibrium_search,
+        seed=seed,
+    )
     margins = dict(base.margins)
 
     acl = sys.a - sys.b @ k

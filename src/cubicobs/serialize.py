@@ -56,10 +56,13 @@ def trace_rows(trace):
 
 
 def _write_csv(path, columns, rows):
+    # one %-format per row gives the same text as format_float per value;
+    # converting row by row keeps memory flat, unlike rows.tolist()
+    fmt = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(format_float(v) for v in row) + "\n")
+            fh.write(fmt % tuple(row.tolist()))
 
 
 def write_trace_csv(trace, path):

@@ -156,6 +156,21 @@ def test_design_equilibrium_search_flag(write_config, capsys):
     assert doc["certificate"]["margins"]["nonzero_equilibria_found"] == 0.0
 
 
+def test_design_equilibrium_search_flag_with_feedback(write_config, capsys):
+    cfg = json.loads((REPO_ROOT / "docs" / "example_config.json").read_text())
+    cfg["feedback"] = {"k": [[1.0, 2.0]]}
+    path = write_config(cfg)
+    code, out, _ = run_cli(capsys, "design", path)
+    assert code == 0
+    margins = json.loads(out)["certificate"]["margins"]
+    assert "nonzero_equilibria_found" not in margins
+    code, out, _ = run_cli(capsys, "design", path, "--equilibrium-search", "--seed", "3")
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    assert "feedback_ok" in cert
+    assert cert["margins"]["nonzero_equilibria_found"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # configuration errors all exit 2 and name the offending field
 

@@ -96,6 +96,26 @@ def test_rk4_divergence_carries_partial_trajectory():
     assert 27.0 < exc.last_time < 28.0
 
 
+def test_divergence_boundary_is_1e12_in_absolute_value():
+    zero = lambda t, y: np.zeros_like(y)
+    cfg = co.SimConfig(horizon=0.2, dt=0.1)
+    for edge in (1e12, -1e12):
+        _, states = co.integrate_rk4(zero, [0.0, edge], cfg)
+        assert np.all(states[:, 1] == edge)
+    beyond = np.nextafter(1e12, np.inf)
+    for start in (beyond, -beyond):
+        with pytest.raises(co.DivergenceError):
+            co.integrate_rk4(zero, [0.0, start], cfg)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_derivative_diverges(value):
+    field = lambda t, y: np.array([0.0, value])
+    with pytest.raises(co.DivergenceError) as info:
+        co.integrate_rk4(field, [0.0, 0.0], co.SimConfig(horizon=0.2, dt=0.1))
+    assert info.value.last_time == 0.0
+
+
 def test_sim_config_validation():
     with pytest.raises(co.ContractError):
         co.SimConfig(horizon=1.0, dt=0.0)
@@ -141,6 +161,53 @@ def test_lyapunov_columns_match_quadratic_form(fx1, designs1):
     assert np.array_equal(trace.lyapunov_zubov, -np.expm1(-v))
     assert np.all(trace.lyapunov_zubov >= 0.0)
     assert np.all(trace.lyapunov_zubov < 1.0)
+
+
+class CountingInput:
+    """Wraps an input signal and counts its samples."""
+
+    def __init__(self, signal):
+        self.signal = signal
+        self.dimension = signal.dimension
+        self.samples = 0
+
+    def sample(self, t):
+        self.samples += 1
+        return self.signal.sample(t)
+
+
+def test_drive_is_sampled_once_per_distinct_time(fx1, designs1):
+    # the open-loop drive is cached across RK4 stages that share a time:
+    # 2 samples per step and one at t = 0, plus one per row of the trace
+    _, cubic = designs1
+    counting = CountingInput(fx1.sim.input)
+    cfg = replace(fx1.sim, horizon=0.5)
+    trace = co.simulate_cubic_observer(fx1.system, cubic, replace(cfg, input=counting))
+    steps = trace.times.size - 1
+    assert counting.samples <= 3 * steps + 2
+    plain = co.simulate_cubic_observer(fx1.system, cubic, cfg)
+    assert np.array_equal(trace.plant_states, plain.plant_states)
+    assert np.array_equal(trace.estimates, plain.estimates)
+
+
+def test_zero_cubic_gain_runs_the_linear_field(fx1, designs1):
+    # with gain_nc = 0 the cubic term is skipped whatever theta is
+    linear, _ = designs1
+    assert not np.any(linear.theta)
+    theta_only = replace(linear, theta=np.full_like(linear.theta, 10.0))
+    got = co.simulate_cubic_observer(fx1.system, theta_only, fx1.sim)
+    want = co.simulate_cubic_observer(fx1.system, linear, fx1.sim)
+    for name in (
+        "times",
+        "plant_states",
+        "estimates",
+        "errors",
+        "outputs",
+        "inputs",
+        "lyapunov",
+        "lyapunov_zubov",
+    ):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_closed_loop_records_applied_control(fx3):
