@@ -57,13 +57,11 @@ from .sim import (
 from .sysmodel import (
     ConstantInput,
     LinearSystem,
-    PerturbedFamily,
     SampledInput,
     SinusoidInput,
     ZeroInput,
     evaluate_input,
     observability_matrix,
-    perturb,
 )
 
 __version__ = "0.1.0"
@@ -82,7 +80,6 @@ __all__ = [
     "NumericalError",
     "ObserverBenchmark",
     "ObserverToolkitError",
-    "PerturbedFamily",
     "SampledInput",
     "SimConfig",
     "SinusoidInput",
@@ -102,7 +99,6 @@ __all__ = [
     "integrate_rk4",
     "lyapunov_derivative_at",
     "observability_matrix",
-    "perturb",
     "place_poles_single_output",
     "robustness_bound",
     "search_nonzero_equilibria",

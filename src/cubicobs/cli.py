@@ -36,7 +36,6 @@ from .design import (
     explicit_cubic_design,
     feedback_certificate,
     place_poles_single_output,
-    robustness_bound,
     synthesize_cubic_gain,
 )
 from .errors import ConfigError, DivergenceError, ObserverToolkitError
@@ -248,6 +247,11 @@ def parse_observer(cfg, system):
     gamma = _as_number(doc.get("gamma", 1.0), "observer.gamma")
     if not np.isfinite(gamma) or gamma < 0.0:
         raise ConfigError("observer.gamma: must be a finite nonnegative number")
+    if kind == "cubic_explicit" and gamma == 0.0:
+        raise ConfigError(
+            "observer.gamma: must be positive for cubic_explicit, whose gain_nc "
+            "sets the cubic term; the zero-gain observer is type linear"
+        )
     parsed["gamma"] = gamma
 
     mode = doc.get("damping_mode")
@@ -282,7 +286,7 @@ def realize_design(system, obs):
         obs["gain_nc"],
         obs["theta"],
         q=obs["q"],
-        gamma=obs["gamma"] if obs["gamma"] > 0.0 else 1.0,
+        gamma=obs["gamma"],
     )
 
 
@@ -382,6 +386,8 @@ def parse_feedback(cfg, system):
 def parse_lqr(cfg, system):
     if "lqr" not in cfg:
         return None
+    if "feedback" not in cfg:
+        raise ConfigError("lqr: needs a feedback section, which supplies the control")
     doc = _as_dict(cfg["lqr"], "lqr")
     _reject_unknown(doc, ("q", "r"), "lqr")
     q = _scalar_or_matrix(doc.get("q", 1.0), "lqr.q", system.n)
@@ -453,20 +459,18 @@ def _print_certificate_failure(cert):
 
 
 def _certify(system, design, obs, feedback_k, **search):
-    """Certificate for the configured run, with the robustness radius.
+    """Certificate for the configured run.
 
     The loop certificate when feedback is configured, else the observer
     certificate; search options go to either.
     """
     if feedback_k is not None:
-        cert = feedback_certificate(
+        return feedback_certificate(
             system, design, feedback_k, strict_damping=obs["strict_damping"], **search
         )
-    else:
-        cert = certify_stability(
-            system, design, strict_damping=obs["strict_damping"], **search
-        )
-    return dataclasses.replace(cert, robustness_eps_max=robustness_bound(design))
+    return certify_stability(
+        system, design, strict_damping=obs["strict_damping"], **search
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +519,7 @@ def cmd_simulate(args):
         diverged_at = exc.last_time
         _sys.stderr.write(f"error: {exc}\n")
 
-    metrics = compute_metrics(
-        trace, lqr_weights=lqr_weights if trace.control is not None else None
-    )
+    metrics = compute_metrics(trace, lqr_weights=lqr_weights)
     if diverged_at is not None:
         metrics = dataclasses.replace(metrics, diverged_at=diverged_at)
 
@@ -644,9 +646,7 @@ def _build_report(bundle):
         },
         "comparison": _comparison_block(mets["linear"], mets["cubic"]),
     }
-    cert = bundle["certificate"]
-    if cert.robustness_eps_max is not None:
-        report["robustness_eps_max"] = float(cert.robustness_eps_max)
+    report["robustness_eps_max"] = float(bundle["certificate"].robustness_eps_max)
     if fx.eps_study is not None:
         report["eps_study"] = float(fx.eps_study)
     if mets["linear"].lqr_cost is not None:

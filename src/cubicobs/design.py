@@ -125,8 +125,9 @@ class Certificate:
     """Stability verdicts with the numerical margins that back them.
 
     damping_ok reflects the mode actually used ("strict" or "semidefinite");
-    damping_strict reports whether the strict verdict holds regardless. The
-    feedback fields stay None unless feedback_certificate filled them.
+    damping_strict reports whether the strict verdict holds regardless.
+    certify_stability sets robustness_eps_max to robustness_bound(design).
+    The feedback fields stay None unless feedback_certificate filled them.
     """
 
     hurwitz_ok: bool
@@ -385,7 +386,8 @@ def certify_stability(
     constructive rule or c^T theta c has full rank. With
     equilibrium_search=True a seeded damped-Newton search for nonzero
     equilibria of the error dynamics runs as an extra falsifier; any root
-    found is counted in the margins.
+    found is counted in the margins. The certificate carries the design's
+    robustness radius, robustness_bound(design), as robustness_eps_max.
     """
     f, s, w, d = _error_terms(sys, design)
     w_min, w_max = _sym_extremes(w)
@@ -433,6 +435,7 @@ def certify_stability(
         damping_mode=mode,
         uniqueness_ok=uniqueness_ok,
         margins=margins,
+        robustness_eps_max=robustness_bound(design),
     )
 
 

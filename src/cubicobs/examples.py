@@ -17,7 +17,7 @@ against them. compute_bundle() performs every simulation and measurement a
 bundle needs and returns plain objects for the CLI to serialize.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .design import (
     explicit_cubic_design,
     feedback_certificate,
     place_poles_single_output,
-    robustness_bound,
     synthesize_cubic_gain,
 )
 from .errors import ContractError
@@ -38,7 +37,7 @@ from .sim import (
     simulate_cubic_observer,
     simulate_perturbed,
 )
-from .sysmodel import LinearSystem, PerturbedFamily, SinusoidInput
+from .sysmodel import LinearSystem, SinusoidInput
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,6 @@ class ObserverBenchmark:
     gain_nc: np.ndarray | None  # explicit cubic gain; None means synthesize
     sim: SimConfig
     sweep_gammas: tuple | None = None
-    eps_range: tuple | None = None
     eps_study: float | None = None
     feedback_k: np.ndarray | None = None
     lqr_weights: tuple | None = None
@@ -113,7 +111,6 @@ def example_2():
         gain_nc=None,
         sim=SimConfig(horizon=3.0, dt=1e-3, x0=[1.0, 1.0, 1.0]),
         sweep_gammas=(0.01, 0.05, 0.1, 0.5, 1.0),
-        eps_range=(-0.06, 0.06),
         eps_study=0.02,
     )
 
@@ -219,7 +216,6 @@ def compute_bundle(number):
         cert = feedback_certificate(sys, cubic, fx.feedback_k)
     else:
         cert = certify_stability(sys, cubic)
-    cert = replace(cert, robustness_eps_max=robustness_bound(cubic))
 
     # fixtures without feedback carry lqr_weights = None
     trace_linear = _simulate(sys, linear, fx.sim, fx.feedback_k)
@@ -244,9 +240,8 @@ def compute_bundle(number):
         )
 
     if fx.eps_study is not None:
-        family = PerturbedFamily(sys, *fx.eps_range)
-        trace_plin = simulate_perturbed(family, linear, fx.eps_study, fx.sim)
-        trace_pcub = simulate_perturbed(family, cubic, fx.eps_study, fx.sim)
+        trace_plin = simulate_perturbed(sys, linear, fx.eps_study, fx.sim)
+        trace_pcub = simulate_perturbed(sys, cubic, fx.eps_study, fx.sim)
         bundle["traces"]["perturbed_linear_trace"] = trace_plin
         bundle["traces"]["perturbed_cubic_trace"] = trace_pcub
         bundle["metrics"]["perturbed_linear"] = compute_metrics(trace_plin)

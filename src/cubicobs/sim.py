@@ -19,7 +19,7 @@ import numpy as np
 from . import numlin
 from .errors import ContractError, DimensionError, DivergenceError
 from .design import CubicObserverDesign
-from .sysmodel import ZeroInput, evaluate_input, perturb
+from .sysmodel import ZeroInput, evaluate_input
 
 # trajectory norm beyond which integration is declared divergent
 DIVERGENCE_LIMIT = 1e12
@@ -36,7 +36,9 @@ class SimConfig:
     shifts the dynamics matrix to a + eps*I for both the plant and the
     observer's internal model (the gains stay fixed), so the estimation
     error follows the perturbed error dynamics the robustness bound talks
-    about.
+    about. This is the only way a perturbed plant enters a run; eps = 0
+    or None reproduces the nominal run bit for bit, and a non-finite eps
+    is rejected.
     """
 
     horizon: float
@@ -314,15 +316,15 @@ def simulate_closed_loop(sys, design, k, cfg):
     return _run_joint(sys, design, cfg, feedback_k=k)
 
 
-def simulate_perturbed(family, design, eps, cfg):
-    """Simulate a cubic design on the family member a + eps*I.
+def simulate_perturbed(sys, design, eps, cfg):
+    """Simulate a cubic design on the perturbed plant a + eps*I.
 
-    The gains stay as designed for the nominal plant while the dynamics
+    Shorthand for simulate_cubic_observer with cfg.eps replaced by eps:
+    the gains stay as designed for the nominal plant while the dynamics
     matrix is perturbed, so the recorded error follows the perturbed error
     dynamics. eps = 0 reproduces the nominal run exactly.
     """
-    sys_eps = perturb(family, eps)
-    return simulate_cubic_observer(sys_eps, design, replace(cfg, eps=None))
+    return simulate_cubic_observer(sys, design, replace(cfg, eps=eps))
 
 
 def _cumulative_trapezoid(times, values):

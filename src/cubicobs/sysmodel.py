@@ -1,17 +1,16 @@
-"""System descriptions: LTI plants, perturbation families, input signals.
+"""System descriptions: LTI plants and input signals.
 
 A LinearSystem is the continuous-time triple (a, b, c) of
 
     dx/dt = a x + b u,    y = c x.
 
 Construction validates shapes and rejects unobservable (a, c) pairs, since
-every design routine downstream assumes observability. PerturbedFamily
-models scalar model uncertainty of the form a + eps*I over a declared
-range. Input signals are small frozen dataclasses with a common sample(t)
-method.
+every design routine downstream assumes observability. Model uncertainty
+of the form a + eps*I is not a plant of its own: SimConfig.eps applies it
+inside the simulator. Input signals are small frozen dataclasses with a
+common sample(t) method.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,64 +79,6 @@ class LinearSystem:
 def observability_matrix(sys):
     """Stacked matrix [c; c a; ...; c a^(n-1)] of shape (n*n_y, n)."""
     return _observability_blocks(sys.a, sys.c)
-
-
-@dataclass(frozen=True)
-class PerturbedFamily:
-    """Family a(eps) = a + eps*I for eps in [eps_min, eps_max].
-
-    The range must bracket zero so the nominal plant belongs to the family.
-    Same-signed bounds are normalized on construction: the nominal a is
-    shifted by the nearer bound and the range is re-zeroed, which leaves
-    the set of modeled plants unchanged.
-    """
-
-    nominal: LinearSystem
-    eps_min: float
-    eps_max: float
-
-    def __post_init__(self):
-        lo = float(self.eps_min)
-        hi = float(self.eps_max)
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ContractError("perturbation bounds must be finite")
-        if lo > hi:
-            raise ContractError(f"eps_min {lo} exceeds eps_max {hi}")
-        nominal = self.nominal
-        if lo > 0.0:
-            nominal = LinearSystem(
-                nominal.a + lo * np.eye(nominal.n), nominal.b, nominal.c
-            )
-            lo, hi = 0.0, hi - lo
-        elif hi < 0.0:
-            nominal = LinearSystem(
-                nominal.a + hi * np.eye(nominal.n), nominal.b, nominal.c
-            )
-            lo, hi = lo - hi, 0.0
-        object.__setattr__(self, "nominal", nominal)
-        object.__setattr__(self, "eps_min", lo)
-        object.__setattr__(self, "eps_max", hi)
-
-
-def perturb(family, eps):
-    """Instantiate the family member a + eps*I.
-
-    Values outside the declared range only warn: sweeping past the range is
-    a legitimate experiment. eps = 0 returns the nominal system unchanged.
-    """
-    eps = float(eps)
-    if not np.isfinite(eps):
-        raise ContractError("eps must be finite")
-    if not (family.eps_min <= eps <= family.eps_max):
-        warnings.warn(
-            f"eps={eps:g} lies outside the declared range "
-            f"[{family.eps_min:g}, {family.eps_max:g}]",
-            stacklevel=2,
-        )
-    if eps == 0.0:
-        return family.nominal
-    nom = family.nominal
-    return LinearSystem(nom.a + eps * np.eye(nom.n), nom.b, nom.c)
 
 
 @dataclass(frozen=True)

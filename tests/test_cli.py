@@ -231,6 +231,34 @@ def test_negative_gamma_exits_two(write_config, capsys):
     assert "observer.gamma" in err
 
 
+def test_explicit_observer_zero_gamma_exits_two(write_config, capsys):
+    # gain_nc alone sets the cubic term; a positive gamma is reported as given
+    cfg = base_config()
+    cfg["observer"] = {
+        "type": "cubic_explicit",
+        "poles": [-2.0, -5.0],
+        "gain_nc": [-9.882352941176471, -11.529411764705884],
+        "gamma": 0.0,
+    }
+    code, _, err = run_cli(capsys, "design", write_config(cfg))
+    assert code == 2
+    assert "observer.gamma" in err
+    cfg["observer"]["gamma"] = 0.5
+    code, out, _ = run_cli(capsys, "design", write_config(cfg))
+    assert json.loads(out)["design"]["gamma"] == 0.5
+
+
+def test_lqr_without_feedback_exits_two(write_config, capsys, tmp_path):
+    cfg = json.loads((REPO_ROOT / "docs" / "example_config.json").read_text())
+    cfg["lqr"] = {"q": 1, "r": 1}
+    code, out, err = run_cli(
+        capsys, "simulate", write_config(cfg), "--out", str(tmp_path / "t.csv")
+    )
+    assert code == 2
+    assert out == ""
+    assert "lqr" in err
+
+
 def test_horizon_shorter_than_dt_exits_two(write_config, capsys):
     cfg = base_config()
     cfg["sim"]["horizon"] = 1e-6

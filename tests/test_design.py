@@ -230,6 +230,16 @@ def test_robustness_bound_invariant_under_q_scaling(fx1):
     assert co.robustness_bound(d1) == co.robustness_bound(d4)
 
 
+def test_certificates_carry_the_robustness_bound(fx1, designs1):
+    # both feedback_certificate exits (stable and destabilizing k) inherit it
+    for design in designs1:
+        bound = co.robustness_bound(design)
+        assert co.certify_stability(fx1.system, design).robustness_eps_max == bound
+        for k in ([[1.0, 2.0]], [[-10.0, 0.0]]):
+            cert = co.feedback_certificate(fx1.system, design, k)
+            assert cert.robustness_eps_max == bound
+
+
 def test_feedback_certificate_decoupled_case_passes_at_beta_one():
     # b = 0 and k = 0 leave plant and observer decoupled; the composite
     # form is block diagonal and already negative definite unscaled

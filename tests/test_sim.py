@@ -247,14 +247,62 @@ def test_simulate_rejects_mismatched_dimensions(fx1, designs1):
         co.simulate_cubic_observer(fx1.system, cubic, bad_u)
 
 
+def assert_traces_equal(got, want):
+    for name in ("times", "plant_states", "estimates", "errors", "outputs",
+                 "inputs", "lyapunov", "lyapunov_zubov", "control"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g is None) == (w is None), name
+        assert g is None or np.array_equal(g, w), name
+
+
 def test_perturbed_run_equals_direct_eps_run(fx2, designs2):
     _, cubic = designs2
-    family = co.PerturbedFamily(fx2.system, *fx2.eps_range)
     cfg = replace(fx2.sim, horizon=1.0)
-    via_family = co.simulate_perturbed(family, cubic, 0.02, cfg)
+    via_helper = co.simulate_perturbed(fx2.system, cubic, 0.02, cfg)
     direct = co.simulate_cubic_observer(fx2.system, cubic, replace(cfg, eps=0.02))
-    assert np.array_equal(via_family.plant_states, direct.plant_states)
-    assert np.array_equal(via_family.estimates, direct.estimates)
+    assert_traces_equal(via_helper, direct)
+
+
+def test_eps_zero_reproduces_the_nominal_run(fx1, designs1):
+    _, cubic = designs1
+    cfg = replace(fx1.sim, horizon=1.0)
+    nominal = co.simulate_cubic_observer(fx1.system, cubic, cfg)
+    for eps in (0.0, -0.0):
+        run = co.simulate_cubic_observer(fx1.system, cubic, replace(cfg, eps=eps))
+        assert_traces_equal(run, nominal)
+    assert_traces_equal(co.simulate_perturbed(fx1.system, cubic, 0.0, cfg), nominal)
+
+
+def test_eps_run_equals_run_on_the_shifted_plant(fx1, designs1, fx3):
+    # eps shifts a only: b, c and the designed gains stay nominal, in open
+    # loop (driven plant) and under feedback alike
+    _, cubic = designs1
+    sys = fx1.system
+    shifted = co.LinearSystem(sys.a + 0.05 * np.eye(sys.n), sys.b, sys.c)
+    cfg = replace(fx1.sim, horizon=1.0)
+    assert_traces_equal(
+        co.simulate_cubic_observer(sys, cubic, replace(cfg, eps=0.05)),
+        co.simulate_cubic_observer(shifted, cubic, cfg),
+    )
+
+    _, cubic3 = co.build_designs(fx3)
+    sys = fx3.system
+    shifted = co.LinearSystem(sys.a - 0.05 * np.eye(sys.n), sys.b, sys.c)
+    cfg = replace(fx3.sim, horizon=1.0)
+    assert_traces_equal(
+        co.simulate_closed_loop(sys, cubic3, fx3.feedback_k, replace(cfg, eps=-0.05)),
+        co.simulate_closed_loop(shifted, cubic3, fx3.feedback_k, cfg),
+    )
+
+
+def test_non_finite_eps_is_rejected(fx1, designs1):
+    _, cubic = designs1
+    cfg = replace(fx1.sim, horizon=1.0)
+    for eps in (np.inf, -np.inf, np.nan):
+        with pytest.raises(co.ContractError, match="eps must be finite"):
+            co.SimConfig(horizon=1.0, eps=eps)
+        with pytest.raises(co.ContractError, match="eps must be finite"):
+            co.simulate_perturbed(fx1.system, cubic, eps, cfg)
 
 
 def test_divergence_during_observer_run_is_reported(fx1):

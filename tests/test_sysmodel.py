@@ -1,4 +1,4 @@
-"""Unit tests for plant descriptions, perturbation families, and inputs."""
+"""Unit tests for plant descriptions and input signals."""
 
 import numpy as np
 import pytest
@@ -10,13 +10,11 @@ from cubicobs import (
     ContractError,
     DimensionError,
     LinearSystem,
-    PerturbedFamily,
     SampledInput,
     SinusoidInput,
     ZeroInput,
     evaluate_input,
     observability_matrix,
-    perturb,
 )
 
 
@@ -65,56 +63,6 @@ def test_observability_matrix_stacks_n_blocks():
     assert np.array_equal(obs[0], sys.c[0])
     assert np.allclose(obs[1], sys.c[0] @ sys.a)
     assert np.allclose(obs[2], sys.c[0] @ sys.a @ sys.a)
-
-
-def test_perturbed_family_brackets_zero():
-    sys = double_integrator()
-    fam = PerturbedFamily(sys, -0.06, 0.06)
-    assert fam.eps_min == -0.06
-    assert fam.eps_max == 0.06
-    assert fam.nominal is sys
-
-
-def test_perturbed_family_normalizes_same_signed_bounds():
-    # the family {a + eps I : eps in [0.02, 0.06]} equals
-    # {(a + 0.02 I) + eps I : eps in [0, 0.04]}
-    sys = double_integrator()
-    fam = PerturbedFamily(sys, 0.02, 0.06)
-    assert fam.eps_min == 0.0
-    assert fam.eps_max == pytest.approx(0.04)
-    assert np.allclose(fam.nominal.a, sys.a + 0.02 * np.eye(2))
-
-    fam = PerturbedFamily(sys, -0.06, -0.02)
-    assert fam.eps_min == pytest.approx(-0.04)
-    assert fam.eps_max == 0.0
-    assert np.allclose(fam.nominal.a, sys.a - 0.02 * np.eye(2))
-
-
-def test_perturbed_family_rejects_bad_bounds():
-    sys = double_integrator()
-    with pytest.raises(ContractError):
-        PerturbedFamily(sys, 0.1, -0.1)
-    with pytest.raises(ContractError):
-        PerturbedFamily(sys, -np.inf, 0.1)
-
-
-def test_perturb_zero_returns_nominal_object():
-    fam = PerturbedFamily(double_integrator(), -0.1, 0.1)
-    assert perturb(fam, 0.0) is fam.nominal
-
-
-def test_perturb_shifts_dynamics_matrix():
-    fam = PerturbedFamily(double_integrator(), -0.1, 0.1)
-    sys_eps = perturb(fam, 0.05)
-    assert np.array_equal(sys_eps.a, fam.nominal.a + 0.05 * np.eye(2))
-    assert np.array_equal(sys_eps.b, fam.nominal.b)
-    assert np.array_equal(sys_eps.c, fam.nominal.c)
-
-
-def test_perturb_warns_outside_declared_range():
-    fam = PerturbedFamily(double_integrator(), -0.1, 0.1)
-    with pytest.warns(UserWarning, match="outside the declared range"):
-        perturb(fam, 0.2)
 
 
 def test_zero_input():
