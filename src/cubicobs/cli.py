@@ -73,7 +73,9 @@ def _load_config(path):
     """Read a JSON config file and reject unknown top-level fields.
 
     Returns the raw document with its parsed system and observer sections,
-    which every subcommand that reads a config needs.
+    which every subcommand that reads a config needs, and the lqr weights
+    (None without an lqr section), which only simulate uses but every
+    subcommand validates.
     """
     try:
         with open(path) as fh:
@@ -86,7 +88,8 @@ def _load_config(path):
         )
     _reject_unknown(cfg, _TOP_LEVEL_FIELDS, "config")
     system = build_system(cfg)
-    return cfg, system, parse_observer(cfg, system)
+    obs = parse_observer(cfg, system)
+    return cfg, system, obs, parse_lqr(cfg, system)
 
 
 def _as_dict(value, path):
@@ -478,7 +481,9 @@ def _certify(system, design, obs, feedback_k, **search):
 
 
 def cmd_design(args):
-    cfg, system, obs = _load_config(args.config)
+    if args.seed < 0:
+        raise ConfigError(f"--seed: must be a nonnegative integer, got {args.seed}")
+    cfg, system, obs, _ = _load_config(args.config)
     feedback_k = parse_feedback(cfg, system)
 
     design = realize_design(system, obs)
@@ -498,12 +503,11 @@ def cmd_design(args):
 
 
 def cmd_simulate(args):
-    cfg, system, obs = _load_config(args.config)
+    cfg, system, obs, lqr_weights = _load_config(args.config)
     sim_cfg = build_sim_config(
         cfg, system, dt=args.dt, horizon=args.horizon, eps=args.eps
     )
     feedback_k = parse_feedback(cfg, system)
-    lqr_weights = parse_lqr(cfg, system)
     outputs = parse_outputs(cfg)
 
     design = realize_design(system, obs)
@@ -586,7 +590,7 @@ def _sweep_jsonable(rows):
 
 
 def cmd_sweep_gamma(args):
-    cfg, system, obs = _load_config(args.config)
+    cfg, system, obs, _ = _load_config(args.config)
     if obs["type"] != "cubic":
         raise ConfigError(
             "observer.type: sweep-gamma needs a synthesizable cubic observer"

@@ -36,6 +36,7 @@ verdict can hold; the strict verdict is reported alongside. Every boolean in
 a certificate is backed by a named numerical margin.
 """
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -385,10 +386,13 @@ def certify_stability(
     picks strict exactly when the design was not synthesized by the
     constructive rule or c^T theta c has full rank. With
     equilibrium_search=True a seeded damped-Newton search for nonzero
-    equilibria of the error dynamics runs as an extra falsifier; any root
-    found is counted in the margins. The certificate carries the design's
-    robustness radius, robustness_bound(design), as robustness_eps_max.
+    equilibria of the error dynamics runs as an extra falsifier from
+    n_starts starts (a positive integer, checked even when the search is
+    off); any root found is counted in the margins. The certificate
+    carries the design's robustness radius, robustness_bound(design), as
+    robustness_eps_max.
     """
+    _check_n_starts(n_starts)
     f, s, w, d = _error_terms(sys, design)
     w_min, w_max = _sym_extremes(w)
     hurwitz_ok = numlin.is_negative_definite_quadform(w)
@@ -458,7 +462,13 @@ def robustness_bound(design):
 
 
 def feedback_certificate(
-    sys, design, k, strict_damping=None, equilibrium_search=False, seed=0
+    sys,
+    design,
+    k,
+    strict_damping=None,
+    equilibrium_search=False,
+    n_starts=100,
+    seed=0,
 ):
     """Certify observer-based state feedback u = -k xhat around the design.
 
@@ -474,8 +484,8 @@ def feedback_certificate(
     same test expressed through the block-triangular composite matrix of
     the linear-observer loop. A False here only means this particular
     composite Lyapunov candidate failed, not that the loop is unstable.
-    strict_damping, equilibrium_search and seed go to the observer
-    certificate from certify_stability.
+    strict_damping, equilibrium_search, n_starts and seed go to the
+    observer certificate from certify_stability.
     """
     k = numlin.as_matrix(k, "k")
     if k.shape != (sys.n_inputs, sys.n):
@@ -487,6 +497,7 @@ def feedback_certificate(
         design,
         strict_damping=strict_damping,
         equilibrium_search=equilibrium_search,
+        n_starts=n_starts,
         seed=seed,
     )
     margins = dict(base.margins)
@@ -543,16 +554,35 @@ def feedback_certificate(
 
 
 def error_field(sys, design):
-    """Right-hand side of the estimation-error dynamics as a callable f(e)."""
+    """Right-hand side of the estimation-error dynamics as a callable f(e).
+
+    f takes one point, shape (n,), or a stack of points as rows, shape
+    (S, n), and returns an array of the same shape. Each row is evaluated
+    with fixed-order einsum reductions, not a BLAS product over the stack,
+    so a row's bits do not depend on the rows around it.
+    """
     f, s, _, _ = _error_terms(sys, design)
     nc = design.gain_nc
     c = sys.c
 
     def rhs(e):
-        e = np.asarray(e, dtype=float).reshape(-1)
-        return f @ e + float(e @ s @ e) * (nc @ (c @ e))
+        e = np.asarray(e, dtype=float)
+        if e.ndim == 2:
+            return _error_rows(f, s, nc, c, e)[0]
+        return _error_rows(f, s, nc, c, e.reshape(1, -1))[0][0]
 
     return rhs
+
+
+def _error_rows(f, s, nc, c, e):
+    """Error field at the rows of e, (S, n), and the parts of its Jacobian.
+
+    Returns (value, s e, e^T s e, nc c e), one row per row of e.
+    """
+    se = np.einsum("ij,sj->si", s, e)
+    ese = np.einsum("si,si->s", e, se)
+    ncce = np.einsum("ij,sj->si", nc, np.einsum("ij,sj->si", c, e))
+    return np.einsum("ij,sj->si", f, e) + ese[:, None] * ncce, se, ese, ncce
 
 
 def lyapunov_derivative_at(sys, design, e):
@@ -572,51 +602,120 @@ def lyapunov_derivative_at(sys, design, e):
     return vdot_cubic, vdot_linear
 
 
+def _check_n_starts(n_starts):
+    if (
+        isinstance(n_starts, bool)
+        or not isinstance(n_starts, numbers.Integral)
+        or n_starts < 1
+    ):
+        raise ContractError(f"n_starts must be a positive integer, got {n_starts!r}")
+
+
+def _row_norms(v):
+    return np.sqrt(np.einsum("si,si->s", v, v))
+
+
+def _newton_steps(jac, value):
+    """Solve jac[i] step[i] = -value[i] for every row i.
+
+    Returns (step, ok): ok is False where LAPACK finds jac[i] singular, and
+    that row of step is meaningless.
+    """
+    try:
+        step = np.linalg.solve(jac, -value[:, :, None])[:, :, 0]
+        return step, np.ones(len(value), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    # the stacked solve refuses the whole stack for one singular matrix
+    step = np.zeros_like(value)
+    ok = np.ones(len(value), dtype=bool)
+    for i in range(len(value)):
+        try:
+            step[i] = np.linalg.solve(jac[i], -value[i])
+        except np.linalg.LinAlgError:
+            ok[i] = False
+    return step, ok
+
+
+def _damped_newton(rhs, jacobian, starts, threshold):
+    """Damped Newton from every row of starts, (S, n), all rows together.
+
+    rhs maps a stack of rows to their field values and jacobian to their
+    (S, n, n) Jacobians, each row on its own. A row takes at most 60 Newton
+    steps. It stops early once the norm of its field value is below
+    threshold, when its Jacobian is singular, or when 40 halvings of its
+    step all fail to reduce that norm; the other rows go on. Returns the
+    final rows and their field values.
+    """
+    e = np.array(starts, dtype=float)
+    value = rhs(e)
+    norm = _row_norms(value)
+    active = np.arange(len(e))
+    for _ in range(60):
+        active = active[~(norm[active] < threshold)]
+        if not active.size:
+            break
+        step, ok = _newton_steps(jacobian(e[active]), value[active])
+        rows, step = active[ok], step[ok]
+        pending = np.arange(len(rows))
+        alpha = 1.0
+        for _ in range(40):
+            if not pending.size:
+                break
+            trial = e[rows[pending]] + alpha * step[pending]
+            trial_value = rhs(trial)
+            trial_norm = _row_norms(trial_value)
+            better = trial_norm < norm[rows[pending]]
+            moved = rows[pending[better]]
+            e[moved] = trial[better]
+            value[moved] = trial_value[better]
+            norm[moved] = trial_norm[better]
+            pending = pending[~better]
+            alpha *= 0.5
+        active = np.delete(rows, pending)
+    return e, value
+
+
 def search_nonzero_equilibria(sys, design, n_starts=100, seed=0, tol=1e-10):
     """Damped-Newton search for nonzero equilibria of the error dynamics.
 
     A falsifier, not a prover: it reports any nonzero root it converges to
     from n_starts seeded random starts at several radii, and an empty list
     proves nothing. For certified designs it should come back empty.
+
+    Each start draws a radius 10**uniform(-1, 1) and then a direction
+    standard_normal(n) from default_rng(seed). All starts then run as one
+    (n_starts, n) batch of damped-Newton iterations (see _damped_newton),
+    with fixed-order einsum reductions and one LAPACK solve per row, so a
+    start's path and root are the same bits whatever the batch holds: the
+    first k starts of a larger search find exactly the roots the search
+    with n_starts=k finds. A start counts as converged when its residual
+    norm is below tol * max(1, max|a - lc c|). Roots are kept in start
+    order, dropping any within 1e-6 of one already kept or of the origin.
     """
+    _check_n_starts(n_starts)
     rhs = error_field(sys, design)
     f, s, _, _ = _error_terms(sys, design)
     nc = design.gain_nc
     c = sys.c
-    n = sys.n
+    ncc = nc @ c
 
-    def jac(e):
-        ce = c @ e
-        return f + np.outer(nc @ ce, 2.0 * (s @ e)) + float(e @ s @ e) * (nc @ c)
+    def jacobian(e):
+        _, se, ese, ncce = _error_rows(f, s, nc, c, e)
+        jac = ncce[:, :, None] * (2.0 * se)[:, None, :]
+        jac += f
+        jac += ese[:, None, None] * ncc
+        return jac
 
     rng = np.random.default_rng(seed)
-    found = []
-    scale = max(1.0, numlin.max_abs(f))
-    for _ in range(int(n_starts)):
+    starts = np.empty((n_starts, sys.n))
+    for row in starts:
         radius = 10.0 ** rng.uniform(-1.0, 1.0)
-        e = radius * rng.standard_normal(n)
-        value = rhs(e)
-        for _ in range(60):
-            norm = float(np.linalg.norm(value))
-            if norm < tol * scale:
-                break
-            try:
-                step = np.linalg.solve(jac(e), -value)
-            except np.linalg.LinAlgError:
-                break
-            alpha = 1.0
-            for _ in range(40):
-                trial = e + alpha * step
-                trial_value = rhs(trial)
-                if float(np.linalg.norm(trial_value)) < norm:
-                    e, value = trial, trial_value
-                    break
-                alpha *= 0.5
-            else:
-                break
-        if float(np.linalg.norm(value)) < tol * scale and float(
-            np.linalg.norm(e)
-        ) > 1e-6:
-            if not any(np.linalg.norm(e - r) < 1e-6 for r in found):
-                found.append(e.copy())
+        row[:] = radius * rng.standard_normal(sys.n)
+    threshold = tol * max(1.0, numlin.max_abs(f))
+    e, value = _damped_newton(rhs, jacobian, starts, threshold)
+    found = []
+    for root in e[(_row_norms(value) < threshold) & (_row_norms(e) > 1e-6)]:
+        if not any(np.linalg.norm(root - r) < 1e-6 for r in found):
+            found.append(root.copy())
     return found

@@ -259,6 +259,41 @@ def test_lqr_without_feedback_exits_two(write_config, capsys, tmp_path):
     assert "lqr" in err
 
 
+@pytest.mark.parametrize(
+    "lqr, feedback",
+    [({"q": 1, "r": 1}, None), ({"bogus": 1}, [[1.0, 2.0]])],
+    ids=["without-feedback", "unknown-field"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [("design",), ("design", "--equilibrium-search"), ("sweep-gamma", "--gammas", "1")],
+    ids=["design", "design-search", "sweep-gamma"],
+)
+def test_bad_lqr_section_exits_two_in_every_subcommand(
+    write_config, capsys, lqr, feedback, argv
+):
+    cfg = json.loads((REPO_ROOT / "docs" / "example_config.json").read_text())
+    cfg["lqr"] = lqr
+    if feedback is not None:
+        cfg["feedback"] = {"k": feedback}
+    code, out, err = run_cli(capsys, argv[0], write_config(cfg), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "lqr" in err
+
+
+def test_design_negative_seed_exits_two(write_config, capsys):
+    path = write_config(base_config())
+    code, out, err = run_cli(
+        capsys, "design", path, "--equilibrium-search", "--seed", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err
+    code, _, _ = run_cli(capsys, "design", path, "--equilibrium-search", "--seed", "0")
+    assert code == 0
+
+
 def test_horizon_shorter_than_dt_exits_two(write_config, capsys):
     cfg = base_config()
     cfg["sim"]["horizon"] = 1e-6

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubicobs as co
+from cubicobs import design as design_mod
 from cubicobs import numlin
 from conftest import random_observable_system, separated_stable_poles
 
@@ -322,3 +325,203 @@ def test_certify_with_equilibrium_search_records_margin(fx1, designs1):
         fx1.system, cubic, equilibrium_search=True, n_starts=20, seed=0
     )
     assert cert.margins["nonzero_equilibria_found"] == 0.0
+
+
+def flipped_design(system, design):
+    """The design with its cubic gain negated, which pumps the error outward."""
+    return co.explicit_cubic_design(
+        system,
+        design.gain_lc,
+        -design.gain_nc,
+        design.theta,
+        q=design.lyapunov_q,
+        gamma=design.gamma,
+    )
+
+
+def sequential_search(sys, design, n_starts=100, seed=0, tol=1e-10):
+    """The one-start-at-a-time damped-Newton search, kept as the reference.
+
+    Same starts, limits and deduplication as search_nonzero_equilibria, with
+    each start run alone through BLAS matrix-vector products.
+    """
+    f, s, _, _ = design_mod._error_terms(sys, design)
+    nc = design.gain_nc
+    c = sys.c
+
+    def rhs(e):
+        return f @ e + float(e @ s @ e) * (nc @ (c @ e))
+
+    def jac(e):
+        ce = c @ e
+        return f + np.outer(nc @ ce, 2.0 * (s @ e)) + float(e @ s @ e) * (nc @ c)
+
+    rng = np.random.default_rng(seed)
+    found = []
+    scale = max(1.0, numlin.max_abs(f))
+    for _ in range(n_starts):
+        radius = 10.0 ** rng.uniform(-1.0, 1.0)
+        e = radius * rng.standard_normal(sys.n)
+        value = rhs(e)
+        for _ in range(60):
+            norm = float(np.linalg.norm(value))
+            if norm < tol * scale:
+                break
+            try:
+                step = np.linalg.solve(jac(e), -value)
+            except np.linalg.LinAlgError:
+                break
+            alpha = 1.0
+            for _ in range(40):
+                trial = e + alpha * step
+                trial_value = rhs(trial)
+                if float(np.linalg.norm(trial_value)) < norm:
+                    e, value = trial, trial_value
+                    break
+                alpha *= 0.5
+            else:
+                break
+        if float(np.linalg.norm(value)) < tol * scale and float(
+            np.linalg.norm(e)
+        ) > 1e-6:
+            if not any(np.linalg.norm(e - r) < 1e-6 for r in found):
+                found.append(e.copy())
+    return found
+
+
+def scaling_design(seed, n):
+    """A certified cubic design built like the benchmark's design_scaling
+    configs: unit-norm skew a, two outputs (one when n = 2), lc = c^T / n,
+    q = I, theta = I, gamma in [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    while True:
+        g = rng.standard_normal((n, n))
+        a = (g - g.T) / np.linalg.norm(g - g.T, 2)
+        c = rng.standard_normal((min(2, n - 1), n))
+        gamma = float(rng.uniform(0.5, 2.0))
+        try:
+            system = co.LinearSystem(a=a, b=np.zeros((n, 1)), c=c)
+            design = co.synthesize_cubic_gain(
+                system, c.T / n, np.eye(n), np.eye(c.shape[0]), gamma
+            )
+        except co.ObserverToolkitError:
+            continue
+        return system, design
+
+
+def assert_same_roots(roots, ref):
+    """Equal counts, and every root within 1e-9 relative of a reference root.
+
+    Not in order: a damped-Newton path that wanders near a singular Jacobian
+    amplifies last-bit differences, so now and then one start reaches
+    another root of the same set than it does in the reference.
+    """
+    assert len(roots) == len(ref)
+    for root in roots:
+        assert min(np.linalg.norm(root - want) / np.linalg.norm(want) for want in ref) <= 1e-9
+
+
+@settings(max_examples=20)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 6),
+    flipped=st.booleans(),
+    k=st.integers(1, 99),
+)
+def test_batched_search_matches_the_sequential_reference(seed, n, flipped, k):
+    system, design = scaling_design(seed, n)
+    if flipped:
+        design = flipped_design(system, design)
+    roots = co.search_nonzero_equilibria(system, design, seed=seed)
+    assert_same_roots(roots, sequential_search(system, design, seed=seed))
+    # a start's root does not depend on how many other starts share its batch
+    fewer = co.search_nonzero_equilibria(system, design, n_starts=k, seed=seed)
+    assert len(fewer) <= len(roots)
+    for root, want in zip(fewer, roots):
+        assert np.array_equal(root, want)
+    again = co.search_nonzero_equilibria(system, design, seed=seed)
+    assert len(again) == len(roots)
+    assert all(np.array_equal(a, b) for a, b in zip(again, roots))
+
+
+def test_batched_search_matches_the_reference_on_the_flipped_example(fx1, designs1):
+    flipped = flipped_design(fx1.system, designs1[1])
+    for seed in range(5):
+        roots = co.search_nonzero_equilibria(fx1.system, flipped, seed=seed)
+        assert len(roots) == 2
+        assert_same_roots(roots, sequential_search(fx1.system, flipped, seed=seed))
+
+
+def test_damped_newton_stops_only_the_row_with_a_singular_jacobian():
+    # e_i^2 = 1 per entry; the Jacobian diag(2 e) is singular at e_0 = 0
+    def rhs(e):
+        return e * e - 1.0
+
+    def jacobian(e):
+        return 2.0 * e[:, :, None] * np.eye(e.shape[1])
+
+    starts = np.array([[2.0, 3.0], [0.0, 0.5], [-0.5, 0.7]])
+    e, value = design_mod._damped_newton(rhs, jacobian, starts, 1e-12)
+    assert np.array_equal(e[1], starts[1])
+    assert np.array_equal(value[1], rhs(starts[1]))
+    assert np.allclose(e[[0, 2]], [[1.0, 1.0], [-1.0, 1.0]], rtol=0, atol=1e-12)
+    alone, _ = design_mod._damped_newton(rhs, jacobian, starts[[0, 2]], 1e-12)
+    assert np.array_equal(e[[0, 2]], alone)
+
+
+def test_damped_newton_step_and_halving_limits():
+    # residual e - 1 with a Jacobian scaled down by 2**k: the Newton step
+    # overshoots by 2**k, so only the k-th halving (alpha = 2**-k) reduces
+    # the residual, landing exactly on the root; 40 trials reach k = 39
+    def rhs(e):
+        return e - 1.0
+
+    for k, reached in ((39, True), (40, False)):
+        def jacobian(e):
+            return np.full((len(e), 1, 1), 2.0 ** -k)
+
+        e, _ = design_mod._damped_newton(rhs, jacobian, np.array([[0.0]]), 1e-12)
+        assert e[0, 0] == (1.0 if reached else 0.0)
+
+    # residual e with the Jacobian 2 I: each accepted step halves e, and a
+    # zero threshold is never met, so e ends after exactly 60 steps
+    def halving_jacobian(e):
+        return np.full((len(e), 1, 1), 2.0)
+
+    e, _ = design_mod._damped_newton(lambda e: e, halving_jacobian, np.array([[3.0]]), 0.0)
+    assert e[0, 0] == 3.0 * 2.0 ** -60
+
+
+def test_error_field_rows_match_single_points(fx1, designs1):
+    rhs = co.error_field(fx1.system, designs1[1])
+    points = np.array([[0.3, -1.2], [2.0, 0.5], [-4.0, 1.0]])
+    stacked = rhs(points)
+    assert stacked.shape == points.shape
+    for point, row in zip(points, stacked):
+        assert np.array_equal(rhs(point), row)
+
+
+@pytest.mark.parametrize("n_starts", [0, -3, 2.7, 20.0, True, "20", None])
+def test_n_starts_must_be_a_positive_integer(fx1, designs1, n_starts):
+    _, cubic = designs1
+    with pytest.raises(co.ContractError, match="n_starts"):
+        co.search_nonzero_equilibria(fx1.system, cubic, n_starts=n_starts)
+    with pytest.raises(co.ContractError, match="n_starts"):
+        co.certify_stability(
+            fx1.system, cubic, equilibrium_search=True, n_starts=n_starts
+        )
+    with pytest.raises(co.ContractError, match="n_starts"):
+        co.feedback_certificate(
+            fx1.system, cubic, [[1.0, 2.0]], equilibrium_search=True, n_starts=n_starts
+        )
+
+
+def test_feedback_certificate_passes_n_starts_to_the_search(fx1, designs1):
+    # from seed 0 the first start alone finds one of the flipped design's two roots
+    flipped = flipped_design(fx1.system, designs1[1])
+    k = [[1.0, 2.0]]
+    for n_starts, want in ((1, 1.0), (100, 2.0)):
+        cert = co.feedback_certificate(
+            fx1.system, flipped, k, equilibrium_search=True, n_starts=n_starts, seed=0
+        )
+        assert cert.margins["nonzero_equilibria_found"] == want
