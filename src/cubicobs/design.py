@@ -387,12 +387,12 @@ def certify_stability(
     constructive rule or c^T theta c has full rank. With
     equilibrium_search=True a seeded damped-Newton search for nonzero
     equilibria of the error dynamics runs as an extra falsifier from
-    n_starts starts (a positive integer, checked even when the search is
-    off); any root found is counted in the margins. The certificate
-    carries the design's robustness radius, robustness_bound(design), as
-    robustness_eps_max.
+    n_starts starts drawn from seed (a positive and a nonnegative integer,
+    both checked even when the search is off); any root found is counted
+    in the margins. The certificate carries the design's robustness
+    radius, robustness_bound(design), as robustness_eps_max.
     """
-    _check_n_starts(n_starts)
+    _check_search_args(n_starts, seed)
     f, s, w, d = _error_terms(sys, design)
     w_min, w_max = _sym_extremes(w)
     hurwitz_ok = numlin.is_negative_definite_quadform(w)
@@ -602,13 +602,18 @@ def lyapunov_derivative_at(sys, design, e):
     return vdot_cubic, vdot_linear
 
 
-def _check_n_starts(n_starts):
-    if (
-        isinstance(n_starts, bool)
-        or not isinstance(n_starts, numbers.Integral)
-        or n_starts < 1
+def _check_search_args(n_starts, seed):
+    """ContractError unless n_starts is a positive and seed a nonnegative int."""
+    for name, value, least, kind in (
+        ("n_starts", n_starts, 1, "positive"),
+        ("seed", seed, 0, "nonnegative"),
     ):
-        raise ContractError(f"n_starts must be a positive integer, got {n_starts!r}")
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Integral)
+            or value < least
+        ):
+            raise ContractError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 def _row_norms(v):
@@ -684,16 +689,17 @@ def search_nonzero_equilibria(sys, design, n_starts=100, seed=0, tol=1e-10):
     proves nothing. For certified designs it should come back empty.
 
     Each start draws a radius 10**uniform(-1, 1) and then a direction
-    standard_normal(n) from default_rng(seed). All starts then run as one
-    (n_starts, n) batch of damped-Newton iterations (see _damped_newton),
-    with fixed-order einsum reductions and one LAPACK solve per row, so a
-    start's path and root are the same bits whatever the batch holds: the
-    first k starts of a larger search find exactly the roots the search
-    with n_starts=k finds. A start counts as converged when its residual
+    standard_normal(n) from default_rng(seed); n_starts must be a positive
+    and seed a nonnegative integer (ContractError otherwise). All starts
+    then run as one (n_starts, n) batch of damped-Newton iterations (see
+    _damped_newton), with fixed-order einsum reductions and one LAPACK
+    solve per row, so a start's path and root are the same bits whatever
+    the batch holds: the first k starts of a larger search find exactly
+    the roots the search with n_starts=k finds. A start counts as converged when its residual
     norm is below tol * max(1, max|a - lc c|). Roots are kept in start
     order, dropping any within 1e-6 of one already kept or of the origin.
     """
-    _check_n_starts(n_starts)
+    _check_search_args(n_starts, seed)
     rhs = error_field(sys, design)
     f, s, _, _ = _error_terms(sys, design)
     nc = design.gain_nc

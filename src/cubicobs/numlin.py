@@ -1,9 +1,15 @@
 """Dense real-matrix numerics for small systems.
 
 Everything here targets the matrix sizes that occur in observer design
-(n up to a few tens). Routines prefer clear failure over silent garbage:
-they validate shapes, reject non-finite input, and cross-check their own
-results (Lyapunov residual, definiteness) before returning.
+(n up to a few tens, and the Lyapunov solve well beyond). Routines prefer
+clear failure over silent garbage: they validate shapes, reject non-finite
+input, and cross-check their own results (Lyapunov residual,
+definiteness) before returning.
+
+solve_lyapunov picks its algorithm by size. Up to LYAPUNOV_DIRECT_MAX_N it
+solves the n^2 x n^2 Kronecker system, O(n^6) but the fastest at small n;
+above it it runs the scaled Newton sign iteration, O(n^3) per iteration.
+Both paths end in the same residual and definiteness checks.
 
 Matrices are plain float64 ndarrays in row-major semantic order; vectors
 are 1-D arrays. Definiteness checks use relative tolerances so they behave
@@ -20,6 +26,15 @@ SYMMETRY_RTOL = 1e-9
 DEFINITENESS_TOL = 1e-10
 # accepted relative residual of a Lyapunov solution
 LYAPUNOV_RESIDUAL_RTOL = 1e-8
+# largest n solved through the Kronecker system: with one BLAS thread it is
+# faster than the sign iteration up to here, slower above (BENCH_7.json)
+LYAPUNOV_DIRECT_MAX_N = 11
+# the sign iteration stops once an iterate moves less than this, relative
+# to its 1-norm; convergence is quadratic, so the next error is ~rtol^2
+LYAPUNOV_SIGN_RTOL = 1e-8
+# iterations before the sign iteration gives up; the tested inputs at
+# n = 12..128 take 4 to 16
+LYAPUNOV_SIGN_MAX_ITER = 100
 
 
 def as_matrix(values, name="matrix"):
@@ -140,9 +155,14 @@ def solve_lyapunov(f, q):
     """Solve f^T P + P f = -q for symmetric positive definite P.
 
     Preconditions: f Hurwitz (checked up front, DesignError otherwise) and
-    q symmetric positive definite. Solves the vectorized n^2 x n^2 linear
-    system, which is perfectly adequate at the sizes this package handles.
-    The residual and definiteness of P are verified before returning.
+    q symmetric positive definite (ContractError otherwise). For n up to
+    LYAPUNOV_DIRECT_MAX_N the vectorized n^2 x n^2 linear system is solved
+    directly; above it the scaled Newton sign iteration runs (see
+    _lyapunov_by_sign), which costs O(n^3) per iteration instead of O(n^6)
+    in all. Either way the residual and definiteness of P are verified
+    before returning, and P is exactly symmetric. NumericalError reports a
+    singular system or iterate, an iteration that did not converge, or a
+    P that fails a check.
     """
     f = require_square(f, "f")
     q = symmetrize(q, "q")
@@ -156,16 +176,10 @@ def solve_lyapunov(f, q):
     if not is_positive_definite(q):
         raise ContractError("q must be symmetric positive definite")
 
-    n = f.shape[0]
-    eye = np.eye(n)
-    # row-major vec: vec(F^T P) = (F^T (x) I) vec(P), vec(P F) = (I (x) F^T) vec(P)
-    lhs = np.kron(f.T, eye) + np.kron(eye, f.T)
-    try:
-        p_vec = np.linalg.solve(lhs, -q.reshape(-1))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Lyapunov system is singular: {exc}") from exc
-
-    p = 0.5 * (p_vec.reshape(n, n) + p_vec.reshape(n, n).T)
+    if f.shape[0] <= LYAPUNOV_DIRECT_MAX_N:
+        p = _lyapunov_by_kronecker(f, q)
+    else:
+        p = _lyapunov_by_sign(f, q)
     residual = max_abs(f.T @ p + p @ f + q)
     if residual > LYAPUNOV_RESIDUAL_RTOL * max_abs(q):
         raise NumericalError(
@@ -176,3 +190,43 @@ def solve_lyapunov(f, q):
         raise NumericalError("Lyapunov solution is not positive definite")
     return p
 
+
+def _lyapunov_by_kronecker(f, q):
+    n = f.shape[0]
+    eye = np.eye(n)
+    # row-major vec: vec(F^T P) = (F^T (x) I) vec(P), vec(P F) = (I (x) F^T) vec(P)
+    lhs = np.kron(f.T, eye) + np.kron(eye, f.T)
+    try:
+        p_vec = np.linalg.solve(lhs, -q.reshape(-1))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Lyapunov system is singular: {exc}") from exc
+    return 0.5 * (p_vec.reshape(n, n) + p_vec.reshape(n, n).T)
+
+
+def _lyapunov_by_sign(f, q):
+    """P from the coupled Newton iteration for the matrix sign function.
+
+    The sign of [[f, 0], [q, -f^T]] is [[-I, 0], [2P, I]] for Hurwitz f
+    (Roberts 1980; Higham, Functions of Matrices, 2008, ch. 5). Its blocks
+    follow A <- (A/c + c A^-1)/2 and X <- (X/c + c A^-T X A^-1)/2 from
+    A = f, X = q, so A -> -I and X -> 2P. The scale c = |det A|^(1/n) is
+    taken from slogdet, because det itself overflows at large n.
+    """
+    n = f.shape[0]
+    a, x = f, q
+    for _ in range(LYAPUNOV_SIGN_MAX_ITER):
+        try:
+            a_inv = np.linalg.inv(a)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Lyapunov sign iterate is singular: {exc}") from exc
+        c = np.exp(np.linalg.slogdet(a)[1] / n)
+        a_next = 0.5 * (a / c + c * a_inv)
+        x = 0.5 * (x / c + c * (a_inv.T @ x @ a_inv))
+        step = np.linalg.norm(a_next - a, 1)
+        a = a_next
+        if step <= LYAPUNOV_SIGN_RTOL * np.linalg.norm(a, 1):
+            return 0.25 * (x + x.T)
+    raise NumericalError(
+        f"Lyapunov sign iteration did not converge in {LYAPUNOV_SIGN_MAX_ITER} "
+        "iterations"
+    )

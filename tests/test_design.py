@@ -516,6 +516,19 @@ def test_n_starts_must_be_a_positive_integer(fx1, designs1, n_starts):
         )
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, 3.0, True, None, "0"])
+def test_seed_must_be_a_nonnegative_integer(fx1, designs1, seed):
+    _, cubic = designs1
+    with pytest.raises(co.ContractError, match="seed"):
+        co.search_nonzero_equilibria(fx1.system, cubic, seed=seed)
+    with pytest.raises(co.ContractError, match="seed"):
+        co.certify_stability(fx1.system, cubic, equilibrium_search=True, seed=seed)
+    with pytest.raises(co.ContractError, match="seed"):
+        co.feedback_certificate(
+            fx1.system, cubic, [[1.0, 2.0]], equilibrium_search=True, seed=seed
+        )
+
+
 def test_feedback_certificate_passes_n_starts_to_the_search(fx1, designs1):
     # from seed 0 the first start alone finds one of the flipped design's two roots
     flipped = flipped_design(fx1.system, designs1[1])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cubicobs import ContractError, DesignError, DimensionError
+from cubicobs import ContractError, DesignError, DimensionError, NumericalError
 from cubicobs import numlin
 
 
@@ -180,3 +180,71 @@ def test_solve_lyapunov_properties(seed):
     assert residual <= 1e-8 * numlin.max_abs(q)
     assert np.linalg.eigvalsh(p)[0] > 0.0
 
+
+def kronecker_reference(f, q):
+    """The direct solve of the vectorized n^2 x n^2 system, term for term."""
+    n = f.shape[0]
+    eye = np.eye(n)
+    lhs = np.kron(f.T, eye) + np.kron(eye, f.T)
+    p_vec = np.linalg.solve(lhs, -q.reshape(-1))
+    return 0.5 * (p_vec.reshape(n, n) + p_vec.reshape(n, n).T)
+
+
+def random_lyapunov_pair(rng, n):
+    """Hurwitz f with spectral abscissa in [-1, -0.01], and SPD q."""
+    a = rng.normal(size=(n, n))
+    f = a - (numlin.spectral_abscissa(a) + rng.uniform(0.01, 1.0)) * np.eye(n)
+    q = rng.normal(size=(n, n))
+    return f, q @ q.T + np.eye(n)
+
+
+def assert_checked_solution(f, q, p):
+    assert np.array_equal(p, p.T)
+    residual = numlin.max_abs(f.T @ p + p @ f + q)
+    assert residual <= numlin.LYAPUNOV_RESIDUAL_RTOL * numlin.max_abs(q)
+    assert np.linalg.eigvalsh(p)[0] > 0.0
+
+
+@given(
+    st.integers(min_value=numlin.LYAPUNOV_DIRECT_MAX_N + 1, max_value=48),
+    st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=40)
+def test_sign_iteration_solves_above_the_direct_size(n, seed):
+    f, q = random_lyapunov_pair(np.random.default_rng(seed), n)
+    p = numlin.solve_lyapunov(f, q)
+    assert_checked_solution(f, q, p)
+    if n <= 32:
+        ref = kronecker_reference(f, q)
+        assert numlin.max_abs(p - ref) <= 1e-10 * numlin.max_abs(ref)
+
+
+def test_sign_iteration_solves_at_n_128():
+    f, q = random_lyapunov_pair(np.random.default_rng(128), 128)
+    assert_checked_solution(f, q, numlin.solve_lyapunov(f, q))
+
+
+def test_direct_sizes_keep_the_kronecker_bits():
+    rng = np.random.default_rng(7)
+    for n in range(1, numlin.LYAPUNOV_DIRECT_MAX_N + 1):
+        f, q = random_lyapunov_pair(rng, n)
+        assert np.array_equal(numlin.solve_lyapunov(f, q), kronecker_reference(f, q))
+
+
+def test_sign_iteration_scale_survives_determinant_overflow():
+    rng = np.random.default_rng(3)
+    n = 128
+    s = rng.normal(size=(n, n))
+    f = -1e3 * np.eye(n) + (s - s.T)
+    # |det f| >= 1e3^128 is beyond float64, so the scale must come from slogdet
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.linalg.det(f))
+    q = np.eye(n)
+    assert_checked_solution(f, q, numlin.solve_lyapunov(f, q))
+
+
+def test_sign_iteration_refuses_to_return_an_unconverged_p(monkeypatch):
+    f, q = random_lyapunov_pair(np.random.default_rng(16), 16)
+    monkeypatch.setattr(numlin, "LYAPUNOV_SIGN_MAX_ITER", 1)
+    with pytest.raises(NumericalError, match="did not converge"):
+        numlin.solve_lyapunov(f, q)
