@@ -362,6 +362,11 @@ def build_sim_config(cfg, system, dt=None, horizon=None, eps=None):
     x0 = _initial_state(doc, "x0", system.n)
     xhat0 = _initial_state(doc, "xhat0", system.n)
     signal = _build_signal(doc.get("input"), "sim.input", system.n_inputs)
+    if signal is not None and signal.dimension != system.n_inputs:
+        raise ConfigError(
+            f"sim.input: signal has dimension {signal.dimension}, plant expects "
+            f"{system.n_inputs}"
+        )
     try:
         return SimConfig(
             horizon=horizon, dt=dt, x0=x0, xhat0=xhat0, input=signal, eps=eps

@@ -19,7 +19,10 @@ import numpy as np
 from . import numlin
 from .errors import ContractError, DimensionError, DivergenceError
 from .design import CubicObserverDesign
-from .sysmodel import ZeroInput, evaluate_input
+# A trace's inputs are the RK4 loop's own samples, so evaluate_input is not
+# called here; it stays importable as sim.evaluate_input, where the
+# benchmark's tracer counts input samples taken outside the loop.
+from .sysmodel import ZeroInput, evaluate_input  # noqa: F401
 
 # trajectory norm beyond which integration is declared divergent
 DIVERGENCE_LIMIT = 1e12
@@ -135,12 +138,14 @@ def integrate_rk4(derivative, x0, cfg):
     Returns (times, states) with states[k] the solution at times[k]. The
     grid is uniform with step cfg.dt except for a shortened final step
     landing exactly on cfg.horizon. derivative receives t as a Python
-    float. A step whose new state has any entry that is non-finite or
-    above DIVERGENCE_LIMIT (1e12) in absolute value raises DivergenceError
-    carrying the partial arrays; an entry of exactly 1e12 passes. Overflow
-    on the way there raises only that error, not also a numpy
-    RuntimeWarning; the floating-point error state is set once around the
-    loop, not per step.
+    float and returns dy/dt as a float64 array shaped like y; the loop
+    never writes to that array or to y, so it may return its argument or
+    one shared array. A step whose new state has any entry that is
+    non-finite or above DIVERGENCE_LIMIT (1e12) in absolute value raises
+    DivergenceError carrying the partial arrays; an entry of exactly 1e12
+    passes. Overflow on the way there raises only that error, not also a
+    numpy RuntimeWarning; the floating-point error state is set once around
+    the loop, not per step.
     """
     times = _time_grid(cfg.dt, cfg.horizon)
     grid = times.tolist()
@@ -153,13 +158,29 @@ def integrate_rk4(derivative, x0, cfg):
             t1 = grid[k + 1]
             h = t1 - t0
             half = 0.5 * h
+            # Each stage input and the new state are fresh arrays. Every
+            # product and sum is the textbook form's, in its order:
+            # y + (h/6) * (((k1 + 2 k2) + 2 k3) + k4).
             k1 = derivative(t0, y)
-            k2 = derivative(t0 + half, y + half * k1)
-            k3 = derivative(t0 + half, y + half * k2)
-            k4 = derivative(t1, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            # one reduction: NaN fails the comparison, so it diverges too
-            if not np.abs(y).max() <= DIVERGENCE_LIMIT:
+            stage = k1 * half
+            stage += y
+            k2 = derivative(t0 + half, stage)
+            stage = k2 * half
+            stage += y
+            k3 = derivative(t0 + half, stage)
+            stage = k3 * h
+            stage += y
+            k4 = derivative(t1, stage)
+            acc = k2 * 2.0
+            acc += k1
+            acc += k3 * 2.0
+            acc += k4
+            acc *= h / 6.0
+            acc += y
+            y = acc
+            # NaN fails the comparison, so it diverges too; at these sizes a
+            # pass over the Python floats costs less than abs() and max()
+            if not all(abs(v) <= DIVERGENCE_LIMIT for v in y.tolist()):
                 raise DivergenceError(
                     f"trajectory diverged between t={t0:g} and t={t1:g}",
                     last_time=t0,
@@ -213,41 +234,71 @@ def _run_joint(sys, design, cfg, feedback_k=None):
     bstack = np.vstack([b, b])
     c_res = np.hstack([c, -c])  # r = y - c xhat
 
-    # The per-step cost is numpy call overhead, so calls are cut while every
-    # floating-point operation stays as it was. RK4's k2 and k3 share
-    # t0 + h/2, and k4 of one step shares its time with k1 of the next, so
-    # the open-loop drive is sampled once per distinct time (two samples
-    # per step, not four). A zero gain_nc makes the cubic term subtract
-    # only zeros, so linear runs skip it.
+    # The per-step cost is numpy call overhead, so calls and allocations are
+    # cut while every floating-point operation stays as it was:
+    # - RK4's k2 and k3 share t0 + h/2, and k4 of one step shares its time
+    #   with k1 of the next, so the open-loop drive is sampled once per
+    #   distinct time (two samples per step, not four). Every grid time is
+    #   among those times, in order, and its sample is recorded there.
+    # - np.dot runs the same BLAS gemv as @ at less call overhead where the
+    #   inner dimension is 2n. Where it can be 1 (one input, one output,
+    #   n = 1), np.dot takes a scalar path whose zeros can differ in sign,
+    #   so those products stay @.
+    # - A zero gain_nc makes the cubic term subtract only zeros, so linear
+    #   runs skip it.
     if feedback_k is None:
+        grid = _time_grid(cfg.dt, cfg.horizon).tolist()
+        inputs = np.empty((len(grid), sys.n_inputs))
         last_t = None
         last_drive = None
+        row = 0
 
         def drive(t, z):
-            nonlocal last_t, last_drive
+            nonlocal last_t, last_drive, row
             if t != last_t:
+                u = signal.sample(t)
                 last_t = t
-                last_drive = bstack @ signal.sample(t)
+                last_drive = bstack @ u
+                while row < len(grid) and grid[row] == t:
+                    inputs[row] = u
+                    row += 1
             return last_drive
 
     else:
+        inputs = None
         k = feedback_k
 
         def drive(t, z):
-            return bstack @ (-(k @ z[n:]))
+            u = k @ z[n:]
+            np.negative(u, out=u)
+            return bstack @ u
 
-    if np.any(gain_nc):
+    if not np.any(gain_nc):
 
         def field(t, z):
-            out = m @ z + drive(t, z)
-            r = c_res @ z
-            out[n:] -= float(r @ theta @ r) * (gain_nc @ r)
+            out = np.dot(m, z)
+            out += drive(t, z)
             return out
 
     else:
+        r = np.empty(theta.shape[0])
+        # With one output, r' theta r is a product of Python floats in the
+        # order @ takes. @ returns +0.0 for a zero product, so a zero weight,
+        # and every weight of several outputs, comes from @ itself.
+        theta11 = float(theta[0, 0]) if theta.shape == (1, 1) else None
 
         def field(t, z):
-            return m @ z + drive(t, z)
+            out = np.dot(m, z)
+            out += drive(t, z)
+            np.dot(c_res, z, out=r)
+            weight = 0.0
+            if theta11 is not None:
+                r0 = r.item()
+                weight = r0 * theta11 * r0
+            if weight == 0.0:
+                weight = float(r @ theta @ r)
+            out[n:] -= weight * (gain_nc @ r)
+            return out
 
     z0 = np.concatenate([x0, xhat0])
     try:
@@ -255,20 +306,23 @@ def _run_joint(sys, design, cfg, feedback_k=None):
     except DivergenceError as exc:
         part_times, part_states = exc.trace
         exc.trace = _assemble_trace(
-            sys, part_times, part_states, signal, feedback_k, lyapunov_p
+            sys, part_times, part_states, inputs, feedback_k, lyapunov_p
         )
         raise
-    return _assemble_trace(sys, times, states, signal, feedback_k, lyapunov_p)
+    return _assemble_trace(sys, times, states, inputs, feedback_k, lyapunov_p)
 
 
-def _assemble_trace(sys, times, states, signal, feedback_k, lyapunov_p):
+def _assemble_trace(sys, times, states, inputs, feedback_k, lyapunov_p):
+    """Assemble the trace of a run. inputs holds the open-loop input the
+    drive recorded at each grid time (a partial run uses its first rows);
+    under feedback it is None and the applied control is rebuilt from xhat."""
     n = sys.n
     x = states[:, :n]
     xhat = states[:, n:]
     errors = x - xhat
     outputs = x @ sys.c.T
     if feedback_k is None:
-        inputs = np.array([evaluate_input(signal, t) for t in times])
+        inputs = inputs[: times.size]
         control = None
     else:
         inputs = -(xhat @ np.asarray(feedback_k).T)

@@ -4,8 +4,9 @@ bench/layers.py lists each (module, attribute) it wraps in SPANS. A
 refactor that renames or stops importing one of those attributes would
 break the traced run, which the tier-1 suite does not otherwise execute.
 The benchmark also compares written bundles with the sha256 digests in
-bench/expected.json; the tier-1 suite checks examples 1 and 2 the same way,
-so a change of output bytes shows here before it fails the benchmark.
+bench/expected.json; the tier-1 suite checks examples 1, 2 and 3 (the
+closed-loop bundle) the same way, so a change of output bytes shows here
+before it fails the benchmark.
 """
 
 import inspect
@@ -40,9 +41,9 @@ def test_simulate_spans_take_the_config_last():
             assert params[-1] == "cfg", f"{module.__name__}.{attr}{params}"
 
 
-def test_bundles_match_the_benchmark_digests(bundle1, bundle2, tmp_path):
+def test_bundles_match_the_benchmark_digests(bundle1, bundle2, bundle3, tmp_path):
     expected = workloads.load_expected()["bundles"]
-    for number, bundle in ((1, bundle1), (2, bundle2)):
+    for number, bundle in ((1, bundle1), (2, bundle2), (3, bundle3)):
         out_dir = tmp_path / f"example{number}"
         cli.write_bundle(bundle, str(out_dir))
         assert workloads.file_digests(str(out_dir)) == expected[str(number)]

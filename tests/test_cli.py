@@ -310,6 +310,27 @@ def test_wrong_x0_length_exits_two(write_config, capsys):
     assert "sim.x0" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["simulate"], ["sweep-gamma", "--gammas", "1"]], ids=["simulate", "sweep"]
+)
+@pytest.mark.parametrize(
+    "signal",
+    [
+        {"kind": "sinusoid", "amplitude": [1.0, 2.0], "angular_frequency": 1.0},
+        {"kind": "sampled", "times": [0.0, 1.0], "values": [[1.0, 2.0], [3.0, 4.0]]},
+    ],
+    ids=["sinusoid", "sampled"],
+)
+def test_input_dimension_mismatch_exits_two(write_config, capsys, argv, signal):
+    cfg = json.loads((REPO_ROOT / "docs" / "example_config.json").read_text())
+    cfg["sim"]["input"] = signal
+    code, out, err = run_cli(capsys, argv[0], write_config(cfg), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "sim.input" in err
+    assert "dimension 2, plant expects 1" in err
+
+
 def test_missing_subcommand_argument_exits_two(capsys):
     assert cli.main(["design"]) == 2
     capsys.readouterr()

@@ -5,8 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubicobs as co
+from cubicobs import sim
 
 
 def double_integrator():
@@ -178,13 +181,14 @@ class CountingInput:
 
 def test_drive_is_sampled_once_per_distinct_time(fx1, designs1):
     # the open-loop drive is cached across RK4 stages that share a time:
-    # 2 samples per step and one at t = 0, plus one per row of the trace
+    # 2 samples per step and one at t = 0; the trace's inputs are the
+    # samples the loop took at the grid times, not fresh ones
     _, cubic = designs1
     counting = CountingInput(fx1.sim.input)
     cfg = replace(fx1.sim, horizon=0.5)
     trace = co.simulate_cubic_observer(fx1.system, cubic, replace(cfg, input=counting))
     steps = trace.times.size - 1
-    assert counting.samples <= 3 * steps + 2
+    assert counting.samples == 2 * steps + 1
     plain = co.simulate_cubic_observer(fx1.system, cubic, cfg)
     assert np.array_equal(trace.plant_states, plain.plant_states)
     assert np.array_equal(trace.estimates, plain.estimates)
@@ -248,11 +252,14 @@ def test_simulate_rejects_mismatched_dimensions(fx1, designs1):
 
 
 def assert_traces_equal(got, want):
+    """Every trace array equal bit for bit, signs of zeros included."""
     for name in ("times", "plant_states", "estimates", "errors", "outputs",
                  "inputs", "lyapunov", "lyapunov_zubov", "control"):
         g, w = getattr(got, name), getattr(want, name)
         assert (g is None) == (w is None), name
-        assert g is None or np.array_equal(g, w), name
+        if g is not None:
+            assert np.array_equal(g, w), name
+            assert np.array_equal(np.signbit(g), np.signbit(w)), name
 
 
 def test_perturbed_run_equals_direct_eps_run(fx2, designs2):
@@ -318,6 +325,261 @@ def test_divergence_during_observer_run_is_reported(fx1):
     assert 5.4 < exc.last_time < 5.6  # e^{5t} reaches 1e12 near t = 5.53
     met = co.compute_metrics(exc.trace)
     assert np.isfinite(met.j_total)
+
+
+# ---------------------------------------------------------------------------
+# the lean RK4 hot path against the textbook one
+
+
+def reference_rk4(derivative, x0, cfg):
+    """integrate_rk4 written as the textbook step, kept as the reference:
+    one fresh array per operation and the divergence rule as a numpy
+    reduction."""
+    times = sim._time_grid(cfg.dt, cfg.horizon)
+    grid = times.tolist()
+    y = np.array(x0, dtype=float)
+    states = np.empty((times.size, y.size))
+    states[0] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(times.size - 1):
+            t0 = grid[k]
+            t1 = grid[k + 1]
+            h = t1 - t0
+            half = 0.5 * h
+            k1 = derivative(t0, y)
+            k2 = derivative(t0 + half, y + half * k1)
+            k3 = derivative(t0 + half, y + half * k2)
+            k4 = derivative(t1, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.abs(y).max() <= sim.DIVERGENCE_LIMIT:
+                raise co.DivergenceError(
+                    f"trajectory diverged between t={t0:g} and t={t1:g}",
+                    last_time=t0,
+                    trace=(times[: k + 1].copy(), states[: k + 1].copy()),
+                )
+            states[k + 1] = y
+    return times, states
+
+
+def reference_run(sys, design, cfg, feedback_k=None):
+    """The joint (x, xhat) run with every product written as @, the drive
+    sampled at every stage and the inputs sampled again for the trace."""
+    n = sys.n
+    x0, xhat0, signal = sim._bind_config(sys, cfg)
+    eps = 0.0 if cfg.eps is None else float(cfg.eps)
+    a = sys.a if eps == 0.0 else sys.a + eps * np.eye(n)
+    c, b, lc = sys.c, sys.b, design.gain_lc
+    m = np.zeros((2 * n, 2 * n))
+    m[:n, :n] = a
+    m[n:, :n] = lc @ c
+    m[n:, n:] = a - lc @ c
+    bstack = np.vstack([b, b])
+    c_res = np.hstack([c, -c])
+
+    def field(t, z):
+        if feedback_k is None:
+            out = m @ z + bstack @ signal.sample(t)
+        else:
+            out = m @ z + bstack @ (-(feedback_k @ z[n:]))
+        if np.any(design.gain_nc):
+            r = c_res @ z
+            out[n:] -= float(r @ design.theta @ r) * (design.gain_nc @ r)
+        return out
+
+    def assemble(times, states):
+        x, xhat = states[:, :n], states[:, n:]
+        errors = x - xhat
+        if feedback_k is None:
+            inputs = np.array([co.evaluate_input(signal, t) for t in times])
+            control = None
+        else:
+            inputs = -(xhat @ feedback_k.T)
+            control = inputs
+        lyap = np.einsum("ij,jk,ik->i", errors, design.lyapunov_p, errors)
+        return co.Trace(
+            times=times,
+            plant_states=x,
+            estimates=xhat,
+            errors=errors,
+            outputs=x @ c.T,
+            inputs=inputs,
+            lyapunov=lyap,
+            lyapunov_zubov=-np.expm1(-lyap),
+            control=control,
+        )
+
+    try:
+        times, states = reference_rk4(field, np.concatenate([x0, xhat0]), cfg)
+    except co.DivergenceError as exc:
+        exc.trace = assemble(*exc.trace)
+        raise
+    return assemble(times, states)
+
+
+def with_zeros(rng, values, share):
+    """values with about share of its entries set to +0.0 or -0.0."""
+    values = np.array(values, dtype=float)
+    hit = rng.random(values.shape) < share
+    values[hit] = np.where(rng.random(values.shape) < 0.5, 0.0, -0.0)[hit]
+    return values
+
+
+def random_signal(rng, kind, n_inputs, horizon):
+    if kind == "zero":
+        return co.ZeroInput(n_inputs)
+    if kind == "sinusoid":
+        return co.SinusoidInput(
+            with_zeros(rng, rng.standard_normal(n_inputs), 0.3),
+            float(rng.uniform(0.5, 20.0)),
+            float(rng.uniform(-3.0, 3.0)),
+        )
+    if kind == "constant":
+        return co.ConstantInput(with_zeros(rng, rng.standard_normal(n_inputs), 0.3))
+    times = np.sort(rng.uniform(0.0, horizon, size=5))
+    values = with_zeros(rng, rng.standard_normal((5, n_inputs)), 0.3)
+    return co.SampledInput(times, values)
+
+
+@st.composite
+def joint_runs(draw):
+    """A random plant, design and grid; some runs diverge on purpose."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 4))
+    n_outputs = draw(st.integers(1, 2))
+    n_inputs = draw(st.integers(1, 2))
+    while True:
+        a = rng.standard_normal((n, n))
+        if draw(st.booleans()):
+            a += 40.0 * np.eye(n)  # e^(40 t) passes 1e12 before t = 0.7
+        c = with_zeros(rng, rng.standard_normal((n_outputs, n)), 0.2)
+        try:
+            system = co.LinearSystem(
+                a, with_zeros(rng, rng.standard_normal((n, n_inputs)), 0.2), c
+            )
+            break
+        except co.ContractError:
+            continue
+    gain_nc = np.zeros((n, n_outputs))
+    theta = np.zeros((n_outputs, n_outputs))
+    if draw(st.booleans()):
+        gain_nc = with_zeros(rng, rng.standard_normal((n, n_outputs)), 0.1)
+        gain_nc[rng.random(n) < 0.3] = 0.0  # exact zero rows
+        g = rng.standard_normal((n_outputs, n_outputs))
+        theta = g @ g.T
+    h = rng.standard_normal((n, n))
+    design = co.CubicObserverDesign(
+        gain_lc=rng.standard_normal((n, n_outputs)),
+        gain_nc=gain_nc,
+        theta=theta,
+        gamma=1.0 if np.any(gain_nc) else 0.0,
+        lyapunov_p=h @ h.T + n * np.eye(n),
+        lyapunov_q=np.eye(n),
+    )
+    start = draw(st.sampled_from(["random", "zeros", "equal"]))
+    x0 = with_zeros(rng, rng.standard_normal(n), 0.3)
+    xhat0 = with_zeros(rng, rng.standard_normal(n), 0.3)
+    if start == "zeros":
+        x0, xhat0 = with_zeros(rng, np.zeros(n), 0.5), np.zeros(n)
+    elif start == "equal":
+        xhat0 = x0.copy()
+    horizon = draw(st.floats(0.05, 1.2))
+    cfg = co.SimConfig(
+        horizon=horizon,
+        dt=draw(st.sampled_from([0.01, 0.013, 0.02])),
+        x0=x0,
+        xhat0=xhat0,
+        input=random_signal(
+            rng,
+            draw(st.sampled_from(["zero", "sinusoid", "constant", "sampled"])),
+            n_inputs,
+            horizon,
+        ),
+        eps=draw(st.sampled_from([None, 0.0, 0.3, -0.7])),
+    )
+    feedback_k = None
+    if draw(st.booleans()):
+        feedback_k = with_zeros(rng, rng.standard_normal((n_inputs, n)), 0.2)
+    return system, design, cfg, feedback_k
+
+
+def run_or_divergence(run):
+    try:
+        return run(), None
+    except co.DivergenceError as exc:
+        return exc.trace, exc
+
+
+@settings(max_examples=200)
+@given(case=joint_runs())
+def test_lean_hot_path_is_bit_identical_to_the_reference(case):
+    system, design, cfg, feedback_k = case
+    if feedback_k is None:
+        got, got_exc = run_or_divergence(
+            lambda: co.simulate_cubic_observer(system, design, cfg)
+        )
+    else:
+        got, got_exc = run_or_divergence(
+            lambda: co.simulate_closed_loop(system, design, feedback_k, cfg)
+        )
+    want, want_exc = run_or_divergence(
+        lambda: reference_run(system, design, cfg, feedback_k)
+    )
+    assert (got_exc is None) == (want_exc is None)
+    if got_exc is not None:
+        assert got_exc.last_time == want_exc.last_time
+        assert str(got_exc) == str(want_exc)
+    assert_traces_equal(got, want)
+
+
+def test_rk4_never_writes_to_derivative_results_or_states():
+    # a derivative may return one shared array (here read-only, so any
+    # write would raise) or its own argument; neither it nor x0 nor any
+    # state handed to it is written, and the result is the fresh-array one
+    cfg = co.SimConfig(horizon=0.35, dt=0.1)
+    shared = np.array([1.0, -2.0, 0.0])
+    shared.setflags(write=False)
+    x0 = np.array([0.5, -0.25, 3.0])
+    seen = []
+
+    def constant(t, y):
+        seen.append((y, y.copy()))
+        return shared
+
+    times, states = co.integrate_rk4(constant, x0, cfg)
+    assert np.array_equal(shared, [1.0, -2.0, 0.0])
+    assert np.array_equal(x0, [0.5, -0.25, 3.0])
+    assert all(np.array_equal(y, copy) for y, copy in seen)
+    fresh_times, fresh = co.integrate_rk4(lambda t, y: shared.copy(), x0, cfg)
+    assert np.array_equal(times, fresh_times)
+    assert np.array_equal(states, fresh)
+
+    _, states = co.integrate_rk4(lambda t, y: y, x0, cfg)
+    _, fresh = co.integrate_rk4(lambda t, y: y.copy(), x0, cfg)
+    assert np.array_equal(states, fresh)
+    assert np.array_equal(x0, [0.5, -0.25, 3.0])
+
+
+@pytest.mark.parametrize("kind", ["zero", "sinusoid", "constant", "sampled"])
+def test_trace_inputs_are_the_signal_at_every_grid_time(fx2, designs2, kind):
+    # horizon 0.3005 ends in a shortened step; the unstable run stops early
+    _, cubic = designs2
+    rng = np.random.default_rng(7)
+    signal = random_signal(rng, kind, fx2.system.n_inputs, 0.3)
+    cfg = replace(fx2.sim, horizon=0.3005, input=signal)
+    trace = co.simulate_cubic_observer(fx2.system, cubic, cfg)
+    assert trace.times[-1] - trace.times[-2] < cfg.dt
+    want = np.array([co.evaluate_input(signal, t) for t in trace.times])
+    assert np.array_equal(trace.inputs, want)
+    assert np.array_equal(np.signbit(trace.inputs), np.signbit(want))
+
+    sys = co.LinearSystem(a=[[5.0]], b=[[1.0]], c=[[1.0]])
+    design = co.degenerate_linear(sys, [[6.0]], np.eye(1))
+    cfg = co.SimConfig(horizon=10.0, x0=[1.0], input=random_signal(rng, kind, 1, 6.0))
+    with pytest.raises(co.DivergenceError) as info:
+        co.simulate_cubic_observer(sys, design, cfg)
+    partial = info.value.trace
+    want = np.array([co.evaluate_input(cfg.input, t) for t in partial.times])
+    assert np.array_equal(partial.inputs, want)
 
 
 # ---------------------------------------------------------------------------
