@@ -10,11 +10,15 @@ Subcommands:
   sweep-gamma  run the same observer across several cubic gain intensities
                and tabulate the metrics per gamma
 
-Config files are JSON with three sections: "system" (matrices a, c and
+Config files are JSON with six sections: "system" (matrices a, c and
 optionally b as arrays of row arrays), "observer" (variant plus gains or
-poles), and "sim" (horizon, dt, initial conditions, input signal). See
-docs/schema.json for the full shape and docs/example_config.json for a
-worked file.
+poles), "sim" (horizon, dt, initial conditions, input signal), "feedback"
+(the gain k of u = -k xhat), "lqr" (regulation cost weights) and "outputs"
+(the artifacts simulate writes). Every subcommand that reads a config
+parses and checks all six, so a malformed section gets the same exit 2
+from each; only a missing sim.horizon is left to the subcommands that run
+a simulation. See docs/schema.json for the full shape and
+docs/example_config.json for a worked file.
 
 Exit codes: 0 success, 1 domain failure (failed certificate, infeasible
 design, divergence), 2 unusable configuration or command line. The
@@ -30,22 +34,10 @@ import sys as _sys
 import numpy as np
 
 from . import serialize
-from .design import (
-    certify_stability,
-    degenerate_linear,
-    explicit_cubic_design,
-    feedback_certificate,
-    place_poles_single_output,
-    synthesize_cubic_gain,
-)
+from .design import place_poles_single_output
 from .errors import ConfigError, DivergenceError, ObserverToolkitError
-from .examples import compute_bundle, gamma_sweep
-from .sim import (
-    SimConfig,
-    compute_metrics,
-    simulate_closed_loop,
-    simulate_cubic_observer,
-)
+from .examples import build_design, certify, compute_bundle, gamma_sweep, simulate
+from .sim import SimConfig, compute_metrics
 from .sysmodel import (
     ConstantInput,
     LinearSystem,
@@ -53,6 +45,12 @@ from .sysmodel import (
     SinusoidInput,
     ZeroInput,
 )
+
+# Not called here: the benchmark's SPANS (bench/layers.py) wrap these names
+# on this module, so they must keep resolving until those spans move.
+from .design import certify_stability, feedback_certificate  # noqa: F401
+from .design import synthesize_cubic_gain  # noqa: F401
+from .sim import simulate_closed_loop, simulate_cubic_observer  # noqa: F401
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -69,14 +67,48 @@ _OUTPUT_KINDS = ("trace", "metrics", "certificate", "lyapunov")
 # config parsing; every complaint names the offending field
 
 
-def _load_config(path):
-    """Read a JSON config file and reject unknown top-level fields.
+@dataclasses.dataclass(frozen=True)
+class Config:
+    """Every section of a config file, parsed and checked.
 
-    Returns the raw document with its parsed system and observer sections,
-    which every subcommand that reads a config needs, and the lqr weights
-    (None without an lqr section), which only simulate uses but every
-    subcommand validates.
+    observer is the dict parse_observer returns. sim is None when the
+    subcommand runs no simulation and the file sets no horizon;
+    feedback_k and lqr_weights are None without their sections.
     """
+
+    system: LinearSystem
+    observer: dict
+    sim: SimConfig | None
+    feedback_k: np.ndarray | None
+    lqr_weights: tuple | None
+    outputs: list
+
+    def gain_lc(self):
+        """The configured gain_lc, or else the gain placing the configured poles."""
+        if self.observer["gain_lc"] is not None:
+            return self.observer["gain_lc"]
+        return place_poles_single_output(self.system, self.observer["poles"])
+
+    def design(self):
+        """The configured observer design (may fail)."""
+        obs = self.observer
+        q, theta, gamma, nc = obs["q"], obs["theta"], obs["gamma"], obs["gain_nc"]
+        return build_design(self.system, self.gain_lc(), q, theta, gamma, nc)
+
+    def certificate(self, design, **search):
+        """The configured run's certificate; search options pass through."""
+        strict = self.observer["strict_damping"]
+        return certify(self.system, design, self.feedback_k, strict, **search)
+
+
+def _load_config(args, run=False):
+    """Read the config file args.config names and parse every section once.
+
+    run is set by the subcommands that simulate: they need a horizon, and
+    their --dt, --horizon and --eps override the sim section's. The others
+    check a sim section when there is one and skip it when there is none.
+    """
+    path = args.config
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -88,8 +120,19 @@ def _load_config(path):
         )
     _reject_unknown(cfg, _TOP_LEVEL_FIELDS, "config")
     system = build_system(cfg)
-    obs = parse_observer(cfg, system)
-    return cfg, system, obs, parse_lqr(cfg, system)
+    observer = parse_observer(cfg, system)
+    sim = None
+    if run or "sim" in cfg:
+        overrides = (args.dt, args.horizon, args.eps) if run else ()
+        sim = build_sim_config(cfg, system, *overrides, run=run)
+    return Config(
+        system=system,
+        observer=observer,
+        sim=sim,
+        feedback_k=parse_feedback(cfg, system),
+        lqr_weights=parse_lqr(cfg, system),
+        outputs=parse_outputs(cfg),
+    )
 
 
 def _as_dict(value, path):
@@ -108,6 +151,13 @@ def _as_number_list(value, path):
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a nonempty array of numbers")
     return [_as_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+def _repeated(value, path, n):
+    """A nonempty array of numbers, or one number repeated n times."""
+    if isinstance(value, list):
+        return _as_number_list(value, path)
+    return [_as_number(value, path)] * n
 
 
 def _as_matrix(value, path):
@@ -183,29 +233,18 @@ def build_system(cfg):
         raise ConfigError("system: fields a and c are required")
     a = _as_matrix(doc["a"], "system.a")
     c = _as_matrix(doc["c"], "system.c")
-    if "b" in doc:
-        b = _as_matrix(doc["b"], "system.b")
-    else:
-        b = np.zeros((a.shape[0], 1))
+    b = _as_matrix(doc["b"], "system.b") if "b" in doc else np.zeros((len(a), 1))
     try:
         return LinearSystem(a=a, b=b, c=c)
     except ObserverToolkitError as exc:
         raise ConfigError(f"system: {exc}")
 
 
+_CUBIC_FIELDS = ("type", "gain_lc", "poles", "q", "theta", "gamma", "damping_mode")
 _OBSERVER_FIELDS = {
     "linear": ("type", "gain_l", "poles", "q"),
-    "cubic": ("type", "gain_lc", "poles", "q", "theta", "gamma", "damping_mode"),
-    "cubic_explicit": (
-        "type",
-        "gain_lc",
-        "poles",
-        "gain_nc",
-        "q",
-        "theta",
-        "gamma",
-        "damping_mode",
-    ),
+    "cubic": _CUBIC_FIELDS,
+    "cubic_explicit": _CUBIC_FIELDS + ("gain_nc",),
 }
 
 
@@ -239,15 +278,10 @@ def parse_observer(cfg, system):
             raise ConfigError("observer.gain_nc: required for cubic_explicit")
         parsed["gain_nc"] = _as_gain(doc["gain_nc"], "observer.gain_nc", n, n_y)
 
-    parsed["q"] = (
-        _scalar_or_matrix(doc["q"], "observer.q", n) if "q" in doc else np.eye(n)
-    )
-    parsed["theta"] = (
-        _scalar_or_matrix(doc["theta"], "observer.theta", n_y)
-        if "theta" in doc
-        else np.eye(n_y)
-    )
-    gamma = _as_number(doc.get("gamma", 1.0), "observer.gamma")
+    parsed["q"] = _scalar_or_matrix(doc.get("q", 1.0), "observer.q", n)
+    parsed["theta"] = _scalar_or_matrix(doc.get("theta", 1.0), "observer.theta", n_y)
+    default_gamma = 0.0 if kind == "linear" else 1.0  # linear: no cubic term
+    gamma = _as_number(doc.get("gamma", default_gamma), "observer.gamma")
     if not np.isfinite(gamma) or gamma < 0.0:
         raise ConfigError("observer.gamma: must be a finite nonnegative number")
     if kind == "cubic_explicit" and gamma == 0.0:
@@ -266,33 +300,6 @@ def parse_observer(cfg, system):
     return parsed
 
 
-def _observer_gain(system, obs):
-    """The configured gain_lc, or else the gain placing the configured poles."""
-    if obs["gain_lc"] is not None:
-        return obs["gain_lc"]
-    return place_poles_single_output(system, obs["poles"])
-
-
-def realize_design(system, obs):
-    """Turn parsed observer parameters into a concrete design (may fail)."""
-    gain_lc = _observer_gain(system, obs)
-    kind = obs["type"]
-    if kind == "linear" or (kind == "cubic" and obs["gamma"] == 0.0):
-        return degenerate_linear(system, gain_lc, obs["q"])
-    if kind == "cubic":
-        return synthesize_cubic_gain(
-            system, gain_lc, obs["q"], obs["theta"], obs["gamma"]
-        )
-    return explicit_cubic_design(
-        system,
-        gain_lc,
-        obs["gain_nc"],
-        obs["theta"],
-        q=obs["q"],
-        gamma=obs["gamma"],
-    )
-
-
 def _build_signal(doc, path, n_u):
     if doc is None:
         return None
@@ -306,11 +313,9 @@ def _build_signal(doc, path, n_u):
             _reject_unknown(
                 doc, ("kind", "amplitude", "angular_frequency", "phase"), path
             )
-            amp = doc.get("amplitude", [1.0] * n_u)
-            if not isinstance(amp, list):
-                amp = [_as_number(amp, f"{path}.amplitude")] * n_u
+            amp = doc.get("amplitude", 1.0)
             return SinusoidInput(
-                amplitude=_as_number_list(amp, f"{path}.amplitude"),
+                amplitude=_repeated(amp, f"{path}.amplitude", n_u),
                 angular_frequency=_as_number(
                     doc.get("angular_frequency", 1.0), f"{path}.angular_frequency"
                 ),
@@ -321,9 +326,7 @@ def _build_signal(doc, path, n_u):
             level = doc.get("level")
             if level is None:
                 raise ConfigError(f"{path}.level: required for constant input")
-            if not isinstance(level, list):
-                level = [_as_number(level, f"{path}.level")] * n_u
-            return ConstantInput(level=_as_number_list(level, f"{path}.level"))
+            return ConstantInput(level=_repeated(level, f"{path}.level", n_u))
         if kind == "sampled":
             _reject_unknown(doc, ("kind", "times", "values"), path)
             times = _as_number_list(doc.get("times"), f"{path}.times")
@@ -346,19 +349,25 @@ def _initial_state(doc, key, n):
     return value
 
 
-def build_sim_config(cfg, system, dt=None, horizon=None, eps=None):
+def _sim_number(doc, key, override, default=None):
+    """The override when given, else the file's value; the file's is checked."""
+    value = _as_number(doc[key], f"sim.{key}") if key in doc else default
+    return value if override is None else override
+
+
+def build_sim_config(cfg, system, dt=None, horizon=None, eps=None, run=True):
+    """The run settings of the sim section under the command-line overrides.
+
+    Every field is checked. Without a horizon the result is None, which is
+    an error only when run is set.
+    """
     doc = _as_dict(cfg.get("sim", {}), "sim")
     _reject_unknown(
         doc, ("horizon", "dt", "x0", "xhat0", "eps", "input"), "sim"
     )
-    if horizon is None:
-        if "horizon" not in doc:
-            raise ConfigError("sim.horizon: required (or pass --horizon)")
-        horizon = _as_number(doc["horizon"], "sim.horizon")
-    if dt is None:
-        dt = _as_number(doc.get("dt", 1e-3), "sim.dt")
-    if eps is None and "eps" in doc:
-        eps = _as_number(doc["eps"], "sim.eps")
+    horizon = _sim_number(doc, "horizon", horizon)
+    dt = _sim_number(doc, "dt", dt, 1e-3)
+    eps = _sim_number(doc, "eps", eps)
     x0 = _initial_state(doc, "x0", system.n)
     xhat0 = _initial_state(doc, "xhat0", system.n)
     signal = _build_signal(doc.get("input"), "sim.input", system.n_inputs)
@@ -368,11 +377,22 @@ def build_sim_config(cfg, system, dt=None, horizon=None, eps=None):
             f"{system.n_inputs}"
         )
     try:
-        return SimConfig(
-            horizon=horizon, dt=dt, x0=x0, xhat0=xhat0, input=signal, eps=eps
+        # a one-step stand-in horizon lets SimConfig check dt and eps alone
+        sim = SimConfig(
+            horizon=dt if horizon is None else horizon,
+            dt=dt,
+            x0=x0,
+            xhat0=xhat0,
+            input=signal,
+            eps=eps,
         )
     except ObserverToolkitError as exc:
         raise ConfigError(f"sim: {exc}")
+    if horizon is not None:
+        return sim
+    if run:
+        raise ConfigError("sim.horizon: required (or pass --horizon)")
+    return None
 
 
 def parse_feedback(cfg, system):
@@ -420,21 +440,14 @@ def parse_outputs(cfg):
 # output plumbing
 
 
-def _out_base():
-    return os.environ.get(OUT_DIR_ENV) or "."
-
-
 def _resolve_out(path, default_name):
+    """path, or default_name without one, rebased on $CUBIC_OBS_OUT_DIR."""
     p = path if path else default_name
-    if not os.path.isabs(p):
-        p = os.path.join(_out_base(), p)
-    return p
+    return os.path.join(os.environ.get(OUT_DIR_ENV) or ".", p)
 
 
 def _write_text(path, text):
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(text)
 
@@ -466,21 +479,6 @@ def _print_certificate_failure(cert):
         _sys.stderr.write(f"  margin {key} = {cert.margins[key]:.6g}\n")
 
 
-def _certify(system, design, obs, feedback_k, **search):
-    """Certificate for the configured run.
-
-    The loop certificate when feedback is configured, else the observer
-    certificate; search options go to either.
-    """
-    if feedback_k is not None:
-        return feedback_certificate(
-            system, design, feedback_k, strict_damping=obs["strict_damping"], **search
-        )
-    return certify_stability(
-        system, design, strict_damping=obs["strict_damping"], **search
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -488,12 +486,11 @@ def _certify(system, design, obs, feedback_k, **search):
 def cmd_design(args):
     if args.seed < 0:
         raise ConfigError(f"--seed: must be a nonnegative integer, got {args.seed}")
-    cfg, system, obs, _ = _load_config(args.config)
-    feedback_k = parse_feedback(cfg, system)
-
-    design = realize_design(system, obs)
-    search = {"equilibrium_search": args.equilibrium_search, "seed": args.seed}
-    cert = _certify(system, design, obs, feedback_k, **search)
+    config = _load_config(args)
+    design = config.design()
+    cert = config.certificate(
+        design, equilibrium_search=args.equilibrium_search, seed=args.seed
+    )
 
     doc = {
         "observer_type": "linear" if design.is_degenerate else "cubic",
@@ -508,27 +505,19 @@ def cmd_design(args):
 
 
 def cmd_simulate(args):
-    cfg, system, obs, lqr_weights = _load_config(args.config)
-    sim_cfg = build_sim_config(
-        cfg, system, dt=args.dt, horizon=args.horizon, eps=args.eps
-    )
-    feedback_k = parse_feedback(cfg, system)
-    outputs = parse_outputs(cfg)
-
-    design = realize_design(system, obs)
+    config = _load_config(args, run=True)
+    outputs = config.outputs
+    design = config.design()
 
     diverged_at = None
     try:
-        if feedback_k is not None:
-            trace = simulate_closed_loop(system, design, feedback_k, sim_cfg)
-        else:
-            trace = simulate_cubic_observer(system, design, sim_cfg)
+        trace = simulate(config.system, design, config.sim, config.feedback_k)
     except DivergenceError as exc:
         trace = exc.trace
         diverged_at = exc.last_time
         _sys.stderr.write(f"error: {exc}\n")
 
-    metrics = compute_metrics(trace, lqr_weights=lqr_weights)
+    metrics = compute_metrics(trace, lqr_weights=config.lqr_weights)
     if diverged_at is not None:
         metrics = dataclasses.replace(metrics, diverged_at=diverged_at)
 
@@ -538,15 +527,13 @@ def cmd_simulate(args):
         if "lyapunov" not in outputs:
             trace_out = dataclasses.replace(trace, lyapunov=None, lyapunov_zubov=None)
         path = _resolve_out(args.out, "trace.csv")
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         serialize.write_trace_csv(trace_out, path)
         doc["trace_path"] = path
     if "metrics" in outputs:
         doc["metrics"] = serialize.metrics_to_jsonable(metrics)
     if "certificate" in outputs:
-        cert = _certify(system, design, obs, feedback_k)
+        cert = config.certificate(design)
         doc["certificate"] = serialize.certificate_to_jsonable(cert)
     _sys.stdout.write(_render_doc(doc, args.format))
     return EXIT_RUNTIME if diverged_at is not None else EXIT_OK
@@ -557,10 +544,7 @@ def _aggregate(metrics):
     peak = max(metrics.peak_error)
     shoots = [v for v in metrics.overshoot_peak if v is not None]
     overshoot = max(shoots) if shoots else None
-    if any(v is None for v in metrics.settling_time):
-        settling = None
-    else:
-        settling = max(metrics.settling_time)
+    settling = None if None in metrics.settling_time else max(metrics.settling_time)
     return peak, overshoot, settling
 
 
@@ -595,15 +579,12 @@ def _sweep_jsonable(rows):
 
 
 def cmd_sweep_gamma(args):
-    cfg, system, obs, _ = _load_config(args.config)
+    config = _load_config(args, run=True)
+    obs = config.observer
     if obs["type"] != "cubic":
         raise ConfigError(
             "observer.type: sweep-gamma needs a synthesizable cubic observer"
         )
-    sim_cfg = build_sim_config(
-        cfg, system, dt=args.dt, horizon=args.horizon, eps=args.eps
-    )
-    feedback_k = parse_feedback(cfg, system)
 
     gammas = []
     for piece in args.gammas.split(","):
@@ -618,9 +599,14 @@ def cmd_sweep_gamma(args):
     if min(gammas) < 0.0:
         raise ConfigError(f"--gammas: values must be nonnegative, got {min(gammas)}")
 
-    gain_lc = _observer_gain(system, obs)
     rows = gamma_sweep(
-        system, gain_lc, obs["q"], obs["theta"], gammas, sim_cfg, feedback_k
+        config.system,
+        config.gain_lc(),
+        obs["q"],
+        obs["theta"],
+        gammas,
+        config.sim,
+        config.feedback_k,
     )
 
     if args.format == "json":

@@ -700,11 +700,13 @@ def search_nonzero_equilibria(sys, design, n_starts=100, seed=0, tol=1e-10):
     order, dropping any within 1e-6 of one already kept or of the origin.
     """
     _check_search_args(n_starts, seed)
-    rhs = error_field(sys, design)
     f, s, _, _ = _error_terms(sys, design)
     nc = design.gain_nc
     c = sys.c
     ncc = nc @ c
+
+    def rhs(e):
+        return _error_rows(f, s, nc, c, e)[0]
 
     def jacobian(e):
         _, se, ese, ncce = _error_rows(f, s, nc, c, e)

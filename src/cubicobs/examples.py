@@ -15,6 +15,10 @@ Three benchmark fixtures ship with the package:
 The numeric values are frozen here so runs are reproducible; tests assert
 against them. compute_bundle() performs every simulation and measurement a
 bundle needs and returns plain objects for the CLI to serialize.
+
+build_design(), simulate() and certify() make the three choices every run
+makes (which design constructor, open or closed loop, which certificate),
+for the bundles, the gamma sweep and the command line alike.
 """
 
 from dataclasses import dataclass
@@ -47,7 +51,6 @@ class ObserverBenchmark:
     name: str
     description: str
     system: LinearSystem
-    poles: tuple | None
     gain_lc: np.ndarray
     q: np.ndarray
     theta: np.ndarray
@@ -67,13 +70,11 @@ def example_1():
         b=[[0.0], [1.0]],
         c=[[1.0, 0.0]],
     )
-    poles = (-2.0, -5.0)
-    gain_lc = place_poles_single_output(system, poles)
+    gain_lc = place_poles_single_output(system, (-2.0, -5.0))
     return ObserverBenchmark(
         name="example1",
         description="double integrator, sinusoid input, poles {-2, -5}",
         system=system,
-        poles=poles,
         gain_lc=gain_lc,
         q=10.0 * np.eye(2),
         theta=np.array([[10.0]]),
@@ -97,13 +98,11 @@ def example_2():
         b=np.zeros((3, 1)),
         c=[[1.0, 1.0, 2.0]],
     )
-    poles = (-30.0, -10.0, -5.0)
-    gain_lc = place_poles_single_output(system, poles)
+    gain_lc = place_poles_single_output(system, (-30.0, -10.0, -5.0))
     return ObserverBenchmark(
         name="example2",
         description="stable three-state plant, poles {-30, -10, -5}",
         system=system,
-        poles=poles,
         gain_lc=gain_lc,
         q=10.0 * np.eye(3),
         theta=np.array([[1.0]]),
@@ -130,7 +129,6 @@ def example_3():
         name="example3",
         description="unstable plant, observer-based feedback u = -k xhat",
         system=system,
-        poles=None,
         gain_lc=gain_lc,
         q=np.eye(3),
         theta=np.array([[10.0]]),
@@ -152,24 +150,42 @@ def get_example(number):
         raise ContractError(f"no example numbered {number!r}; choose 1, 2, or 3")
 
 
-def build_designs(fx, gamma=None):
+def build_design(sys, gain_lc, q, theta, gamma, gain_nc=None):
+    """The observer design the parameters call for.
+
+    A given gain_nc sets the cubic term as is; otherwise gamma = 0 gives
+    the degenerate linear observer and any other gamma the synthesized
+    cubic gain.
+    """
+    if gain_nc is not None:
+        return explicit_cubic_design(sys, gain_lc, gain_nc, theta, q=q, gamma=gamma)
+    if gamma == 0.0:
+        return degenerate_linear(sys, gain_lc, q)
+    return synthesize_cubic_gain(sys, gain_lc, q, theta, gamma)
+
+
+def build_designs(fx):
     """The (linear-degenerate, cubic) design pair for a benchmark fixture."""
-    gamma = fx.gamma if gamma is None else float(gamma)
-    linear = degenerate_linear(fx.system, fx.gain_lc, fx.q)
-    if fx.gain_nc is not None:
-        cubic = explicit_cubic_design(
-            fx.system, fx.gain_lc, fx.gain_nc, fx.theta, q=fx.q, gamma=gamma
-        )
-    else:
-        cubic = synthesize_cubic_gain(fx.system, fx.gain_lc, fx.q, fx.theta, gamma)
+    linear = build_design(fx.system, fx.gain_lc, fx.q, fx.theta, 0.0)
+    cubic = build_design(fx.system, fx.gain_lc, fx.q, fx.theta, fx.gamma, fx.gain_nc)
     return linear, cubic
 
 
-def _simulate(sys, design, cfg, feedback_k):
+def simulate(sys, design, cfg, feedback_k=None):
     """The observer run, closed through u = -k xhat when feedback_k is set."""
     if feedback_k is None:
         return simulate_cubic_observer(sys, design, cfg)
     return simulate_closed_loop(sys, design, feedback_k, cfg)
+
+
+def certify(sys, design, feedback_k=None, strict_damping=None, **search):
+    """The loop certificate when feedback_k is set, else the observer's.
+
+    strict_damping and the equilibrium-search options go to either.
+    """
+    if feedback_k is None:
+        return certify_stability(sys, design, strict_damping, **search)
+    return feedback_certificate(sys, design, feedback_k, strict_damping, **search)
 
 
 def gamma_sweep(sys, gain_lc, q, theta, gammas, cfg, feedback_k=None):
@@ -184,11 +200,8 @@ def gamma_sweep(sys, gain_lc, q, theta, gammas, cfg, feedback_k=None):
         raise ContractError(f"gamma values must be nonnegative, got {values[0]}")
     rows = []
     for g in values:
-        if g == 0.0:
-            design = degenerate_linear(sys, gain_lc, q)
-        else:
-            design = synthesize_cubic_gain(sys, gain_lc, q, theta, g)
-        trace = _simulate(sys, design, cfg, feedback_k)
+        design = build_design(sys, gain_lc, q, theta, g)
+        trace = simulate(sys, design, cfg, feedback_k)
         metrics = compute_metrics(trace)
         rows.append(
             {
@@ -212,14 +225,11 @@ def compute_bundle(number):
     linear, cubic = build_designs(fx)
     sys = fx.system
 
-    if fx.feedback_k is not None:
-        cert = feedback_certificate(sys, cubic, fx.feedback_k)
-    else:
-        cert = certify_stability(sys, cubic)
+    cert = certify(sys, cubic, fx.feedback_k)
 
     # fixtures without feedback carry lqr_weights = None
-    trace_linear = _simulate(sys, linear, fx.sim, fx.feedback_k)
-    trace_cubic = _simulate(sys, cubic, fx.sim, fx.feedback_k)
+    trace_linear = simulate(sys, linear, fx.sim, fx.feedback_k)
+    trace_cubic = simulate(sys, cubic, fx.sim, fx.feedback_k)
     metrics_linear = compute_metrics(trace_linear, lqr_weights=fx.lqr_weights)
     metrics_cubic = compute_metrics(trace_cubic, lqr_weights=fx.lqr_weights)
 

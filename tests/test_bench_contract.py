@@ -9,6 +9,7 @@ closed-loop bundle) the same way, so a change of output bytes shows here
 before it fails the benchmark.
 """
 
+import ast
 import inspect
 import os
 import sys
@@ -32,6 +33,22 @@ def test_every_span_target_resolves():
         if not callable(getattr(module, attr, None))
     ]
     assert missing == []
+
+
+def test_every_cli_import_is_used_or_wrapped_by_a_span():
+    # cli keeps some imports only so that spans on cli resolve; any other
+    # import that nothing in cli reads is dead
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    wrapped = {attr for module, attr, _, _ in layers.SPANS if module is cli}
+    assert sorted(imported - used - wrapped) == []
 
 
 def test_simulate_spans_take_the_config_last():

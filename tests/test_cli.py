@@ -5,6 +5,8 @@ file layouts, and byte-level determinism of the emitted artifacts. The
 JSON documents are additionally validated against docs/schema.json.
 """
 
+import argparse
+import copy
 import json
 import os
 import subprocess
@@ -14,11 +16,14 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cubicobs import cli
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((REPO_ROOT / "docs" / "schema.json").read_text())
+EXAMPLE_CONFIG = json.loads((REPO_ROOT / "docs" / "example_config.json").read_text())
 
 
 def validate(instance, def_name):
@@ -259,27 +264,151 @@ def test_lqr_without_feedback_exits_two(write_config, capsys, tmp_path):
     assert "lqr" in err
 
 
+def at_path(doc, path):
+    """The part of doc that a sequence of keys and indices leads to."""
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# Each file is malformed in one section; every subcommand that reads a config
+# parses all sections, so each gives the same verdict and the same line.
 @pytest.mark.parametrize(
-    "lqr, feedback",
-    [({"q": 1, "r": 1}, None), ({"bogus": 1}, [[1.0, 2.0]])],
-    ids=["without-feedback", "unknown-field"],
+    "fields, message",
+    [
+        (
+            {"lqr": {"q": 1, "r": 1}},
+            "lqr: needs a feedback section, which supplies the control",
+        ),
+        (
+            {"lqr": {"bogus": 1}, "feedback": {"k": [[1.0, 2.0]]}},
+            "lqr: unknown field(s) bogus; allowed: q, r",
+        ),
+        ({"sim.x0": [1.0]}, "sim.x0: expected 2 entries, got 1"),
+        (
+            {"sim.bogus": 1},
+            "sim: unknown field(s) bogus; allowed: dt, eps, horizon, input, x0, xhat0",
+        ),
+        (
+            {"sim.horizon": 1e-6},
+            "sim: horizon must cover at least one step: horizon=1e-06, dt=0.001",
+        ),
+        ({"sim": {"dt": -1.0}}, "sim: dt must be a positive real, got -1.0"),
+        (
+            {"outputs": ["trace", "plots"]},
+            "outputs: unknown artifact(s) plots; "
+            "allowed: trace, metrics, certificate, lyapunov",
+        ),
+    ],
+    ids=[
+        "without-feedback",
+        "unknown-field",
+        "sim-x0-length",
+        "sim-unknown-field",
+        "sim-horizon-below-dt",
+        "sim-dt-without-horizon",
+        "unknown-output",
+    ],
 )
 @pytest.mark.parametrize(
     "argv",
-    [("design",), ("design", "--equilibrium-search"), ("sweep-gamma", "--gammas", "1")],
-    ids=["design", "design-search", "sweep-gamma"],
+    [
+        ("design",),
+        ("design", "--equilibrium-search"),
+        ("simulate",),
+        ("sweep-gamma", "--gammas", "1"),
+    ],
+    ids=["design", "design-search", "simulate", "sweep-gamma"],
 )
 def test_bad_lqr_section_exits_two_in_every_subcommand(
-    write_config, capsys, lqr, feedback, argv
+    write_config, capsys, monkeypatch, tmp_path, fields, message, argv
 ):
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
     cfg = json.loads((REPO_ROOT / "docs" / "example_config.json").read_text())
-    cfg["lqr"] = lqr
-    if feedback is not None:
-        cfg["feedback"] = {"k": feedback}
+    for dotted, value in fields.items():
+        *parents, last = dotted.split(".")
+        at_path(cfg, parents)[last] = value
     code, out, err = run_cli(capsys, argv[0], write_config(cfg), *argv[1:])
     assert code == 2
     assert out == ""
-    assert "lqr" in err
+    assert err == f"config error: {message}\n"
+
+
+def config_paths(doc, path=()):
+    """(objects, numbers): the key paths of every object and number in doc."""
+    if isinstance(doc, (bool, str)):
+        return [], []
+    if isinstance(doc, (int, float)):
+        return [], [path]
+    objects = [path] if isinstance(doc, dict) else []
+    numbers = []
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        more_objects, more_numbers = config_paths(value, path + (key,))
+        objects += more_objects
+        numbers += more_numbers
+    return objects, numbers
+
+
+CONFIG_VALIDATOR = jsonschema.Draft202012Validator(
+    {"$ref": "#/$defs/config", "$defs": SCHEMA["$defs"]}
+)
+CONFIG_OBJECTS, CONFIG_NUMBERS = config_paths(EXAMPLE_CONFIG)
+# the fields docs/schema.json requires that the example config sets
+CONFIG_REQUIRED = [
+    ("system",),
+    ("observer",),
+    ("system", "a"),
+    ("system", "c"),
+    ("observer", "type"),
+    ("sim", "input", "kind"),
+]
+
+
+@st.composite
+def broken_configs(draw):
+    """The example config with one schema violation: an unknown field in
+    any object, a string where a number goes, or a required field left out."""
+    cfg = copy.deepcopy(EXAMPLE_CONFIG)
+    kind = draw(st.sampled_from(["unknown-field", "string-for-number", "missing"]))
+    if kind == "unknown-field":
+        name = "zz_" + draw(st.text("abcdefghijklmnopqrstuvwxyz_0123456789", max_size=8))
+        value = draw(st.none() | st.booleans() | st.integers() | st.text(max_size=4))
+        at_path(cfg, draw(st.sampled_from(CONFIG_OBJECTS)))[name] = value
+    elif kind == "string-for-number":
+        *parents, last = draw(st.sampled_from(CONFIG_NUMBERS))
+        at_path(cfg, parents)[last] = draw(st.text(max_size=6))
+    else:
+        *parents, last = draw(st.sampled_from(CONFIG_REQUIRED))
+        del at_path(cfg, parents)[last]
+    return cfg
+
+
+def test_config_paths_cover_every_section():
+    assert {path[0] for path in CONFIG_OBJECTS[1:]} == {"system", "observer", "sim"}
+    assert ("sim", "input") in CONFIG_OBJECTS
+    assert ("sim", "x0", 1) in CONFIG_NUMBERS
+    assert len(CONFIG_NUMBERS) == 19
+
+
+@settings(
+    max_examples=120,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(cfg=broken_configs())
+def test_schema_violations_exit_two_in_every_subcommand(
+    write_config, capsys, monkeypatch, tmp_path, cfg
+):
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
+    assert not CONFIG_VALIDATOR.is_valid(cfg)
+    path = write_config(cfg)
+    errors = set()
+    for argv in (["design"], ["simulate"], ["sweep-gamma", "--gammas", "1"]):
+        code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("config error: ")
+        errors.add(err)
+    assert len(errors) == 1
 
 
 def test_design_negative_seed_exits_two(write_config, capsys):
@@ -292,6 +421,21 @@ def test_design_negative_seed_exits_two(write_config, capsys):
     assert "--seed" in err
     code, _, _ = run_cli(capsys, "design", path, "--equilibrium-search", "--seed", "0")
     assert code == 0
+
+
+def test_missing_horizon_is_an_error_only_for_a_run_without_horizon(
+    write_config, capsys, monkeypatch, tmp_path
+):
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
+    cfg = base_config()
+    del cfg["sim"]["horizon"]
+    path = write_config(cfg)
+    assert run_cli(capsys, "design", path)[0] == 0
+    for argv in (["simulate"], ["sweep-gamma", "--gammas", "1"]):
+        code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == "config error: sim.horizon: required (or pass --horizon)\n"
+        assert run_cli(capsys, argv[0], path, *argv[1:], "--horizon", "0.01")[0] == 0
 
 
 def test_horizon_shorter_than_dt_exits_two(write_config, capsys):
@@ -334,6 +478,86 @@ def test_input_dimension_mismatch_exits_two(write_config, capsys, argv, signal):
 def test_missing_subcommand_argument_exits_two(capsys):
     assert cli.main(["design"]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# command-line surface: options, choices and defaults stay as documented
+
+# (flags or positional name, choices, default, required, type, help)
+CLI_SURFACE = {
+    "design": [
+        ("config", None, None, True, None, "JSON config file with system and observer sections"),
+        ("--out", None, None, False, None, "write the design document here instead of stdout"),
+        ("--format", ("json", "csv"), "json", False, None, None),
+        ("--seed", None, 0, False, "int", "seed for the equilibrium search"),
+        (
+            "--equilibrium-search",
+            None,
+            False,
+            False,
+            None,
+            "also run the randomized nonzero-equilibrium falsifier",
+        ),
+    ],
+    "simulate": [
+        ("config", None, None, True, None, None),
+        ("--out", None, None, False, None, "trace CSV path (default trace.csv)"),
+        ("--dt", None, None, False, "float", "override sim.dt"),
+        ("--horizon", None, None, False, "float", "override sim.horizon"),
+        ("--eps", None, None, False, "float", "override sim.eps (model perturbation)"),
+        ("--format", ("json", "csv"), "json", False, None, None),
+    ],
+    "example": [
+        ("number", (1, 2, 3), None, True, "int", None),
+        ("--out", None, None, False, None, "bundle directory (default example<n>)"),
+    ],
+    "sweep-gamma": [
+        ("config", None, None, True, None, None),
+        ("--gammas", None, None, True, None, "comma-separated nonnegative values"),
+        ("--out", None, None, False, None, "table path (default stdout)"),
+        ("--dt", None, None, False, "float", None),
+        ("--horizon", None, None, False, "float", None),
+        ("--eps", None, None, False, "float", None),
+        ("--format", ("csv", "json"), "csv", False, None, None),
+    ],
+}
+SUBCOMMAND_HELP = {
+    "design": "build an observer and print its certificate",
+    "simulate": "run the observer and write a trace CSV",
+    "example": "reproduce a bundled example end to end",
+    "sweep-gamma": "tabulate metrics across cubic gain intensities",
+}
+
+
+def parser_surface(parser):
+    """The rows of CLI_SURFACE for one parser, leaving out -h/--help."""
+    return [
+        (
+            " ".join(a.option_strings) or a.dest,
+            a.choices,
+            a.default,
+            a.required,
+            getattr(a.type, "__name__", None),
+            a.help,
+        )
+        for a in parser._actions
+        if not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))
+    ]
+
+
+def test_command_line_surface_is_pinned():
+    parser = cli.build_parser()
+    assert parser.prog == "cubicobs"
+    assert parser.description == (
+        "design, certify, and simulate cubic observers for LTI systems"
+    )
+    assert parser_surface(parser) == []
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert (sub.dest, sub.required) == ("command", True)
+    assert {a.dest: a.help for a in sub._choices_actions} == SUBCOMMAND_HELP
+    assert list(sub.choices) == list(CLI_SURFACE)
+    for name, subparser in sub.choices.items():
+        assert parser_surface(subparser) == CLI_SURFACE[name], name
 
 
 # ---------------------------------------------------------------------------
