@@ -27,6 +27,7 @@ CUBIC_OBS_OUT_DIR environment variable rebases every relative output path.
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys as _sys
@@ -141,8 +142,12 @@ def _as_dict(value, path):
     return value
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_number(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigError(f"{path}: expected a number")
     return float(value)
 
@@ -150,7 +155,11 @@ def _as_number(value, path):
 def _as_number_list(value, path):
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a nonempty array of numbers")
-    return [_as_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    # the entry's path is built only for the message: matrices hold many
+    for i, v in enumerate(value):
+        if not _is_number(v):
+            raise ConfigError(f"{path}[{i}]: expected a number")
+    return [float(v) for v in value]
 
 
 def _repeated(value, path, n):
@@ -598,6 +607,9 @@ def cmd_sweep_gamma(args):
         raise ConfigError("--gammas: expected a comma-separated list of values")
     if min(gammas) < 0.0:
         raise ConfigError(f"--gammas: values must be nonnegative, got {min(gammas)}")
+    bad = [g for g in gammas if not np.isfinite(g)]
+    if bad:
+        raise ConfigError(f"--gammas: values must be finite, got {bad[0]}")
 
     rows = gamma_sweep(
         config.system,
@@ -738,7 +750,7 @@ def build_parser():
         action="store_true",
         help="also run the randomized nonzero-equilibrium falsifier",
     )
-    p.set_defaults(func=cmd_design)
+    p.set_defaults(handler="cmd_design")
 
     p = sub.add_parser("simulate", help="run the observer and write a trace CSV")
     p.add_argument("config")
@@ -747,12 +759,12 @@ def build_parser():
     p.add_argument("--horizon", type=float, help="override sim.horizon")
     p.add_argument("--eps", type=float, help="override sim.eps (model perturbation)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(handler="cmd_simulate")
 
     p = sub.add_parser("example", help="reproduce a bundled example end to end")
     p.add_argument("number", type=int, choices=(1, 2, 3))
     p.add_argument("--out", help="bundle directory (default example<n>)")
-    p.set_defaults(func=cmd_example)
+    p.set_defaults(handler="cmd_example")
 
     p = sub.add_parser(
         "sweep-gamma", help="tabulate metrics across cubic gain intensities"
@@ -764,19 +776,28 @@ def build_parser():
     p.add_argument("--horizon", type=float)
     p.add_argument("--eps", type=float)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_sweep_gamma)
+    p.set_defaults(handler="cmd_sweep_gamma")
 
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on first use and reused by every later main call:
+    building it takes about a millisecond, which callers that run many
+    commands in one process would otherwise pay each time."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # looked up now, not when the parser was built, so that a handler
+        # replaced on this module after the first call is the one that runs
+        return globals()[args.handler](args)
     except ConfigError as exc:
         _sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

@@ -568,21 +568,23 @@ def error_field(sys, design):
     def rhs(e):
         e = np.asarray(e, dtype=float)
         if e.ndim == 2:
-            return _error_rows(f, s, nc, c, e)[0]
-        return _error_rows(f, s, nc, c, e.reshape(1, -1))[0][0]
+            return _error_rows(f, s, nc, c, e)
+        return _error_rows(f, s, nc, c, e.reshape(1, -1))[0]
 
     return rhs
 
 
-def _error_rows(f, s, nc, c, e):
-    """Error field at the rows of e, (S, n), and the parts of its Jacobian.
-
-    Returns (value, s e, e^T s e, nc c e), one row per row of e.
-    """
+def _error_parts(s, c, e):
+    """(c e, s e, e^T s e) at the rows of e, (S, n), one row per row of e."""
     se = np.einsum("ij,sj->si", s, e)
-    ese = np.einsum("si,si->s", e, se)
-    ncce = np.einsum("ij,sj->si", nc, np.einsum("ij,sj->si", c, e))
-    return np.einsum("ij,sj->si", f, e) + ese[:, None] * ncce, se, ese, ncce
+    return np.einsum("ij,sj->si", c, e), se, np.einsum("si,si->s", e, se)
+
+
+def _error_rows(f, s, nc, c, e):
+    """Error field f e + (e^T s e) nc c e at the rows of e, (S, n)."""
+    ce, _, ese = _error_parts(s, c, e)
+    ncce = np.einsum("ij,sj->si", nc, ce)
+    return np.einsum("ij,sj->si", f, e) + ese[:, None] * ncce
 
 
 def lyapunov_derivative_at(sys, design, e):
@@ -642,12 +644,50 @@ def _newton_steps(jac, value):
     return step, ok
 
 
-def _damped_newton(rhs, jacobian, starts, threshold):
+def _low_rank_newton(f, s, nc, c):
+    """Newton steps of the error field by the Woodbury identity.
+
+    The field f e + (e^T s e) nc c e has the Jacobian J(e) = f + nc m(e),
+    m(e) = 2 (c e)(s e)^T + (e^T s e) c, a rank-p change of f (p outputs).
+    With g = f^{-1} nc and w = -f^{-1} v, the step solving J(e) step = -v
+    is w - g (I_p + m(e) g)^{-1} m(e) w: O(n^2 + n p) per row and one
+    stacked (S, p, p) solve, instead of an n x n LU per row. I_p + m(e) g
+    is singular exactly when J(e) is. f must be invertible (NumericalError
+    otherwise); it is Hurwitz for every design the toolkit builds.
+
+    Returns step(e, value) -> (step, ok) over rows, as _damped_newton takes.
+    """
+    try:
+        f_inv = np.linalg.inv(f)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"a - gain_lc c is singular, equilibrium search impossible: {exc}"
+        ) from exc
+    g = f_inv @ nc
+    cg = c @ g
+
+    def step(e, value):
+        ce, se, ese = _error_parts(s, c, e)
+        w = -np.einsum("ij,sj->si", f_inv, value)
+        mw = 2.0 * np.einsum("si,si->s", se, w)[:, None] * ce
+        mw += ese[:, None] * np.einsum("ij,sj->si", c, w)
+        capacitance = (2.0 * ce)[:, :, None] * np.einsum("si,ij->sj", se, g)[:, None, :]
+        capacitance += ese[:, None, None] * cg
+        capacitance += np.eye(len(cg))
+        # z = -(I_p + m g)^{-1} m w, so the step is w + g z
+        z, ok = _newton_steps(capacitance, mw)
+        return w + np.einsum("ij,sj->si", g, z), ok
+
+    return step
+
+
+def _damped_newton(rhs, step, starts, threshold):
     """Damped Newton from every row of starts, (S, n), all rows together.
 
-    rhs maps a stack of rows to their field values and jacobian to their
-    (S, n, n) Jacobians, each row on its own. A row takes at most 60 Newton
-    steps. It stops early once the norm of its field value is below
+    rhs maps a stack of rows to their field values, and step maps rows and
+    their values to (Newton steps, ok), ok False where a row's Jacobian is
+    singular; both treat each row on its own. A row takes at most 60
+    Newton steps. It stops early once the norm of its field value is below
     threshold, when its Jacobian is singular, or when 40 halvings of its
     step all fail to reduce that norm; the other rows go on. Returns the
     final rows and their field values.
@@ -660,14 +700,14 @@ def _damped_newton(rhs, jacobian, starts, threshold):
         active = active[~(norm[active] < threshold)]
         if not active.size:
             break
-        step, ok = _newton_steps(jacobian(e[active]), value[active])
-        rows, step = active[ok], step[ok]
+        direction, ok = step(e[active], value[active])
+        rows, direction = active[ok], direction[ok]
         pending = np.arange(len(rows))
         alpha = 1.0
         for _ in range(40):
             if not pending.size:
                 break
-            trial = e[rows[pending]] + alpha * step[pending]
+            trial = e[rows[pending]] + alpha * direction[pending]
             trial_value = rhs(trial)
             trial_norm = _row_norms(trial_value)
             better = trial_norm < norm[rows[pending]]
@@ -692,28 +732,25 @@ def search_nonzero_equilibria(sys, design, n_starts=100, seed=0, tol=1e-10):
     standard_normal(n) from default_rng(seed); n_starts must be a positive
     and seed a nonnegative integer (ContractError otherwise). All starts
     then run as one (n_starts, n) batch of damped-Newton iterations (see
-    _damped_newton), with fixed-order einsum reductions and one LAPACK
-    solve per row, so a start's path and root are the same bits whatever
-    the batch holds: the first k starts of a larger search find exactly
-    the roots the search with n_starts=k finds. A start counts as converged when its residual
-    norm is below tol * max(1, max|a - lc c|). Roots are kept in start
-    order, dropping any within 1e-6 of one already kept or of the origin.
+    _damped_newton). Each step uses the Woodbury form of the Jacobian's
+    inverse, a rank-p change of a - lc c (see _low_rank_newton), so a step
+    is one stacked (n_starts, p, p) solve, not an n x n LU per start; a - lc c
+    must be invertible (NumericalError otherwise). Fixed-order einsum
+    reductions and one LAPACK solve per row keep a start's path and root
+    the same bits whatever the batch holds: the first k starts of a larger
+    search find exactly the roots the search with n_starts=k finds. A start
+    counts as converged when its residual norm is below
+    tol * max(1, max|a - lc c|). Roots are kept in start order, dropping
+    any within 1e-6 of one already kept or of the origin.
     """
     _check_search_args(n_starts, seed)
     f, s, _, _ = _error_terms(sys, design)
     nc = design.gain_nc
     c = sys.c
-    ncc = nc @ c
+    step = _low_rank_newton(f, s, nc, c)
 
     def rhs(e):
-        return _error_rows(f, s, nc, c, e)[0]
-
-    def jacobian(e):
-        _, se, ese, ncce = _error_rows(f, s, nc, c, e)
-        jac = ncce[:, :, None] * (2.0 * se)[:, None, :]
-        jac += f
-        jac += ese[:, None, None] * ncc
-        return jac
+        return _error_rows(f, s, nc, c, e)
 
     rng = np.random.default_rng(seed)
     starts = np.empty((n_starts, sys.n))
@@ -721,7 +758,7 @@ def search_nonzero_equilibria(sys, design, n_starts=100, seed=0, tol=1e-10):
         radius = 10.0 ** rng.uniform(-1.0, 1.0)
         row[:] = radius * rng.standard_normal(sys.n)
     threshold = tol * max(1.0, numlin.max_abs(f))
-    e, value = _damped_newton(rhs, jacobian, starts, threshold)
+    e, value = _damped_newton(rhs, step, starts, threshold)
     found = []
     for root in e[(_row_norms(value) < threshold) & (_row_norms(e) > 1e-6)]:
         if not any(np.linalg.norm(root - r) < 1e-6 for r in found):

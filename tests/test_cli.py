@@ -26,10 +26,17 @@ SCHEMA = json.loads((REPO_ROOT / "docs" / "schema.json").read_text())
 EXAMPLE_CONFIG = json.loads((REPO_ROOT / "docs" / "example_config.json").read_text())
 
 
+# The schema is checked once here, and each $defs entry gets one prebuilt
+# validator: jsonschema.validate would check the whole schema again per call.
+jsonschema.Draft202012Validator.check_schema(SCHEMA)
+VALIDATORS = {
+    name: jsonschema.Draft202012Validator({"$ref": f"#/$defs/{name}", "$defs": SCHEMA["$defs"]})
+    for name in SCHEMA["$defs"]
+}
+
+
 def validate(instance, def_name):
-    jsonschema.validate(
-        instance, {"$ref": f"#/$defs/{def_name}", "$defs": SCHEMA["$defs"]}
-    )
+    VALIDATORS[def_name].validate(instance)
 
 
 def base_config():
@@ -350,9 +357,7 @@ def config_paths(doc, path=()):
     return objects, numbers
 
 
-CONFIG_VALIDATOR = jsonschema.Draft202012Validator(
-    {"$ref": "#/$defs/config", "$defs": SCHEMA["$defs"]}
-)
+CONFIG_VALIDATOR = VALIDATORS["config"]
 CONFIG_OBJECTS, CONFIG_NUMBERS = config_paths(EXAMPLE_CONFIG)
 # the fields docs/schema.json requires that the example config sets
 CONFIG_REQUIRED = [
@@ -409,6 +414,27 @@ def test_schema_violations_exit_two_in_every_subcommand(
         assert err.startswith("config error: ")
         errors.add(err)
     assert len(errors) == 1
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (("system", "a", 1, 0), "system.a[1][0]: expected a number"),
+        (("sim", "x0", 1), "sim.x0[1]: expected a number"),
+    ],
+    ids=["matrix-entry", "vector-entry"],
+)
+def test_a_bad_number_is_named_by_its_full_path(write_config, capsys, bad, message):
+    *parents, last = bad
+    cfg = base_config()
+    at_path(cfg, parents)[last] = "x"
+    for command in ("design", "simulate"):
+        code, out, err = run_cli(capsys, command, write_config(cfg))
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+    cfg = base_config()
+    at_path(cfg, parents)[last] = True
+    code, _, err = run_cli(capsys, "design", write_config(cfg))
+    assert (code, err) == (2, f"config error: {message}\n")
 
 
 def test_design_negative_seed_exits_two(write_config, capsys):
@@ -558,6 +584,29 @@ def test_command_line_surface_is_pinned():
     assert list(sub.choices) == list(CLI_SURFACE)
     for name, subparser in sub.choices.items():
         assert parser_surface(subparser) == CLI_SURFACE[name], name
+
+
+def test_main_reuses_its_parser_and_finds_the_handler_when_it_runs(
+    write_config, capsys, monkeypatch
+):
+    path = write_config(base_config())
+    assert run_cli(capsys, "design", path)[0] == 0
+    assert cli._parser() is cli._parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_design", lambda args: seen.append(args.config) or 7)
+    assert run_cli(capsys, "design", path)[0] == 7
+    assert seen == [path]
+
+
+@pytest.mark.parametrize("argv", [[], ["design"], ["simulate"], ["example"], ["sweep-gamma"]])
+def test_help_from_the_reused_parser_matches_a_fresh_one(capsys, argv):
+    fresh = cli.build_parser()
+    with pytest.raises(SystemExit):
+        fresh.parse_args(argv + ["--help"])
+    want = capsys.readouterr().out
+    for _ in range(2):
+        code, out, err = run_cli(capsys, *argv, "--help")
+        assert (code, out, err) == (0, want, "")
 
 
 # ---------------------------------------------------------------------------
@@ -825,6 +874,16 @@ def test_sweep_gamma_rejects_bad_values(write_config, capsys):
         capsys, "sweep-gamma", write_config(base_config()), "--gammas", "a,b"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("gammas", ["nan", "inf", "-inf", "1,inf", "0.5,nan"])
+def test_sweep_gamma_rejects_non_finite_values(write_config, capsys, gammas):
+    code, out, err = run_cli(
+        capsys, "sweep-gamma", write_config(base_config()), f"--gammas={gammas}"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: --gammas: values must be ")
+    assert err.count("\n") == 1
 
 
 def test_sweep_gamma_requires_synthesizable_observer(write_config, capsys):

@@ -452,6 +452,65 @@ def test_batched_search_matches_the_reference_on_the_flipped_example(fx1, design
         assert_same_roots(roots, sequential_search(fx1.system, flipped, seed=seed))
 
 
+def full_jacobian(sys, design, e):
+    """J(e) = f + nc c e (2 s e)^T + (e^T s e) nc c at one point, built densely."""
+    f, s, _, _ = design_mod._error_terms(sys, design)
+    nc, c = design.gain_nc, sys.c
+    return f + np.outer(nc @ (c @ e), 2.0 * (s @ e)) + float(e @ s @ e) * (nc @ c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 8),
+    flipped=st.booleans(),
+    row_seed=st.integers(0, 2**16),
+)
+def test_low_rank_newton_step_matches_the_full_jacobian_solve(seed, n, flipped, row_seed):
+    # where cond(J) <= 1e6 the Woodbury step agrees with the LU solve of the
+    # dense Jacobian to 1e-8 relative (worst seen on 24000 rows: 1.3e-10)
+    system, design = scaling_design(seed, n)
+    if flipped:
+        design = flipped_design(system, design)
+    f, s, _, _ = design_mod._error_terms(system, design)
+    nc, c = design.gain_nc, system.c
+    rng = np.random.default_rng(row_seed)
+    e = 10.0 ** rng.uniform(-1.0, 1.0, (8, 1)) * rng.standard_normal((8, n))
+    value = design_mod._error_rows(f, s, nc, c, e)
+    step, ok = design_mod._low_rank_newton(f, s, nc, c)(e, value)
+    assert step.shape == e.shape
+    for row, v, got, good in zip(e, value, step, ok):
+        jac = full_jacobian(system, design, row)
+        if np.linalg.cond(jac) > 1e6:
+            continue
+        assert good
+        want = np.linalg.solve(jac, -v)
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+
+def test_low_rank_newton_step_flags_a_singular_jacobian():
+    # scalar field -3 e + e^3: J(e) = -3 + 3 e^2 is singular at e = 1, where
+    # I_p + m g = 1 + 3 e^2 (-1/3) rounds to exactly 0 as well
+    f, s, nc, c = -3.0 * np.eye(1), np.eye(1), np.eye(1), np.eye(1)
+    e = np.array([[1.0], [2.0]])
+    value = design_mod._error_rows(f, s, nc, c, e)
+    step, ok = design_mod._low_rank_newton(f, s, nc, c)(e, value)
+    assert ok.tolist() == [False, True]
+    # at e = 2: value 2, J = 9
+    assert step[1, 0] == pytest.approx(-2.0 / 9.0, rel=1e-15)
+
+
+def test_low_rank_newton_refuses_a_singular_linear_part():
+    with pytest.raises(co.NumericalError):
+        design_mod._low_rank_newton(np.zeros((2, 2)), np.eye(2), np.ones((2, 1)), np.ones((1, 2)))
+
+
+def full_jacobian_steps(jacobian):
+    """The Newton-step callable _damped_newton takes, from a builder of
+    (S, n, n) Jacobians, by the stacked full solve."""
+    return lambda e, value: design_mod._newton_steps(jacobian(e), value)
+
+
 def test_damped_newton_stops_only_the_row_with_a_singular_jacobian():
     # e_i^2 = 1 per entry; the Jacobian diag(2 e) is singular at e_0 = 0
     def rhs(e):
@@ -460,12 +519,13 @@ def test_damped_newton_stops_only_the_row_with_a_singular_jacobian():
     def jacobian(e):
         return 2.0 * e[:, :, None] * np.eye(e.shape[1])
 
+    step = full_jacobian_steps(jacobian)
     starts = np.array([[2.0, 3.0], [0.0, 0.5], [-0.5, 0.7]])
-    e, value = design_mod._damped_newton(rhs, jacobian, starts, 1e-12)
+    e, value = design_mod._damped_newton(rhs, step, starts, 1e-12)
     assert np.array_equal(e[1], starts[1])
     assert np.array_equal(value[1], rhs(starts[1]))
     assert np.allclose(e[[0, 2]], [[1.0, 1.0], [-1.0, 1.0]], rtol=0, atol=1e-12)
-    alone, _ = design_mod._damped_newton(rhs, jacobian, starts[[0, 2]], 1e-12)
+    alone, _ = design_mod._damped_newton(rhs, step, starts[[0, 2]], 1e-12)
     assert np.array_equal(e[[0, 2]], alone)
 
 
@@ -480,7 +540,8 @@ def test_damped_newton_step_and_halving_limits():
         def jacobian(e):
             return np.full((len(e), 1, 1), 2.0 ** -k)
 
-        e, _ = design_mod._damped_newton(rhs, jacobian, np.array([[0.0]]), 1e-12)
+        step = full_jacobian_steps(jacobian)
+        e, _ = design_mod._damped_newton(rhs, step, np.array([[0.0]]), 1e-12)
         assert e[0, 0] == (1.0 if reached else 0.0)
 
     # residual e with the Jacobian 2 I: each accepted step halves e, and a
@@ -488,7 +549,8 @@ def test_damped_newton_step_and_halving_limits():
     def halving_jacobian(e):
         return np.full((len(e), 1, 1), 2.0)
 
-    e, _ = design_mod._damped_newton(lambda e: e, halving_jacobian, np.array([[3.0]]), 0.0)
+    step = full_jacobian_steps(halving_jacobian)
+    e, _ = design_mod._damped_newton(lambda e: e, step, np.array([[3.0]]), 0.0)
     assert e[0, 0] == 3.0 * 2.0 ** -60
 
 
