@@ -34,8 +34,23 @@ For synthesized gains with fewer outputs than states the damping matrix is
 -2 gamma c^T theta c, which is rank deficient, so only the semidefinite
 verdict can hold; the strict verdict is reported alongside. Every boolean in
 a certificate is backed by a named numerical margin.
+
+Asked for an equilibrium search, certify_stability first bounds the
+equilibria away in closed form. With w = f^T p + p f, s = e^T c^T theta c e
+and E = p nc c + c^T nc^T p + 2 gamma c^T theta c,
+
+    e^T p g(e) <= 1/2 lambda_max(w) |e|^2 + |E|_2^2 |e|^4 / (16 gamma)
+
+along the error dynamics g, so no nonzero equilibrium lies within
+R = sqrt(8 gamma (-lambda_max(w))) / |E|_2. For a synthesized gain E is the
+rounding residual of the defining identity, evaluated in np.longdouble
+with an a-priori rounding allowance (_exclusion_radius), and R is
+astronomically large. The damped-Newton search runs only when
+R < STATE_NORM_LIMIT (1e12), and the certificate reports
+equilibrium_exclusion_radius = min(R, 1e12) next to the root count.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 
@@ -52,6 +67,9 @@ GAIN_IDENTITY_RTOL = 1e-10
 PLACEMENT_TOL = 1e-8
 # scaling grid searched by feedback_certificate
 FEEDBACK_BETA_GRID = tuple(10.0 ** k for k in range(9))
+# state norm beyond which a simulated trajectory counts as diverged, and
+# the exclusion radius beyond which the equilibrium search is not run
+STATE_NORM_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -371,6 +389,75 @@ def _sym_extremes(m):
     return float(w[0]), float(w[-1])
 
 
+def _rounding(k, eps):
+    """gamma_k = k u / (1 - k u) with u = eps / 2: the relative error bound
+    of k successive roundings, e.g. a k-term dot product, in a float format
+    with machine epsilon eps (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 3.1)."""
+    u = 0.5 * eps
+    return k * u / (1.0 - k * u)
+
+
+def _exclusion_radius(sys, design, f, w):
+    """A radius R such that no nonzero equilibrium of the error dynamics
+    lies in 0 < |e|_2 < R: inf when the origin is proved the only one, 0
+    when nothing is proved.
+
+    f = a - lc c and w = f^T p + p f as _error_terms computes them. With
+    s = e^T S e and E = D + 2 gamma S, the Lyapunov derivative along
+    g(e) = f e + s nc c e is
+
+        e^T p g(e) = 1/2 e^T W e + 1/2 s (-2 gamma s + e^T E e)
+                  <= 1/2 w_max |e|^2 + |E|_2^2 |e|^4 / (16 gamma),
+
+    the bound being the maximum over every real s, so S need not be
+    semidefinite. Where it is negative g(e) != 0, which holds for
+    0 < |e| < R = sqrt(8 gamma (-w_max)) / |E|_2 when w_max < 0. Here
+    E = H c + c^T H^T with H = p nc + gamma c^T theta, the residual of the
+    constructive-gain identity, so |E|_2 <= 2 |H|_2 |c|_2: for a
+    synthesized gain H is rounding-sized and R huge, for an explicit gain
+    R is of order one. gain_nc = 0 gives D = 0 and R = inf; w_max >= 0, or
+    gamma <= 0 with a nonzero gain, gives R = 0.
+
+    The bound is rigorous for the float64 data of the design. H is
+    evaluated in np.longdouble and enlarged by the rounding allowance
+    gamma_k (|p| |nc| + gamma |c^T| |theta|) of that format's np.finfo
+    epsilon, so where longdouble is a plain double R comes out smaller but
+    still valid. w_max is raised by the float64 error of forming f and w;
+    the eigenvalue and singular-value solvers are allowed a generous
+    relative error of 8 n^2 u.
+    """
+    nc = design.gain_nc
+    p = design.lyapunov_p
+    theta = design.theta
+    gamma = design.gamma
+    c = sys.c
+    n_y, n = c.shape
+    eps = np.finfo(float).eps
+    frob = np.linalg.norm
+    solver = _rounding(8 * n * n, eps)
+    f_err = _rounding(n_y + 1, eps) * (frob(sys.a) + frob(design.gain_lc) * frob(c))
+    w_err = 2.0 * frob(p) * (f_err + _rounding(n + 1, eps) * frob(f))
+    w_err += solver * frob(w)
+    w_max = _sym_extremes(w)[1] + 2.0 * w_err
+    if w_max >= 0.0:
+        return 0.0
+    if not np.any(nc):
+        return np.inf
+    if gamma <= 0.0:
+        return 0.0
+    ld = np.longdouble
+    h = p.astype(ld) @ nc.astype(ld) + ld(gamma) * (c.T.astype(ld) @ theta.astype(ld))
+    h_err = _rounding(n + n_y + 2, np.finfo(ld).eps) * (
+        np.abs(p) @ np.abs(nc) + gamma * (np.abs(c.T) @ np.abs(theta))
+    )
+    h_norm = np.linalg.norm(h.astype(float), 2) * (1.0 + solver) + 2.0 * frob(h_err)
+    e_norm = 2.0 * h_norm * np.linalg.norm(c, 2) * (1.0 + solver)
+    # covers the float64 roundings of this bound's own arithmetic
+    slack = _rounding(4 * n * (n_y + 1) + 16, eps)
+    return float(np.sqrt(8.0 * gamma * -w_max) / e_norm) * (1.0 - slack)
+
+
 def certify_stability(
     sys,
     design,
@@ -385,12 +472,16 @@ def certify_stability(
     negative-definite test, False the semidefinite one, and None (default)
     picks strict exactly when the design was not synthesized by the
     constructive rule or c^T theta c has full rank. With
-    equilibrium_search=True a seeded damped-Newton search for nonzero
-    equilibria of the error dynamics runs as an extra falsifier from
-    n_starts starts drawn from seed (a positive and a nonnegative integer,
-    both checked even when the search is off); any root found is counted
-    in the margins. The certificate carries the design's robustness
-    radius, robustness_bound(design), as robustness_eps_max.
+    equilibrium_search=True the margins gain equilibrium_exclusion_radius,
+    min(R, STATE_NORM_LIMIT) for the closed-form radius R of
+    _exclusion_radius, inside which the origin is the only equilibrium, and
+    nonzero_equilibria_found. Where R < STATE_NORM_LIMIT (1e12) a seeded
+    damped-Newton search for nonzero equilibria runs as an extra falsifier
+    from n_starts starts drawn from seed, and the roots it finds are
+    counted; otherwise the count is 0 without a search. n_starts and seed
+    must be a positive and a nonnegative integer, checked even when the
+    search is off. The certificate carries the design's robustness radius,
+    robustness_bound(design), as robustness_eps_max.
     """
     _check_search_args(n_starts, seed)
     f, s, w, d = _error_terms(sys, design)
@@ -427,10 +518,13 @@ def certify_stability(
     margins["uniqueness_min_eig"] = m_min
 
     if equilibrium_search:
-        roots = search_nonzero_equilibria(
-            sys, design, n_starts=n_starts, seed=seed
-        )
-        margins["nonzero_equilibria_found"] = float(len(roots))
+        radius = _exclusion_radius(sys, design, f, w)
+        found = 0
+        if radius < STATE_NORM_LIMIT:
+            roots = search_nonzero_equilibria(sys, design, n_starts=n_starts, seed=seed)
+            found = len(roots)
+        margins["nonzero_equilibria_found"] = float(found)
+        margins["equilibrium_exclusion_radius"] = min(radius, STATE_NORM_LIMIT)
 
     return Certificate(
         hurwitz_ok=hurwitz_ok,
@@ -604,8 +698,9 @@ def lyapunov_derivative_at(sys, design, e):
     return vdot_cubic, vdot_linear
 
 
-def _check_search_args(n_starts, seed):
-    """ContractError unless n_starts is a positive and seed a nonnegative int."""
+def _check_search_args(n_starts, seed, tol=1e-10):
+    """ContractError unless n_starts is a positive and seed a nonnegative
+    int and tol a finite positive real (by default the search's own)."""
     for name, value, least, kind in (
         ("n_starts", n_starts, 1, "positive"),
         ("seed", seed, 0, "nonnegative"),
@@ -616,6 +711,12 @@ def _check_search_args(n_starts, seed):
             or value < least
         ):
             raise ContractError(f"{name} must be a {kind} integer, got {value!r}")
+    if (
+        isinstance(tol, bool)
+        or not isinstance(tol, numbers.Real)
+        or not 0 < tol < math.inf
+    ):
+        raise ContractError(f"tol must be a finite positive real, got {tol!r}")
 
 
 def _row_norms(v):
@@ -726,7 +827,10 @@ def search_nonzero_equilibria(sys, design, n_starts=100, seed=0, tol=1e-10):
 
     A falsifier, not a prover: it reports any nonzero root it converges to
     from n_starts seeded random starts at several radii, and an empty list
-    proves nothing. For certified designs it should come back empty.
+    proves nothing. For certified designs it should come back empty, and
+    certify_stability calls it only when _exclusion_radius cannot prove
+    the origin the only equilibrium out to 1e12; called directly, it
+    always searches. No root it returns lies inside _exclusion_radius.
 
     Each start draws a radius 10**uniform(-1, 1) and then a direction
     standard_normal(n) from default_rng(seed); n_starts must be a positive
@@ -740,10 +844,11 @@ def search_nonzero_equilibria(sys, design, n_starts=100, seed=0, tol=1e-10):
     the same bits whatever the batch holds: the first k starts of a larger
     search find exactly the roots the search with n_starts=k finds. A start
     counts as converged when its residual norm is below
-    tol * max(1, max|a - lc c|). Roots are kept in start order, dropping
+    tol * max(1, max|a - lc c|); tol must be a finite positive real
+    (ContractError otherwise). Roots are kept in start order, dropping
     any within 1e-6 of one already kept or of the origin.
     """
-    _check_search_args(n_starts, seed)
+    _check_search_args(n_starts, seed, tol)
     f, s, _, _ = _error_terms(sys, design)
     nc = design.gain_nc
     c = sys.c

@@ -168,6 +168,23 @@ def test_design_equilibrium_search_flag(write_config, capsys):
     assert doc["certificate"]["margins"]["nonzero_equilibria_found"] == 0.0
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_design_equilibrium_search_on_a_linear_observer(write_config, capsys):
+    # the linear observer's exclusion radius is infinite; the document caps it
+    cfg = base_config()
+    cfg["observer"] = {"type": "linear", "poles": [-2.0, -5.0]}
+    code, out, _ = run_cli(capsys, "design", write_config(cfg), "--equilibrium-search")
+    assert code == 0
+    doc = json.loads(out, parse_constant=reject_constant)
+    validate(doc, "design_document")
+    margins = doc["certificate"]["margins"]
+    assert margins["equilibrium_exclusion_radius"] == 1e12
+    assert margins["nonzero_equilibria_found"] == 0.0
+
+
 def test_design_equilibrium_search_flag_with_feedback(write_config, capsys):
     cfg = json.loads((REPO_ROOT / "docs" / "example_config.json").read_text())
     cfg["feedback"] = {"k": [[1.0, 2.0]]}

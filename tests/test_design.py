@@ -600,3 +600,166 @@ def test_feedback_certificate_passes_n_starts_to_the_search(fx1, designs1):
             fx1.system, flipped, k, equilibrium_search=True, n_starts=n_starts, seed=0
         )
         assert cert.margins["nonzero_equilibria_found"] == want
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf"), True, "1e-10", None])
+def test_tol_must_be_a_finite_positive_real(fx1, designs1, tol):
+    # a meaningless tol once made the flipped design's two roots disappear
+    # (nan, -1, 0) or turned every start into a "root" (inf)
+    flipped = flipped_design(fx1.system, designs1[1])
+    with pytest.raises(co.ContractError, match="tol"):
+        co.search_nonzero_equilibria(fx1.system, flipped, tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form exclusion radius
+
+
+def exclusion_radius(system, design):
+    f, _, w, _ = design_mod._error_terms(system, design)
+    return design_mod._exclusion_radius(system, design, f, w)
+
+
+def random_design(kind, seed, n, n_y, gamma):
+    """A synthesized, explicit or flipped design on a stable plant built
+    like scaling_design's, with n_y outputs and the given gamma."""
+    rng = np.random.default_rng(seed)
+    while True:
+        g = rng.standard_normal((n, n))
+        a = (g - g.T) / np.linalg.norm(g - g.T, 2) - 0.1 * np.eye(n)
+        c = rng.standard_normal((n_y, n))
+        try:
+            system = co.LinearSystem(a=a, b=np.zeros((n, 1)), c=c)
+            if kind == "explicit":
+                root = rng.standard_normal((n_y, n_y))
+                nc = rng.standard_normal((n, n_y))
+                return system, co.explicit_cubic_design(
+                    system, c.T / n, nc, root @ root.T, gamma=gamma
+                )
+            design = co.synthesize_cubic_gain(system, c.T / n, np.eye(n), np.eye(n_y), gamma)
+        except co.ObserverToolkitError:
+            continue
+        if kind == "flipped":
+            design = flipped_design(system, design)
+        return system, design
+
+
+def lyapunov_rate(system, design, e):
+    """e^T p g(e) along the error dynamics, evaluated in np.longdouble."""
+    ld = np.longdouble
+    a, lc, c = (np.asarray(m, dtype=ld) for m in (system.a, design.gain_lc, system.c))
+    nc, theta, p = (
+        np.asarray(m, dtype=ld) for m in (design.gain_nc, design.theta, design.lyapunov_p)
+    )
+    e = np.asarray(e, dtype=ld)
+    ce = c @ e
+    g = (a - lc @ c) @ e + (ce @ theta @ ce) * (nc @ ce)
+    return e @ p @ g
+
+
+@settings(max_examples=40)
+@given(
+    kind=st.sampled_from(["synthesized", "explicit", "flipped"]),
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 8),
+    n_y=st.integers(1, 2),
+    gamma=st.floats(0.05, 20.0),
+)
+def test_no_equilibrium_lies_inside_the_exclusion_radius(kind, seed, n, n_y, gamma):
+    system, design = random_design(kind, seed, n, n_y, gamma)
+    radius = exclusion_radius(system, design)
+    assert radius > 0.0
+    for root in co.search_nonzero_equilibria(system, design, seed=seed):
+        assert np.linalg.norm(root) >= radius
+    if not np.isfinite(radius):
+        return
+    # the Lyapunov derivative is negative everywhere inside, so g(e) != 0:
+    # random directions and the extreme eigenvectors of S and W, at radii
+    # spread logarithmically from 1e-6 and crowding towards R
+    f, s, w, _ = design_mod._error_terms(system, design)
+    directions = [np.linalg.eigh(0.5 * (m + m.T))[1].T[[0, -1]] for m in (s, w)]
+    rng = np.random.default_rng(seed)
+    directions.append(rng.standard_normal((16, n)))
+    directions = np.concatenate(directions)
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    fractions = np.concatenate([rng.uniform(0.5, 1.0, 8), [1.0 - 1e-9]])
+    radii = np.concatenate([np.geomspace(1e-6, radius, 12, endpoint=False), radius * fractions])
+    for r in radii[radii >= 1e-6]:
+        for direction in directions:
+            assert lyapunov_rate(system, design, r * direction) < 0.0
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """The designs certify_stability hands to the equilibrium search."""
+    calls = []
+    search = design_mod.search_nonzero_equilibria
+
+    def counting(sys, design, **kwargs):
+        calls.append(design)
+        return search(sys, design, **kwargs)
+
+    monkeypatch.setattr(design_mod, "search_nonzero_equilibria", counting)
+    return calls
+
+
+def test_certified_designs_skip_the_search(fx1, fx2, designs1, designs2, search_calls):
+    system32, design32 = scaling_design(0, 32)
+    for system, design in (
+        (fx1.system, designs1[0]),
+        (fx1.system, designs1[1]),
+        (fx2.system, designs2[1]),
+        (system32, design32),
+    ):
+        cert = co.certify_stability(system, design, equilibrium_search=True)
+        assert cert.margins["nonzero_equilibria_found"] == 0.0
+        assert cert.margins["equilibrium_exclusion_radius"] == design_mod.STATE_NORM_LIMIT
+    assert designs1[0].is_degenerate
+    assert system32.n_outputs == 2
+    assert search_calls == []
+
+
+def test_explicit_and_flipped_designs_are_still_searched(
+    fx1, fx2, fx3, designs1, designs2, search_calls
+):
+    cubic3 = co.build_designs(fx3)[1]
+    assert not cubic3.synthesized
+    cert = co.certify_stability(fx3.system, cubic3, equilibrium_search=True)
+    assert cert.margins["nonzero_equilibria_found"] == 0.0
+    assert 0.05 < cert.margins["equilibrium_exclusion_radius"] < 0.06
+    assert search_calls == [cubic3]
+
+    search_calls.clear()
+    flipped2 = flipped_design(fx2.system, designs2[1])
+    cert = co.certify_stability(fx2.system, flipped2, equilibrium_search=True)
+    assert cert.margins["equilibrium_exclusion_radius"] < 2.0
+    assert search_calls == [flipped2]
+
+    flipped = flipped_design(fx1.system, designs1[1])
+    for n_starts, want in ((100, 2.0), (1, 1.0)):
+        search_calls.clear()
+        cert = co.certify_stability(
+            fx1.system, flipped, equilibrium_search=True, n_starts=n_starts
+        )
+        assert cert.margins["nonzero_equilibria_found"] == want
+        assert search_calls == [flipped]
+    search_calls.clear()
+    cert = co.feedback_certificate(fx1.system, flipped, [[1.0, 2.0]], equilibrium_search=True)
+    assert cert.margins["nonzero_equilibria_found"] == 2.0
+    assert search_calls == [flipped]
+    # the two roots lie at |e| = 0.549, outside the radius of 0.158
+    assert 0.15 < cert.margins["equilibrium_exclusion_radius"] < 0.16
+
+
+def test_exclusion_radius_margin_only_with_the_search(fx1, designs1):
+    cert = co.certify_stability(fx1.system, designs1[1])
+    assert "equilibrium_exclusion_radius" not in cert.margins
+    assert "nonzero_equilibria_found" not in cert.margins
+
+
+def test_exclusion_radius_edge_cases(fx1, designs1):
+    linear, cubic = designs1
+    assert exclusion_radius(fx1.system, linear) == np.inf
+    # no proof without a decaying quadratic part: p = I does not certify f
+    unproved = design_mod.replace(cubic, lyapunov_p=np.eye(2))
+    assert exclusion_radius(fx1.system, unproved) == 0.0
