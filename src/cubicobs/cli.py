@@ -119,6 +119,8 @@ def _load_config(args, run=False):
         raise ConfigError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
+    except ValueError as exc:  # bytes that are not text, or an integer too long
+        raise ConfigError(f"{path}: {exc}")
     _reject_unknown(cfg, _TOP_LEVEL_FIELDS, "config")
     system = build_system(cfg)
     observer = parse_observer(cfg, system)
@@ -149,17 +151,23 @@ def _is_number(value):
 def _as_number(value, path):
     if not _is_number(value):
         raise ConfigError(f"{path}: expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ConfigError(f"{path}: number too large for a float") from None
 
 
 def _as_number_list(value, path):
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a nonempty array of numbers")
-    # the entry's path is built only for the message: matrices hold many
-    for i, v in enumerate(value):
-        if not _is_number(v):
-            raise ConfigError(f"{path}[{i}]: expected a number")
-    return [float(v) for v in value]
+    if all(map(_is_number, value)):
+        try:
+            return [float(v) for v in value]
+        except OverflowError:
+            pass
+    # raises, naming the first bad entry: its path is built only here,
+    # since matrices hold many
+    return [_as_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 def _repeated(value, path, n):

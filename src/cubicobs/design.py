@@ -33,19 +33,15 @@ certify_stability evaluates three conditions against a candidate design:
 For synthesized gains with fewer outputs than states the damping matrix is
 -2 gamma c^T theta c, which is rank deficient, so only the semidefinite
 verdict can hold; the strict verdict is reported alongside. Every boolean in
-a certificate is backed by a named numerical margin.
+a certificate is backed by a named numerical margin, and each verdict is
+read off the spectrum its margin reports. The certificates, the search and
+the error field read one ErrorDynamics, which forms a - lc c, c^T theta c
+and the two Lyapunov forms once and takes each spectrum once.
 
 Asked for an equilibrium search, certify_stability first bounds the
-equilibria away in closed form. With w = f^T p + p f, s = e^T c^T theta c e
-and E = p nc c + c^T nc^T p + 2 gamma c^T theta c,
-
-    e^T p g(e) <= 1/2 lambda_max(w) |e|^2 + |E|_2^2 |e|^4 / (16 gamma)
-
-along the error dynamics g, so no nonzero equilibrium lies within
-R = sqrt(8 gamma (-lambda_max(w))) / |E|_2. For a synthesized gain E is the
-rounding residual of the defining identity, evaluated in np.longdouble
-with an a-priori rounding allowance (_exclusion_radius), and R is
-astronomically large. The damped-Newton search runs only when
+equilibria away in closed form: no nonzero equilibrium lies within the
+radius R of _exclusion_radius, which is astronomically large for a
+synthesized gain. The damped-Newton search runs only when
 R < STATE_NORM_LIMIT (1e12), and the certificate reports
 equilibrium_exclusion_radius = min(R, 1e12) next to the root count.
 """
@@ -53,6 +49,7 @@ equilibrium_exclusion_radius = min(R, 1e12) next to the root count.
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +86,9 @@ class CubicObserverDesign:
     lyapunov_p: np.ndarray
     lyapunov_q: np.ndarray
     synthesized: bool = False
+    # ascending eigenvalues of lyapunov_p and lyapunov_q, from the checks below
+    p_spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    q_spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lc = numlin.as_matrix(self.gain_lc, "gain_lc")
@@ -114,9 +114,11 @@ class CubicObserverDesign:
         n = lc.shape[0]
         if p.shape != (n, n) or q.shape != (n, n):
             raise DimensionError("lyapunov_p and lyapunov_q must be n x n")
-        if not numlin.is_positive_definite(p):
+        p_spectrum = numlin.sym_eigenvalues(p)
+        if not numlin.is_positive_spectrum(p_spectrum):
             raise ContractError("lyapunov_p must be positive definite")
-        if not numlin.is_positive_definite(q):
+        q_spectrum = numlin.sym_eigenvalues(q)
+        if not numlin.is_positive_spectrum(q_spectrum):
             raise ContractError("lyapunov_q must be positive definite")
         for name, arr in (
             ("gain_lc", lc),
@@ -124,6 +126,8 @@ class CubicObserverDesign:
             ("theta", theta),
             ("lyapunov_p", p),
             ("lyapunov_q", q),
+            ("p_spectrum", p_spectrum),
+            ("q_spectrum", q_spectrum),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -166,9 +170,7 @@ class Certificate:
 
     @property
     def all_ok(self):
-        if not self.stability_ok:
-            return False
-        return self.feedback_ok is not False
+        return self.stability_ok and self.feedback_ok is not False
 
 
 def _as_gain(gain, n, n_y, name):
@@ -177,9 +179,7 @@ def _as_gain(gain, n, n_y, name):
         g = g.reshape(-1, 1)
     g = numlin.as_matrix(g, name)
     if g.shape != (n, n_y):
-        raise DimensionError(
-            f"{name} must have shape ({n}, {n_y}), got {g.shape}"
-        )
+        raise DimensionError(f"{name} must have shape ({n}, {n_y}), got {g.shape}")
     return g
 
 
@@ -262,17 +262,18 @@ def _as_theta(theta, n_y):
 
 
 def _lyapunov_pair(sys, lc, q):
-    """Check a - lc c is Hurwitz, then solve its Lyapunov equation for q.
-
-    Returns (p, q) with q symmetrized, as a design stores them.
-    """
+    """Solve the Lyapunov equation of a - lc c for q. Returns (p, q) with q
+    symmetrized, as a design stores them; DesignError naming the spectral
+    abscissa when a - lc c is not Hurwitz."""
     f = sys.a - lc @ sys.c
-    if not numlin.is_hurwitz(f):
+    try:
+        p = numlin.solve_lyapunov(f, q)
+    except DesignError as exc:  # solve_lyapunov's own Hurwitz check failed
         raise DesignError(
             "hurwitz condition violated: a - gain_lc c has spectral abscissa "
             f"{numlin.spectral_abscissa(f):.6g} >= 0"
-        )
-    return numlin.solve_lyapunov(f, q), numlin.symmetrize(q, "q")
+        ) from exc
+    return p, numlin.symmetrize(q, "q")
 
 
 def synthesize_cubic_gain(sys, gain_lc, q, theta=None, gamma=1.0):
@@ -310,15 +311,7 @@ def synthesize_cubic_gain(sys, gain_lc, q, theta=None, gamma=1.0):
             f"constructive-gain identity residual {identity_residual:.3e} "
             f"exceeds {GAIN_IDENTITY_RTOL:.1e} relative tolerance"
         )
-    return CubicObserverDesign(
-        gain_lc=lc,
-        gain_nc=nc,
-        theta=theta,
-        gamma=gamma,
-        lyapunov_p=p,
-        lyapunov_q=q,
-        synthesized=True,
-    )
+    return CubicObserverDesign(lc, nc, theta, gamma, p, q, synthesized=True)
 
 
 def degenerate_linear(sys, gain_lc, q):
@@ -356,37 +349,69 @@ def explicit_cubic_design(sys, gain_lc, gain_nc, theta, q=None, gamma=1.0):
     if q is None:
         q = np.eye(sys.n)
     p, q = _lyapunov_pair(sys, lc, q)
-    return CubicObserverDesign(
-        gain_lc=lc,
-        gain_nc=nc,
-        theta=theta,
-        gamma=float(gamma),
-        lyapunov_p=p,
-        lyapunov_q=q,
-        synthesized=False,
-    )
+    return CubicObserverDesign(lc, nc, theta, float(gamma), p, q, synthesized=False)
 
 
-def _error_terms(sys, design):
-    """The terms of the error dynamics that every certificate reads.
+def _sym_spectrum(m):
+    """Ascending eigenvalues of the symmetric part of m; ContractError when
+    that is not finite, as the numlin definiteness tests give."""
+    sym = 0.5 * (m + m.T)
+    if not np.isfinite(sym).all():
+        raise ContractError("matrix contains non-finite entries")
+    return np.linalg.eigvalsh(sym)
 
-    Returns (f, s, w, d): f = a - lc c, s = c^T theta c, the quadratic
-    Lyapunov form w = f^T p + p f and the damping form
-    d = p nc c + c^T nc^T p.
+
+def _negative_quadform(spectrum):
+    """numlin.is_negative_definite_quadform(m) from the spectrum of m's
+    symmetric part. That test's spectrum, of -(m + m^T), is this one times
+    -2 and reversed: an exact scaling, which LAPACK reproduces bit for bit
+    on generic matrices and within a few ulps where eigenvalues cluster at
+    rounding level, far inside the definiteness tolerance."""
+    return numlin.is_positive_spectrum(-2.0 * spectrum[::-1])
+
+
+@dataclass(frozen=True)
+class ErrorDynamics:
+    """The error dynamics de/dt = f e + (e^T s e) nc c e of a design on a
+    plant, with the forms and spectra every certificate reads.
+
+    Built with f = a - lc c, s = c^T theta c, the quadratic Lyapunov form
+    w = f^T p + p f and the damping form d = p nc c + c^T nc^T p, all
+    read-only. w_spectrum and d_spectrum, the ascending eigenvalues of the
+    symmetric parts of w and d, and abscissa, the spectral abscissa of f,
+    are computed on first use and kept.
     """
-    c = sys.c
-    p = design.lyapunov_p
-    nc = design.gain_nc
-    f = sys.a - design.gain_lc @ c
-    s = c.T @ design.theta @ c
-    w = f.T @ p + p @ f
-    d = p @ nc @ c + c.T @ nc.T @ p
-    return f, s, w, d
 
+    sys: sysmodel.LinearSystem
+    design: CubicObserverDesign
 
-def _sym_extremes(m):
-    w = np.linalg.eigvalsh(0.5 * (m + m.T))
-    return float(w[0]), float(w[-1])
+    def __post_init__(self):
+        c, p, nc = self.sys.c, self.design.lyapunov_p, self.design.gain_nc
+        f = self.sys.a - self.design.gain_lc @ c
+        for name, value in (
+            ("f", f),
+            ("s", c.T @ self.design.theta @ c),
+            ("w", f.T @ p + p @ f),
+            ("d", p @ nc @ c + c.T @ nc.T @ p),
+        ):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def rows(self, e):
+        """The error field at the rows of e, (S, n); see _error_rows."""
+        return _error_rows(self.f, self.s, self.design.gain_nc, self.sys.c, e)
+
+    @cached_property
+    def w_spectrum(self):
+        return _sym_spectrum(self.w)
+
+    @cached_property
+    def d_spectrum(self):
+        return _sym_spectrum(self.d)
+
+    @cached_property
+    def abscissa(self):
+        return numlin.spectral_abscissa(self.f)
 
 
 def _rounding(k, eps):
@@ -398,13 +423,12 @@ def _rounding(k, eps):
     return k * u / (1.0 - k * u)
 
 
-def _exclusion_radius(sys, design, f, w):
+def _exclusion_radius(dyn):
     """A radius R such that no nonzero equilibrium of the error dynamics
-    lies in 0 < |e|_2 < R: inf when the origin is proved the only one, 0
-    when nothing is proved.
+    dyn (an ErrorDynamics) lies in 0 < |e|_2 < R: inf when the origin is
+    proved the only one, 0 when nothing is proved.
 
-    f = a - lc c and w = f^T p + p f as _error_terms computes them. With
-    s = e^T S e and E = D + 2 gamma S, the Lyapunov derivative along
+    With s = e^T S e and E = D + 2 gamma S, the Lyapunov derivative along
     g(e) = f e + s nc c e is
 
         e^T p g(e) = 1/2 e^T W e + 1/2 s (-2 gamma s + e^T E e)
@@ -427,6 +451,7 @@ def _exclusion_radius(sys, design, f, w):
     the eigenvalue and singular-value solvers are allowed a generous
     relative error of 8 n^2 u.
     """
+    sys, design, f, w = dyn.sys, dyn.design, dyn.f, dyn.w
     nc = design.gain_nc
     p = design.lyapunov_p
     theta = design.theta
@@ -439,7 +464,7 @@ def _exclusion_radius(sys, design, f, w):
     f_err = _rounding(n_y + 1, eps) * (frob(sys.a) + frob(design.gain_lc) * frob(c))
     w_err = 2.0 * frob(p) * (f_err + _rounding(n + 1, eps) * frob(f))
     w_err += solver * frob(w)
-    w_max = _sym_extremes(w)[1] + 2.0 * w_err
+    w_max = float(dyn.w_spectrum[-1]) + 2.0 * w_err
     if w_max >= 0.0:
         return 0.0
     if not np.any(nc):
@@ -465,6 +490,7 @@ def certify_stability(
     equilibrium_search=False,
     n_starts=100,
     seed=0,
+    dynamics=None,
 ):
     """Evaluate the stability conditions for a cubic observer design.
 
@@ -481,44 +507,46 @@ def certify_stability(
     counted; otherwise the count is 0 without a search. n_starts and seed
     must be a positive and a nonnegative integer, checked even when the
     search is off. The certificate carries the design's robustness radius,
-    robustness_bound(design), as robustness_eps_max.
+    robustness_bound(design), as robustness_eps_max. Every margin and
+    verdict reads one ErrorDynamics: dynamics, when the caller has built it
+    for (sys, design) already, or else a new one.
     """
     _check_search_args(n_starts, seed)
-    f, s, w, d = _error_terms(sys, design)
-    w_min, w_max = _sym_extremes(w)
-    hurwitz_ok = numlin.is_negative_definite_quadform(w)
-
-    d_min, d_max = _sym_extremes(d)
-    damping_strict = numlin.is_positive_definite(-d)
-    damping_semi = numlin.is_positive_semidefinite(-d)
+    dyn = ErrorDynamics(sys, design) if dynamics is None else dynamics
+    w_spectrum, d_spectrum = dyn.w_spectrum, dyn.d_spectrum
+    hurwitz_ok = _negative_quadform(w_spectrum)
+    # the spectrum of -d, which the damping tests read
+    minus_d = -d_spectrum[::-1]
+    damping_strict = numlin.is_positive_spectrum(minus_d)
+    damping_semi = numlin.is_positive_spectrum(minus_d, semidefinite=True)
 
     if strict_damping is None:
-        full_rank_s = _rank_of_sym(s) == sys.n
+        full_rank_s = _rank_of_sym(dyn.s) == sys.n
         mode = "strict" if (not design.synthesized or full_rank_s) else "semidefinite"
     else:
         mode = "strict" if strict_damping else "semidefinite"
     damping_ok = damping_strict if mode == "strict" else damping_semi
 
     margins = {
-        "q_min_eig": float(np.linalg.eigvalsh(design.lyapunov_q)[0]),
-        "spectral_abscissa": numlin.spectral_abscissa(f),
-        "hurwitz_margin": -w_max,
-        "damping_margin": -d_max,
-        "damping_min_eig": d_min,
+        "q_min_eig": float(design.q_spectrum[0]),
+        "spectral_abscissa": dyn.abscissa,
+        "hurwitz_margin": -float(w_spectrum[-1]),
+        "damping_margin": -float(d_spectrum[-1]),
+        "damping_min_eig": float(d_spectrum[0]),
     }
 
     try:
-        m = s @ np.linalg.solve(f, design.gain_nc @ sys.c)
+        m = dyn.s @ np.linalg.solve(dyn.f, design.gain_nc @ sys.c)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"a - gain_lc c is singular, uniqueness test impossible: {exc}"
         ) from exc
-    m_min, _ = _sym_extremes(m)
-    uniqueness_ok = numlin.is_positive_semidefinite(0.5 * (m + m.T))
-    margins["uniqueness_min_eig"] = m_min
+    m_spectrum = _sym_spectrum(m)
+    uniqueness_ok = numlin.is_positive_spectrum(m_spectrum, semidefinite=True)
+    margins["uniqueness_min_eig"] = float(m_spectrum[0])
 
     if equilibrium_search:
-        radius = _exclusion_radius(sys, design, f, w)
+        radius = _exclusion_radius(dyn)
         found = 0
         if radius < STATE_NORM_LIMIT:
             roots = search_nonzero_equilibria(sys, design, n_starts=n_starts, seed=seed)
@@ -538,7 +566,7 @@ def certify_stability(
 
 
 def _rank_of_sym(s):
-    w = np.abs(np.linalg.eigvalsh(0.5 * (s + s.T)))
+    w = np.abs(_sym_spectrum(s))
     if w.size == 0 or w[-1] == 0.0:
         return 0
     return int(np.count_nonzero(w > 1e-12 * w[-1]))
@@ -547,22 +575,15 @@ def _rank_of_sym(s):
 def robustness_bound(design):
     """Largest certified perturbation radius for a(eps) = a + eps*I.
 
-    Equals lambda_min(q) / (2 lambda_max(p)). Scaling q (and hence p) by
-    a positive constant leaves the bound unchanged.
+    Equals lambda_min(q) / (2 lambda_max(p)), from the spectra the design
+    keeps. Scaling q (and hence p) by a positive constant leaves the bound
+    unchanged.
     """
-    q_min = float(np.linalg.eigvalsh(design.lyapunov_q)[0])
-    p_max = float(np.linalg.eigvalsh(design.lyapunov_p)[-1])
-    return q_min / (2.0 * p_max)
+    return float(design.q_spectrum[0]) / (2.0 * float(design.p_spectrum[-1]))
 
 
 def feedback_certificate(
-    sys,
-    design,
-    k,
-    strict_damping=None,
-    equilibrium_search=False,
-    n_starts=100,
-    seed=0,
+    sys, design, k, strict_damping=None, equilibrium_search=False, n_starts=100, seed=0
 ):
     """Certify observer-based state feedback u = -k xhat around the design.
 
@@ -586,13 +607,9 @@ def feedback_certificate(
         raise DimensionError(
             f"k must have shape ({sys.n_inputs}, {sys.n}), got {k.shape}"
         )
+    dyn = ErrorDynamics(sys, design)
     base = certify_stability(
-        sys,
-        design,
-        strict_damping=strict_damping,
-        equilibrium_search=equilibrium_search,
-        n_starts=n_starts,
-        seed=seed,
+        sys, design, strict_damping, equilibrium_search, n_starts, seed, dynamics=dyn
     )
     margins = dict(base.margins)
 
@@ -601,27 +618,23 @@ def feedback_certificate(
     margins["feedback_spectral_abscissa"] = abscissa
     if abscissa >= 0.0:
         return replace(
-            base,
-            margins=margins,
-            feedback_ok=False,
-            feedback_beta=None,
-            feedback_unscaled_ok=False,
+            base, margins=margins, feedback_ok=False, feedback_unscaled_ok=False
         )
 
     n = sys.n
     p1 = numlin.solve_lyapunov(acl, np.eye(n))
     top_left = acl.T @ p1 + p1 @ acl
     off = p1 @ sys.b @ k
-    f, _, w_obs, _ = _error_terms(sys, design)
 
     feedback_ok = False
     feedback_beta = None
     best_max_eig = np.inf
     for beta in FEEDBACK_BETA_GRID:
-        psi = np.block([[top_left, off], [off.T, beta * w_obs]])
-        _, psi_max = _sym_extremes(psi)
+        psi = np.block([[top_left, off], [off.T, beta * dyn.w]])
+        psi_spectrum = _sym_spectrum(psi)
+        psi_max = float(psi_spectrum[-1])
         best_max_eig = min(best_max_eig, psi_max)
-        if numlin.is_negative_definite_quadform(psi):
+        if _negative_quadform(psi_spectrum):
             feedback_ok = True
             feedback_beta = beta
             margins["feedback_psi_max_eig"] = psi_max
@@ -629,14 +642,13 @@ def feedback_certificate(
     if not feedback_ok:
         margins["feedback_psi_max_eig"] = best_max_eig
 
-    aa = np.block([[acl, sys.b @ k], [np.zeros((n, n)), f]])
-    pa = np.block(
-        [[p1, np.zeros((n, n))], [np.zeros((n, n)), design.lyapunov_p]]
-    )
+    zeros = np.zeros((n, n))
+    aa = np.block([[acl, sys.b @ k], [zeros, dyn.f]])
+    pa = np.block([[p1, zeros], [zeros, design.lyapunov_p]])
     g = aa.T @ pa + pa @ aa
-    _, g_max = _sym_extremes(g)
-    margins["feedback_unscaled_max_eig"] = g_max
-    unscaled_ok = numlin.is_negative_definite_quadform(g)
+    g_spectrum = _sym_spectrum(g)
+    margins["feedback_unscaled_max_eig"] = float(g_spectrum[-1])
+    unscaled_ok = _negative_quadform(g_spectrum)
 
     return replace(
         base,
@@ -655,15 +667,11 @@ def error_field(sys, design):
     with fixed-order einsum reductions, not a BLAS product over the stack,
     so a row's bits do not depend on the rows around it.
     """
-    f, s, _, _ = _error_terms(sys, design)
-    nc = design.gain_nc
-    c = sys.c
+    dyn = ErrorDynamics(sys, design)
 
     def rhs(e):
         e = np.asarray(e, dtype=float)
-        if e.ndim == 2:
-            return _error_rows(f, s, nc, c, e)
-        return _error_rows(f, s, nc, c, e.reshape(1, -1))[0]
+        return dyn.rows(e) if e.ndim == 2 else dyn.rows(e.reshape(1, -1))[0]
 
     return rhs
 
@@ -692,9 +700,9 @@ def lyapunov_derivative_at(sys, design, e):
     e = numlin.as_vector(e, "e")
     if e.size != sys.n:
         raise DimensionError(f"e must have {sys.n} entries, got {e.size}")
-    _, s, w, d = _error_terms(sys, design)
-    vdot_linear = float(e @ w @ e)
-    vdot_cubic = vdot_linear + float(e @ s @ e) * float(e @ d @ e)
+    dyn = ErrorDynamics(sys, design)
+    vdot_linear = float(e @ dyn.w @ e)
+    vdot_cubic = vdot_linear + float(e @ dyn.s @ e) * float(e @ dyn.d @ e)
     return vdot_cubic, vdot_linear
 
 
@@ -826,44 +834,35 @@ def search_nonzero_equilibria(sys, design, n_starts=100, seed=0, tol=1e-10):
     """Damped-Newton search for nonzero equilibria of the error dynamics.
 
     A falsifier, not a prover: it reports any nonzero root it converges to
-    from n_starts seeded random starts at several radii, and an empty list
-    proves nothing. For certified designs it should come back empty, and
-    certify_stability calls it only when _exclusion_radius cannot prove
-    the origin the only equilibrium out to 1e12; called directly, it
-    always searches. No root it returns lies inside _exclusion_radius.
+    from n_starts seeded random starts, and an empty list proves nothing.
+    certify_stability calls it only when _exclusion_radius cannot prove the
+    origin the only equilibrium out to 1e12; called directly, it always
+    searches. No root it returns lies inside _exclusion_radius.
 
-    Each start draws a radius 10**uniform(-1, 1) and then a direction
-    standard_normal(n) from default_rng(seed); n_starts must be a positive
-    and seed a nonnegative integer (ContractError otherwise). All starts
-    then run as one (n_starts, n) batch of damped-Newton iterations (see
-    _damped_newton). Each step uses the Woodbury form of the Jacobian's
-    inverse, a rank-p change of a - lc c (see _low_rank_newton), so a step
-    is one stacked (n_starts, p, p) solve, not an n x n LU per start; a - lc c
-    must be invertible (NumericalError otherwise). Fixed-order einsum
-    reductions and one LAPACK solve per row keep a start's path and root
-    the same bits whatever the batch holds: the first k starts of a larger
-    search find exactly the roots the search with n_starts=k finds. A start
-    counts as converged when its residual norm is below
-    tol * max(1, max|a - lc c|); tol must be a finite positive real
-    (ContractError otherwise). Roots are kept in start order, dropping
-    any within 1e-6 of one already kept or of the origin.
+    Each start draws a radius 10**uniform(-1, 1), then a direction
+    standard_normal(n), from default_rng(seed). All starts run as one
+    (n_starts, n) batch of damped-Newton iterations (_damped_newton), each
+    step one stacked (n_starts, p, p) solve by the Woodbury form of the
+    Jacobian's inverse (_low_rank_newton; a - lc c must be invertible, else
+    NumericalError). Fixed-order einsum reductions and one LAPACK solve per
+    row keep a start's path the same bits whatever the batch holds: the
+    first k starts of a larger search find exactly the roots n_starts=k
+    finds. A start has converged when its residual norm is below
+    tol * max(1, max|a - lc c|). n_starts must be a positive and seed a
+    nonnegative integer, tol a finite positive real (else ContractError).
+    Roots are kept in start order, dropping any within 1e-6 of one already
+    kept or of the origin.
     """
     _check_search_args(n_starts, seed, tol)
-    f, s, _, _ = _error_terms(sys, design)
-    nc = design.gain_nc
-    c = sys.c
-    step = _low_rank_newton(f, s, nc, c)
-
-    def rhs(e):
-        return _error_rows(f, s, nc, c, e)
-
+    dyn = ErrorDynamics(sys, design)
+    step = _low_rank_newton(dyn.f, dyn.s, design.gain_nc, sys.c)
     rng = np.random.default_rng(seed)
     starts = np.empty((n_starts, sys.n))
     for row in starts:
         radius = 10.0 ** rng.uniform(-1.0, 1.0)
         row[:] = radius * rng.standard_normal(sys.n)
-    threshold = tol * max(1.0, numlin.max_abs(f))
-    e, value = _damped_newton(rhs, step, starts, threshold)
+    threshold = tol * max(1.0, numlin.max_abs(dyn.f))
+    e, value = _damped_newton(dyn.rows, step, starts, threshold)
     found = []
     for root in e[(_row_norms(value) < threshold) & (_row_norms(e) > 1e-6)]:
         if not any(np.linalg.norm(root - r) < 1e-6 for r in found):

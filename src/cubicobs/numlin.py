@@ -115,12 +115,26 @@ def is_hurwitz(m, margin=0.0):
     return spectral_abscissa(m) < -margin
 
 
-def _sym_eigenvalues(s, name):
+def sym_eigenvalues(s, name="matrix"):
+    """Ascending eigenvalues of s after symmetrize(s, name)."""
     sym = symmetrize(s, name)
     try:
         return np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"symmetric eigensolve failed for {name}: {exc}") from exc
+
+
+def is_positive_spectrum(w, semidefinite=False, tol=DEFINITENESS_TOL):
+    """The definiteness verdict of a symmetric matrix from its eigenvalues w,
+    in ascending order: w[0] > tol * scale, or w[0] >= -tol * scale when
+    semidefinite, with scale = max(1, max|w|). Every definiteness test here
+    ends in this one threshold, so a caller holding a spectrum already gets
+    the same verdict without a second eigensolve.
+    """
+    scale = max(1.0, abs(float(w[0])), abs(float(w[-1])))
+    if semidefinite:
+        return bool(w[0] >= -tol * scale)
+    return bool(w[0] > tol * scale)
 
 
 def is_positive_definite(s, tol=DEFINITENESS_TOL):
@@ -129,16 +143,12 @@ def is_positive_definite(s, tol=DEFINITENESS_TOL):
     Verdict: min eigenvalue > tol * max(1, ||s||_2). Scaling s by a positive
     constant does not change the answer (up to the max(1, .) floor).
     """
-    w = _sym_eigenvalues(s, "matrix")
-    scale = max(1.0, float(np.max(np.abs(w))))
-    return bool(w[0] > tol * scale)
+    return is_positive_spectrum(sym_eigenvalues(s), tol=tol)
 
 
 def is_positive_semidefinite(s, tol=DEFINITENESS_TOL):
     """Like is_positive_definite but permits eigenvalues down to -tol*scale."""
-    w = _sym_eigenvalues(s, "matrix")
-    scale = max(1.0, float(np.max(np.abs(w))))
-    return bool(w[0] >= -tol * scale)
+    return is_positive_spectrum(sym_eigenvalues(s), semidefinite=True, tol=tol)
 
 
 def is_negative_definite_quadform(m, tol=DEFINITENESS_TOL):

@@ -139,9 +139,76 @@ def metrics_to_jsonable(metrics):
     return doc
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+_FLOAT_TEXT = float.__repr__
+
+
+class _Unsupported(Exception):
+    """A value the direct writer leaves to json.dumps."""
+
+
+def _float_text(value):
+    text = _FLOAT_TEXT(value)
+    if text in ("nan", "inf", "-inf"):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return text
+
+
+def _encode(value, pad):
+    """value as JSON text, pad being the newline and indent of its level."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        sep = "," + inner
+        try:  # a list of floats, the bulk of every document, in one pass
+            text = sep.join(map(_FLOAT_TEXT, value))
+        except TypeError:
+            text = sep.join([_encode(v, inner) for v in value])
+        else:
+            # finite float reprs hold no letter n; nan, inf and -inf do
+            if "n" in text:
+                for v in value:  # raises at the first, as json does
+                    _float_text(v)
+        return "[" + inner + text + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(key, str) for key in value):
+            raise _Unsupported
+        inner = pad + "  "
+        items = [_ESCAPE(k) + ": " + _encode(value[k], inner) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, str):
+        return _ESCAPE(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise _Unsupported
+
+
 def dumps_json(doc):
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, trailing newline.
+
+    The text is json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    plus a newline, byte for byte, and a NaN or infinity raises ValueError
+    as there. It is written directly, float lists by one float.__repr__
+    map: json's indenting encoder is pure Python and visits every float on
+    its own. Dicts with keys other than strings and values of other types
+    go to json.dumps, which formats or refuses them itself. doc must be a
+    tree, since a container inside itself is not detected.
+    """
+    try:
+        return _encode(doc, "\n") + "\n"
+    except _Unsupported:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def flatten_doc(doc, prefix=""):

@@ -454,6 +454,43 @@ def test_a_bad_number_is_named_by_its_full_path(write_config, capsys, bad, messa
     assert (code, err) == (2, f"config error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ("observer", "gamma"),
+        ("sim", "dt"),
+        ("sim", "x0", 1),
+        ("observer", "poles", 0),
+        ("system", "a", 0, 1),
+    ],
+    ids=["gamma", "dt", "x0-entry", "pole", "matrix-entry"],
+)
+def test_an_integer_too_large_for_a_float_is_a_config_error(
+    write_config, capsys, monkeypatch, tmp_path, bad
+):
+    # JSON integers are exact: 10**400 parses, but has no float value
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
+    *parents, last = bad
+    cfg = base_config()
+    at_path(cfg, parents)[last] = 10**400
+    where = parents[0] + "".join(
+        f"[{key}]" if isinstance(key, int) else f".{key}" for key in (*parents[1:], last)
+    )
+    path = write_config(cfg)
+    for argv in (["design"], ["simulate"], ["sweep-gamma", "--gammas", "1"]):
+        code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+        assert (code, out) == (2, ""), argv
+        assert err == f"config error: {where}: number too large for a float\n"
+
+
+def test_an_integer_past_the_digit_limit_is_a_config_error(write_config, capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(base_config()).replace("2.0", "1" + "0" * 5000, 1))
+    code, out, err = run_cli(capsys, "design", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
+
+
 def test_design_negative_seed_exits_two(write_config, capsys):
     path = write_config(base_config())
     code, out, err = run_cli(

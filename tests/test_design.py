@@ -345,7 +345,8 @@ def sequential_search(sys, design, n_starts=100, seed=0, tol=1e-10):
     Same starts, limits and deduplication as search_nonzero_equilibria, with
     each start run alone through BLAS matrix-vector products.
     """
-    f, s, _, _ = design_mod._error_terms(sys, design)
+    dyn = design_mod.ErrorDynamics(sys, design)
+    f, s = dyn.f, dyn.s
     nc = design.gain_nc
     c = sys.c
 
@@ -454,7 +455,8 @@ def test_batched_search_matches_the_reference_on_the_flipped_example(fx1, design
 
 def full_jacobian(sys, design, e):
     """J(e) = f + nc c e (2 s e)^T + (e^T s e) nc c at one point, built densely."""
-    f, s, _, _ = design_mod._error_terms(sys, design)
+    dyn = design_mod.ErrorDynamics(sys, design)
+    f, s = dyn.f, dyn.s
     nc, c = design.gain_nc, sys.c
     return f + np.outer(nc @ (c @ e), 2.0 * (s @ e)) + float(e @ s @ e) * (nc @ c)
 
@@ -472,7 +474,8 @@ def test_low_rank_newton_step_matches_the_full_jacobian_solve(seed, n, flipped, 
     system, design = scaling_design(seed, n)
     if flipped:
         design = flipped_design(system, design)
-    f, s, _, _ = design_mod._error_terms(system, design)
+    dyn = design_mod.ErrorDynamics(system, design)
+    f, s = dyn.f, dyn.s
     nc, c = design.gain_nc, system.c
     rng = np.random.default_rng(row_seed)
     e = 10.0 ** rng.uniform(-1.0, 1.0, (8, 1)) * rng.standard_normal((8, n))
@@ -616,8 +619,7 @@ def test_tol_must_be_a_finite_positive_real(fx1, designs1, tol):
 
 
 def exclusion_radius(system, design):
-    f, _, w, _ = design_mod._error_terms(system, design)
-    return design_mod._exclusion_radius(system, design, f, w)
+    return design_mod._exclusion_radius(design_mod.ErrorDynamics(system, design))
 
 
 def random_design(kind, seed, n, n_y, gamma):
@@ -676,7 +678,8 @@ def test_no_equilibrium_lies_inside_the_exclusion_radius(kind, seed, n, n_y, gam
     # the Lyapunov derivative is negative everywhere inside, so g(e) != 0:
     # random directions and the extreme eigenvectors of S and W, at radii
     # spread logarithmically from 1e-6 and crowding towards R
-    f, s, w, _ = design_mod._error_terms(system, design)
+    dyn = design_mod.ErrorDynamics(system, design)
+    s, w = dyn.s, dyn.w
     directions = [np.linalg.eigh(0.5 * (m + m.T))[1].T[[0, -1]] for m in (s, w)]
     rng = np.random.default_rng(seed)
     directions.append(rng.standard_normal((16, n)))
@@ -763,3 +766,128 @@ def test_exclusion_radius_edge_cases(fx1, designs1):
     # no proof without a decaying quadratic part: p = I does not certify f
     unproved = design_mod.replace(cubic, lyapunov_p=np.eye(2))
     assert exclusion_radius(fx1.system, unproved) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# one spectrum per matrix
+
+
+def near_boundary_form(rng, n, kind):
+    """A symmetric matrix that is indefinite ("random"), semidefinite and
+    singular at rounding level ("low-rank"), or whose smallest eigenvalue
+    lies within a few definiteness tolerances of 0 on either side."""
+    g = rng.standard_normal((n, n))
+    h = 0.5 * (g + g.T)
+    if kind == "low-rank":
+        u = rng.standard_normal((n, max(1, n // 3)))
+        return u @ u.T
+    if kind == "boundary":
+        spectrum = np.linalg.eigvalsh(h)
+        scale = np.abs(spectrum).max()
+        offset = rng.choice([-3.0, -0.5, 0.5, 3.0]) * numlin.DEFINITENESS_TOL * scale
+        h -= (spectrum[0] - offset) * np.eye(n)
+    return h
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 39),
+    exponent=st.floats(-6.0, 6.0),
+    kind=st.sampled_from(["random", "low-rank", "boundary"]),
+)
+def test_verdicts_from_the_kept_spectrum_equal_the_numlin_tests(seed, n, exponent, kind):
+    rng = np.random.default_rng(seed)
+    h = 10.0**exponent * near_boundary_form(rng, n, kind)
+    skew = rng.standard_normal((n, n))
+    skew = 10.0**exponent * (skew - skew.T)
+    # m, whose quadratic form is negative definite about when h is positive
+    m = skew - h
+    spectrum = design_mod._sym_spectrum(m)
+    # the spectrum is_negative_definite_quadform takes, -(m + m^T), is this
+    # one scaled by -2: bit for bit on generic matrices, and within a few
+    # ulps where eigenvalues cluster at rounding level (low rank)
+    scaled = -2.0 * spectrum[::-1]
+    gap = np.abs(np.linalg.eigvalsh(-(m + m.T)) - scaled).max()
+    assert gap <= n * np.finfo(float).eps * np.abs(scaled).max()
+    if kind != "low-rank":
+        assert gap == 0.0
+    assert design_mod._negative_quadform(spectrum) == numlin.is_negative_definite_quadform(m)
+    # d, symmetric up to rounding as p nc c + c^T nc^T p is, with -d near h
+    d = -h + 1e-13 * np.abs(h).max() * rng.standard_normal((n, n))
+    minus_d = -design_mod._sym_spectrum(d)[::-1]
+    assert numlin.is_positive_spectrum(minus_d) == numlin.is_positive_definite(-d)
+    assert numlin.is_positive_spectrum(minus_d, semidefinite=True) == (
+        numlin.is_positive_semidefinite(-d)
+    )
+    # the uniqueness test's m: h plus a skew part
+    spectrum = design_mod._sym_spectrum(h + skew)
+    assert numlin.is_positive_spectrum(spectrum, semidefinite=True) == (
+        numlin.is_positive_semidefinite(0.5 * ((h + skew) + (h + skew).T))
+    )
+
+
+def feedback_scaling_design(seed=0, n=32):
+    """scaling_design's plant and design with two inputs and a feedback gain
+    k = b^T / n, so that a - b k is Hurwitz, as the benchmark draws them."""
+    system, design = scaling_design(seed, n)
+    b = np.random.default_rng(seed).standard_normal((n, 2))
+    return co.LinearSystem(a=system.a, b=b, c=system.c), design, b.T / n
+
+
+@pytest.fixture
+def eigen_calls(monkeypatch):
+    """Copies of every matrix handed to np.linalg.eigvalsh and eigvals."""
+    calls = {"eigvalsh": [], "eigvals": []}
+    for name, seen in calls.items():
+        original = getattr(np.linalg, name)
+
+        def recording(m, *args, _original=original, _seen=seen, **kwargs):
+            _seen.append(np.array(m))
+            return _original(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return calls
+
+
+def times_decomposed(seen, want):
+    return sum(m.shape == want.shape and np.array_equal(m, want) for m in seen)
+
+
+def test_each_certificate_spectrum_is_computed_once(eigen_calls):
+    system, design, k = feedback_scaling_design()
+    assert (system.n, system.n_outputs) == (32, 2)
+    sym = lambda m: 0.5 * (m + m.T)  # noqa: E731
+    dyn = design_mod.ErrorDynamics(system, design)
+    m = dyn.s @ np.linalg.solve(dyn.f, design.gain_nc @ system.c)
+    acl = system.a - system.b @ k
+    p1 = numlin.solve_lyapunov(acl, np.eye(32))
+    top_left, off = acl.T @ p1 + p1 @ acl, p1 @ system.b @ k
+    zeros = np.zeros((32, 32))
+    aa = np.block([[acl, system.b @ k], [zeros, dyn.f]])
+    pa = np.block([[p1, zeros], [zeros, design.lyapunov_p]])
+    observer_forms = [sym(dyn.w), sym(dyn.d), sym(m)]
+    for calls in eigen_calls.values():
+        calls.clear()
+
+    cert = co.certify_stability(system, design)
+    assert cert.stability_ok
+    for form in observer_forms:
+        assert times_decomposed(eigen_calls["eigvalsh"], form) == 1
+    assert times_decomposed(eigen_calls["eigvals"], dyn.f) == 1
+    # the fourth is c^T theta c, whose rank picks the damping mode
+    assert len(eigen_calls["eigvalsh"]) == 4
+    assert len(eigen_calls["eigvals"]) == 1
+
+    for calls in eigen_calls.values():
+        calls.clear()
+    cert = co.feedback_certificate(system, design, k)
+    assert cert.feedback_ok
+    betas = design_mod.FEEDBACK_BETA_GRID
+    tried = betas[: betas.index(cert.feedback_beta) + 1]
+    psis = [np.block([[top_left, off], [off.T, beta * dyn.w]]) for beta in tried]
+    loop_forms = [sym(psi) for psi in psis] + [sym(aa.T @ pa + pa @ aa)]
+    for form in observer_forms + loop_forms:
+        assert times_decomposed(eigen_calls["eigvalsh"], form) == 1
+    assert times_decomposed(eigen_calls["eigvals"], dyn.f) == 1
+    assert sum(m.shape == (64, 64) for m in eigen_calls["eigvalsh"]) == len(loop_forms)
