@@ -35,13 +35,20 @@ For synthesized gains with fewer outputs than states the damping matrix is
 verdict can hold; the strict verdict is reported alongside. Every boolean in
 a certificate is backed by a named numerical margin, and each verdict is
 read off the spectrum its margin reports. The certificates, the search and
-the error field read one ErrorDynamics, which forms a - lc c, c^T theta c
-and the two Lyapunov forms once and takes each spectrum once.
+the error field read an ErrorDynamics, which forms a - lc c, c^T theta c
+and the two Lyapunov forms and takes each of their spectra once.
 
 Asked for an equilibrium search, certify_stability first bounds the
-equilibria away in closed form: no nonzero equilibrium lies within the
-radius R of _exclusion_radius, which is astronomically large for a
-synthesized gain. The damped-Newton search runs only when
+equilibria away in closed form. With w = f^T p + p f, s = e^T c^T theta c e
+and E = p nc c + c^T nc^T p + 2 gamma c^T theta c,
+
+    e^T p g(e) <= 1/2 lambda_max(w) |e|^2 + |E|_2^2 |e|^4 / (16 gamma)
+
+along the error dynamics g, so no nonzero equilibrium lies within
+R = sqrt(8 gamma (-lambda_max(w))) / |E|_2. For a synthesized gain E is the
+rounding residual of the defining identity, evaluated in np.longdouble
+with an a-priori rounding allowance (_exclusion_radius), and R is
+astronomically large. The damped-Newton search runs only when
 R < STATE_NORM_LIMIT (1e12), and the certificate reports
 equilibrium_exclusion_radius = min(R, 1e12) next to the root count.
 """
@@ -170,7 +177,9 @@ class Certificate:
 
     @property
     def all_ok(self):
-        return self.stability_ok and self.feedback_ok is not False
+        if not self.stability_ok:
+            return False
+        return self.feedback_ok is not False
 
 
 def _as_gain(gain, n, n_y, name):
@@ -179,7 +188,9 @@ def _as_gain(gain, n, n_y, name):
         g = g.reshape(-1, 1)
     g = numlin.as_matrix(g, name)
     if g.shape != (n, n_y):
-        raise DimensionError(f"{name} must have shape ({n}, {n_y}), got {g.shape}")
+        raise DimensionError(
+            f"{name} must have shape ({n}, {n_y}), got {g.shape}"
+        )
     return g
 
 
@@ -262,9 +273,12 @@ def _as_theta(theta, n_y):
 
 
 def _lyapunov_pair(sys, lc, q):
-    """Solve the Lyapunov equation of a - lc c for q. Returns (p, q) with q
-    symmetrized, as a design stores them; DesignError naming the spectral
-    abscissa when a - lc c is not Hurwitz."""
+    """Check a - lc c is Hurwitz, then solve its Lyapunov equation for q.
+
+    Returns (p, q) with q symmetrized, as a design stores them. The check is
+    solve_lyapunov's own; the spectral abscissa is computed only for the
+    message when it fails.
+    """
     f = sys.a - lc @ sys.c
     try:
         p = numlin.solve_lyapunov(f, q)
@@ -311,7 +325,15 @@ def synthesize_cubic_gain(sys, gain_lc, q, theta=None, gamma=1.0):
             f"constructive-gain identity residual {identity_residual:.3e} "
             f"exceeds {GAIN_IDENTITY_RTOL:.1e} relative tolerance"
         )
-    return CubicObserverDesign(lc, nc, theta, gamma, p, q, synthesized=True)
+    return CubicObserverDesign(
+        gain_lc=lc,
+        gain_nc=nc,
+        theta=theta,
+        gamma=gamma,
+        lyapunov_p=p,
+        lyapunov_q=q,
+        synthesized=True,
+    )
 
 
 def degenerate_linear(sys, gain_lc, q):
@@ -349,7 +371,15 @@ def explicit_cubic_design(sys, gain_lc, gain_nc, theta, q=None, gamma=1.0):
     if q is None:
         q = np.eye(sys.n)
     p, q = _lyapunov_pair(sys, lc, q)
-    return CubicObserverDesign(lc, nc, theta, float(gamma), p, q, synthesized=False)
+    return CubicObserverDesign(
+        gain_lc=lc,
+        gain_nc=nc,
+        theta=theta,
+        gamma=float(gamma),
+        lyapunov_p=p,
+        lyapunov_q=q,
+        synthesized=False,
+    )
 
 
 def _sym_spectrum(m):
@@ -364,9 +394,8 @@ def _sym_spectrum(m):
 def _negative_quadform(spectrum):
     """numlin.is_negative_definite_quadform(m) from the spectrum of m's
     symmetric part. That test's spectrum, of -(m + m^T), is this one times
-    -2 and reversed: an exact scaling, which LAPACK reproduces bit for bit
-    on generic matrices and within a few ulps where eigenvalues cluster at
-    rounding level, far inside the definiteness tolerance."""
+    -2 and reversed: an exact scaling, which the eigensolver reproduces to
+    a few ulps, far inside the definiteness tolerance."""
     return numlin.is_positive_spectrum(-2.0 * spectrum[::-1])
 
 
@@ -490,7 +519,6 @@ def certify_stability(
     equilibrium_search=False,
     n_starts=100,
     seed=0,
-    dynamics=None,
 ):
     """Evaluate the stability conditions for a cubic observer design.
 
@@ -508,11 +536,10 @@ def certify_stability(
     must be a positive and a nonnegative integer, checked even when the
     search is off. The certificate carries the design's robustness radius,
     robustness_bound(design), as robustness_eps_max. Every margin and
-    verdict reads one ErrorDynamics: dynamics, when the caller has built it
-    for (sys, design) already, or else a new one.
+    verdict reads one ErrorDynamics.
     """
     _check_search_args(n_starts, seed)
-    dyn = ErrorDynamics(sys, design) if dynamics is None else dynamics
+    dyn = ErrorDynamics(sys, design)
     w_spectrum, d_spectrum = dyn.w_spectrum, dyn.d_spectrum
     hurwitz_ok = _negative_quadform(w_spectrum)
     # the spectrum of -d, which the damping tests read
@@ -583,7 +610,13 @@ def robustness_bound(design):
 
 
 def feedback_certificate(
-    sys, design, k, strict_damping=None, equilibrium_search=False, n_starts=100, seed=0
+    sys,
+    design,
+    k,
+    strict_damping=None,
+    equilibrium_search=False,
+    n_starts=100,
+    seed=0,
 ):
     """Certify observer-based state feedback u = -k xhat around the design.
 
@@ -607,9 +640,13 @@ def feedback_certificate(
         raise DimensionError(
             f"k must have shape ({sys.n_inputs}, {sys.n}), got {k.shape}"
         )
-    dyn = ErrorDynamics(sys, design)
     base = certify_stability(
-        sys, design, strict_damping, equilibrium_search, n_starts, seed, dynamics=dyn
+        sys,
+        design,
+        strict_damping=strict_damping,
+        equilibrium_search=equilibrium_search,
+        n_starts=n_starts,
+        seed=seed,
     )
     margins = dict(base.margins)
 
@@ -618,13 +655,18 @@ def feedback_certificate(
     margins["feedback_spectral_abscissa"] = abscissa
     if abscissa >= 0.0:
         return replace(
-            base, margins=margins, feedback_ok=False, feedback_unscaled_ok=False
+            base,
+            margins=margins,
+            feedback_ok=False,
+            feedback_beta=None,
+            feedback_unscaled_ok=False,
         )
 
     n = sys.n
     p1 = numlin.solve_lyapunov(acl, np.eye(n))
     top_left = acl.T @ p1 + p1 @ acl
     off = p1 @ sys.b @ k
+    dyn = ErrorDynamics(sys, design)
 
     feedback_ok = False
     feedback_beta = None
@@ -642,9 +684,10 @@ def feedback_certificate(
     if not feedback_ok:
         margins["feedback_psi_max_eig"] = best_max_eig
 
-    zeros = np.zeros((n, n))
-    aa = np.block([[acl, sys.b @ k], [zeros, dyn.f]])
-    pa = np.block([[p1, zeros], [zeros, design.lyapunov_p]])
+    aa = np.block([[acl, sys.b @ k], [np.zeros((n, n)), dyn.f]])
+    pa = np.block(
+        [[p1, np.zeros((n, n))], [np.zeros((n, n)), design.lyapunov_p]]
+    )
     g = aa.T @ pa + pa @ aa
     g_spectrum = _sym_spectrum(g)
     margins["feedback_unscaled_max_eig"] = float(g_spectrum[-1])
@@ -671,7 +714,9 @@ def error_field(sys, design):
 
     def rhs(e):
         e = np.asarray(e, dtype=float)
-        return dyn.rows(e) if e.ndim == 2 else dyn.rows(e.reshape(1, -1))[0]
+        if e.ndim == 2:
+            return dyn.rows(e)
+        return dyn.rows(e.reshape(1, -1))[0]
 
     return rhs
 
@@ -834,24 +879,27 @@ def search_nonzero_equilibria(sys, design, n_starts=100, seed=0, tol=1e-10):
     """Damped-Newton search for nonzero equilibria of the error dynamics.
 
     A falsifier, not a prover: it reports any nonzero root it converges to
-    from n_starts seeded random starts, and an empty list proves nothing.
-    certify_stability calls it only when _exclusion_radius cannot prove the
-    origin the only equilibrium out to 1e12; called directly, it always
-    searches. No root it returns lies inside _exclusion_radius.
+    from n_starts seeded random starts at several radii, and an empty list
+    proves nothing. For certified designs it should come back empty, and
+    certify_stability calls it only when _exclusion_radius cannot prove
+    the origin the only equilibrium out to 1e12; called directly, it
+    always searches. No root it returns lies inside _exclusion_radius.
 
-    Each start draws a radius 10**uniform(-1, 1), then a direction
-    standard_normal(n), from default_rng(seed). All starts run as one
-    (n_starts, n) batch of damped-Newton iterations (_damped_newton), each
-    step one stacked (n_starts, p, p) solve by the Woodbury form of the
-    Jacobian's inverse (_low_rank_newton; a - lc c must be invertible, else
-    NumericalError). Fixed-order einsum reductions and one LAPACK solve per
-    row keep a start's path the same bits whatever the batch holds: the
-    first k starts of a larger search find exactly the roots n_starts=k
-    finds. A start has converged when its residual norm is below
-    tol * max(1, max|a - lc c|). n_starts must be a positive and seed a
-    nonnegative integer, tol a finite positive real (else ContractError).
-    Roots are kept in start order, dropping any within 1e-6 of one already
-    kept or of the origin.
+    Each start draws a radius 10**uniform(-1, 1) and then a direction
+    standard_normal(n) from default_rng(seed); n_starts must be a positive
+    and seed a nonnegative integer (ContractError otherwise). All starts
+    then run as one (n_starts, n) batch of damped-Newton iterations (see
+    _damped_newton). Each step uses the Woodbury form of the Jacobian's
+    inverse, a rank-p change of a - lc c (see _low_rank_newton), so a step
+    is one stacked (n_starts, p, p) solve, not an n x n LU per start; a - lc c
+    must be invertible (NumericalError otherwise). Fixed-order einsum
+    reductions and one LAPACK solve per row keep a start's path and root
+    the same bits whatever the batch holds: the first k starts of a larger
+    search find exactly the roots the search with n_starts=k finds. A start
+    counts as converged when its residual norm is below
+    tol * max(1, max|a - lc c|); tol must be a finite positive real
+    (ContractError otherwise). Roots are kept in start order, dropping
+    any within 1e-6 of one already kept or of the origin.
     """
     _check_search_args(n_starts, seed, tol)
     dyn = ErrorDynamics(sys, design)
