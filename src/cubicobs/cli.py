@@ -121,7 +121,7 @@ def _load_config(args, run=False):
         )
     except ValueError as exc:  # bytes that are not text, or an integer too long
         raise ConfigError(f"{path}: {exc}")
-    _reject_unknown(cfg, _TOP_LEVEL_FIELDS, "config")
+    _reject_unknown(_as_dict(cfg, "config"), _TOP_LEVEL_FIELDS, "config")
     system = build_system(cfg)
     observer = parse_observer(cfg, system)
     sim = None

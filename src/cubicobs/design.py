@@ -34,9 +34,12 @@ For synthesized gains with fewer outputs than states the damping matrix is
 -2 gamma c^T theta c, which is rank deficient, so only the semidefinite
 verdict can hold; the strict verdict is reported alongside. Every boolean in
 a certificate is backed by a named numerical margin, and each verdict is
-read off the spectrum its margin reports. The certificates, the search and
-the error field read an ErrorDynamics, which forms a - lc c, c^T theta c
-and the two Lyapunov forms and takes each of their spectra once.
+read off the spectrum its margin reports: numlin.sym_spectrum decomposes
+each form once, and numlin.is_positive_spectrum or is_negative_spectrum
+gives the verdict. The certificates, the search and the error field read
+an ErrorDynamics, which forms a - lc c, c^T theta c and the two Lyapunov
+forms and takes each of their spectra once. A CubicObserverDesign checks
+theta, p and q when it is built, so every design carries checked data.
 
 Asked for an equilibrium search, certify_stability first bounds the
 equilibria away in closed form. With w = f^T p + p f, s = e^T c^T theta c e
@@ -53,7 +56,6 @@ R < STATE_NORM_LIMIT (1e12), and the certificate reports
 equilibrium_exclusion_radius = min(R, 1e12) next to the root count.
 """
 
-import math
 import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -74,6 +76,8 @@ FEEDBACK_BETA_GRID = tuple(10.0 ** k for k in range(9))
 # state norm beyond which a simulated trajectory counts as diverged, and
 # the exclusion radius beyond which the equilibrium search is not run
 STATE_NORM_LIMIT = 1e12
+# the equilibrium search's residual tolerance, relative to max(1, max|a - lc c|)
+EQUILIBRIUM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,7 @@ class CubicObserverDesign:
             raise DimensionError(
                 f"theta must be {lc.shape[1]}x{lc.shape[1]}, got {theta.shape}"
             )
-        if not numlin.is_positive_semidefinite(theta):
+        if not numlin.is_positive_spectrum(numlin.sym_spectrum(theta), semidefinite=True):
             raise ContractError("theta must be symmetric positive semidefinite")
         gamma = float(self.gamma)
         if gamma < 0.0 or not np.isfinite(gamma):
@@ -121,10 +125,10 @@ class CubicObserverDesign:
         n = lc.shape[0]
         if p.shape != (n, n) or q.shape != (n, n):
             raise DimensionError("lyapunov_p and lyapunov_q must be n x n")
-        p_spectrum = numlin.sym_eigenvalues(p)
+        p_spectrum = numlin.sym_spectrum(p)
         if not numlin.is_positive_spectrum(p_spectrum):
             raise ContractError("lyapunov_p must be positive definite")
-        q_spectrum = numlin.sym_eigenvalues(q)
+        q_spectrum = numlin.sym_spectrum(q)
         if not numlin.is_positive_spectrum(q_spectrum):
             raise ContractError("lyapunov_q must be positive definite")
         for name, arr in (
@@ -272,22 +276,20 @@ def _as_theta(theta, n_y):
     return numlin.symmetrize(t, "theta")
 
 
-def _lyapunov_pair(sys, lc, q):
+def _lyapunov_p(sys, lc, q):
     """Check a - lc c is Hurwitz, then solve its Lyapunov equation for q.
 
-    Returns (p, q) with q symmetrized, as a design stores them. The check is
-    solve_lyapunov's own; the spectral abscissa is computed only for the
-    message when it fails.
+    The check is solve_lyapunov's own; the spectral abscissa is computed
+    only for the message when it fails.
     """
     f = sys.a - lc @ sys.c
     try:
-        p = numlin.solve_lyapunov(f, q)
+        return numlin.solve_lyapunov(f, q)
     except DesignError as exc:  # solve_lyapunov's own Hurwitz check failed
         raise DesignError(
             "hurwitz condition violated: a - gain_lc c has spectral abscissa "
             f"{numlin.spectral_abscissa(f):.6g} >= 0"
         ) from exc
-    return p, numlin.symmetrize(q, "q")
 
 
 def synthesize_cubic_gain(sys, gain_lc, q, theta=None, gamma=1.0):
@@ -299,7 +301,8 @@ def synthesize_cubic_gain(sys, gain_lc, q, theta=None, gamma=1.0):
     it defaults to the identity. gamma must be strictly positive; the
     zero-gain observer is available through degenerate_linear().
     The defining identity p nc c + c^T nc^T p = -2 gamma c^T theta c is
-    verified to tight relative tolerance before the design is returned.
+    verified to tight relative tolerance, and theta's semidefiniteness by
+    CubicObserverDesign, before the design is returned.
     """
     lc = _as_gain(gain_lc, sys.n, sys.n_outputs, "gain_lc")
     gamma = float(gamma)
@@ -309,10 +312,7 @@ def synthesize_cubic_gain(sys, gain_lc, q, theta=None, gamma=1.0):
             "use degenerate_linear() for the zero-gain observer"
         )
     theta = _as_theta(np.eye(sys.n_outputs) if theta is None else theta, sys.n_outputs)
-    if not numlin.is_positive_semidefinite(theta):
-        raise ContractError("theta must be symmetric positive semidefinite")
-
-    p, q = _lyapunov_pair(sys, lc, q)
+    p = _lyapunov_p(sys, lc, q)
     nc = -gamma * np.linalg.solve(p, sys.c.T @ theta)
 
     s = sys.c.T @ theta @ sys.c
@@ -344,7 +344,7 @@ def degenerate_linear(sys, gain_lc, q):
     for certificates and energy traces.
     """
     lc = _as_gain(gain_lc, sys.n, sys.n_outputs, "gain_lc")
-    p, q = _lyapunov_pair(sys, lc, q)
+    p = _lyapunov_p(sys, lc, q)
     ny = sys.n_outputs
     return CubicObserverDesign(
         gain_lc=lc,
@@ -370,7 +370,7 @@ def explicit_cubic_design(sys, gain_lc, gain_nc, theta, q=None, gamma=1.0):
     theta = _as_theta(theta, sys.n_outputs)
     if q is None:
         q = np.eye(sys.n)
-    p, q = _lyapunov_pair(sys, lc, q)
+    p = _lyapunov_p(sys, lc, q)
     return CubicObserverDesign(
         gain_lc=lc,
         gain_nc=nc,
@@ -380,23 +380,6 @@ def explicit_cubic_design(sys, gain_lc, gain_nc, theta, q=None, gamma=1.0):
         lyapunov_q=q,
         synthesized=False,
     )
-
-
-def _sym_spectrum(m):
-    """Ascending eigenvalues of the symmetric part of m; ContractError when
-    that is not finite, as the numlin definiteness tests give."""
-    sym = 0.5 * (m + m.T)
-    if not np.isfinite(sym).all():
-        raise ContractError("matrix contains non-finite entries")
-    return np.linalg.eigvalsh(sym)
-
-
-def _negative_quadform(spectrum):
-    """numlin.is_negative_definite_quadform(m) from the spectrum of m's
-    symmetric part. That test's spectrum, of -(m + m^T), is this one times
-    -2 and reversed: an exact scaling, which the eigensolver reproduces to
-    a few ulps, far inside the definiteness tolerance."""
-    return numlin.is_positive_spectrum(-2.0 * spectrum[::-1])
 
 
 @dataclass(frozen=True)
@@ -432,11 +415,11 @@ class ErrorDynamics:
 
     @cached_property
     def w_spectrum(self):
-        return _sym_spectrum(self.w)
+        return numlin.sym_spectrum(self.w)
 
     @cached_property
     def d_spectrum(self):
-        return _sym_spectrum(self.d)
+        return numlin.sym_spectrum(self.d)
 
     @cached_property
     def abscissa(self):
@@ -541,7 +524,7 @@ def certify_stability(
     _check_search_args(n_starts, seed)
     dyn = ErrorDynamics(sys, design)
     w_spectrum, d_spectrum = dyn.w_spectrum, dyn.d_spectrum
-    hurwitz_ok = _negative_quadform(w_spectrum)
+    hurwitz_ok = numlin.is_negative_spectrum(w_spectrum)
     # the spectrum of -d, which the damping tests read
     minus_d = -d_spectrum[::-1]
     damping_strict = numlin.is_positive_spectrum(minus_d)
@@ -568,7 +551,7 @@ def certify_stability(
         raise NumericalError(
             f"a - gain_lc c is singular, uniqueness test impossible: {exc}"
         ) from exc
-    m_spectrum = _sym_spectrum(m)
+    m_spectrum = numlin.sym_spectrum(m)
     uniqueness_ok = numlin.is_positive_spectrum(m_spectrum, semidefinite=True)
     margins["uniqueness_min_eig"] = float(m_spectrum[0])
 
@@ -593,7 +576,7 @@ def certify_stability(
 
 
 def _rank_of_sym(s):
-    w = np.abs(_sym_spectrum(s))
+    w = np.abs(numlin.sym_spectrum(s))
     if w.size == 0 or w[-1] == 0.0:
         return 0
     return int(np.count_nonzero(w > 1e-12 * w[-1]))
@@ -673,10 +656,10 @@ def feedback_certificate(
     best_max_eig = np.inf
     for beta in FEEDBACK_BETA_GRID:
         psi = np.block([[top_left, off], [off.T, beta * dyn.w]])
-        psi_spectrum = _sym_spectrum(psi)
+        psi_spectrum = numlin.sym_spectrum(psi)
         psi_max = float(psi_spectrum[-1])
         best_max_eig = min(best_max_eig, psi_max)
-        if _negative_quadform(psi_spectrum):
+        if numlin.is_negative_spectrum(psi_spectrum):
             feedback_ok = True
             feedback_beta = beta
             margins["feedback_psi_max_eig"] = psi_max
@@ -689,9 +672,9 @@ def feedback_certificate(
         [[p1, np.zeros((n, n))], [np.zeros((n, n)), design.lyapunov_p]]
     )
     g = aa.T @ pa + pa @ aa
-    g_spectrum = _sym_spectrum(g)
+    g_spectrum = numlin.sym_spectrum(g)
     margins["feedback_unscaled_max_eig"] = float(g_spectrum[-1])
-    unscaled_ok = _negative_quadform(g_spectrum)
+    unscaled_ok = numlin.is_negative_spectrum(g_spectrum)
 
     return replace(
         base,
@@ -751,9 +734,8 @@ def lyapunov_derivative_at(sys, design, e):
     return vdot_cubic, vdot_linear
 
 
-def _check_search_args(n_starts, seed, tol=1e-10):
-    """ContractError unless n_starts is a positive and seed a nonnegative
-    int and tol a finite positive real (by default the search's own)."""
+def _check_search_args(n_starts, seed):
+    """ContractError unless n_starts is a positive and seed a nonnegative int."""
     for name, value, least, kind in (
         ("n_starts", n_starts, 1, "positive"),
         ("seed", seed, 0, "nonnegative"),
@@ -764,12 +746,6 @@ def _check_search_args(n_starts, seed, tol=1e-10):
             or value < least
         ):
             raise ContractError(f"{name} must be a {kind} integer, got {value!r}")
-    if (
-        isinstance(tol, bool)
-        or not isinstance(tol, numbers.Real)
-        or not 0 < tol < math.inf
-    ):
-        raise ContractError(f"tol must be a finite positive real, got {tol!r}")
 
 
 def _row_norms(v):
@@ -875,7 +851,7 @@ def _damped_newton(rhs, step, starts, threshold):
     return e, value
 
 
-def search_nonzero_equilibria(sys, design, n_starts=100, seed=0, tol=1e-10):
+def search_nonzero_equilibria(sys, design, n_starts=100, seed=0):
     """Damped-Newton search for nonzero equilibria of the error dynamics.
 
     A falsifier, not a prover: it reports any nonzero root it converges to
@@ -897,11 +873,10 @@ def search_nonzero_equilibria(sys, design, n_starts=100, seed=0, tol=1e-10):
     the same bits whatever the batch holds: the first k starts of a larger
     search find exactly the roots the search with n_starts=k finds. A start
     counts as converged when its residual norm is below
-    tol * max(1, max|a - lc c|); tol must be a finite positive real
-    (ContractError otherwise). Roots are kept in start order, dropping
-    any within 1e-6 of one already kept or of the origin.
+    EQUILIBRIUM_TOL * max(1, max|a - lc c|). Roots are kept in start order,
+    dropping any within 1e-6 of one already kept or of the origin.
     """
-    _check_search_args(n_starts, seed, tol)
+    _check_search_args(n_starts, seed)
     dyn = ErrorDynamics(sys, design)
     step = _low_rank_newton(dyn.f, dyn.s, design.gain_nc, sys.c)
     rng = np.random.default_rng(seed)
@@ -909,7 +884,7 @@ def search_nonzero_equilibria(sys, design, n_starts=100, seed=0, tol=1e-10):
     for row in starts:
         radius = 10.0 ** rng.uniform(-1.0, 1.0)
         row[:] = radius * rng.standard_normal(sys.n)
-    threshold = tol * max(1.0, numlin.max_abs(dyn.f))
+    threshold = EQUILIBRIUM_TOL * max(1.0, numlin.max_abs(dyn.f))
     e, value = _damped_newton(dyn.rows, step, starts, threshold)
     found = []
     for root in e[(_row_norms(value) < threshold) & (_row_norms(e) > 1e-6)]:

@@ -192,10 +192,10 @@ def gamma_sweep(sys, gain_lc, q, theta, gammas, cfg, feedback_k=None):
     """Simulate one observer per gamma and collect the metrics.
 
     gamma = 0 runs the degenerate linear observer and is flagged as such.
-    Rows come back sorted by gamma regardless of input order; negative
-    entries are rejected.
+    Rows come back sorted by gamma regardless of input order, one per
+    distinct value, -0.0 counting as 0.0; negative entries are rejected.
     """
-    values = sorted({float(g) for g in gammas})
+    values = sorted({float(g) + 0.0 for g in gammas})
     if values and values[0] < 0.0:
         raise ContractError(f"gamma values must be nonnegative, got {values[0]}")
     rows = []

@@ -12,8 +12,10 @@ above it it runs the scaled Newton sign iteration, O(n^3) per iteration.
 Both paths end in the same residual and definiteness checks.
 
 Matrices are plain float64 ndarrays in row-major semantic order; vectors
-are 1-D arrays. Definiteness checks use relative tolerances so they behave
-the same for Q and 1000*Q.
+are 1-D arrays. Every definiteness verdict is read off one spectrum:
+sym_spectrum(m) decomposes the symmetric part of m once, and
+is_positive_spectrum and is_negative_spectrum apply a threshold relative to
+that spectrum's scale, so they behave the same for Q and 1000*Q.
 """
 
 import numpy as np
@@ -72,18 +74,19 @@ def max_abs(m):
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def symmetrize(s, name="matrix", rtol=SYMMETRY_RTOL):
-    """Return the symmetric part of s after checking s is symmetric to rtol.
+def symmetrize(s, name="matrix"):
+    """Return the symmetric part of s after checking s is symmetric.
 
-    The check is relative: max|s - s^T| <= rtol * max|s|. Asymmetry beyond
-    that is treated as a caller bug, not something to average away.
+    The check is relative: max|s - s^T| <= SYMMETRY_RTOL * max|s|.
+    Asymmetry beyond that is treated as a caller bug, not something to
+    average away.
     """
     m = require_square(s, name)
     gap = max_abs(m - m.T)
-    if gap > rtol * max_abs(m):
+    if gap > SYMMETRY_RTOL * max_abs(m):
         raise ContractError(
             f"{name} is not symmetric: max asymmetry {gap:.3e} exceeds "
-            f"{rtol:.1e} relative tolerance"
+            f"{SYMMETRY_RTOL:.1e} relative tolerance"
         )
     return 0.5 * (m + m.T)
 
@@ -108,57 +111,43 @@ def spectral_abscissa(m):
     return float(np.max(eigenvalues(m).real))
 
 
-def is_hurwitz(m, margin=0.0):
-    """True when every eigenvalue satisfies Re(lambda) < -margin."""
-    if margin < 0.0:
-        raise ContractError(f"margin must be nonnegative, got {margin}")
-    return spectral_abscissa(m) < -margin
+def sym_spectrum(m):
+    """Ascending eigenvalues of the symmetric part (m + m^T) / 2 of m.
 
-
-def sym_eigenvalues(s, name="matrix"):
-    """Ascending eigenvalues of s after symmetrize(s, name)."""
-    sym = symmetrize(s, name)
+    Only the symmetric part matters to a quadratic form, and for an exactly
+    symmetric m it is m itself, bit for bit. ContractError when it is not
+    finite, NumericalError when the eigensolver fails.
+    """
+    sym = 0.5 * (m + m.T)
+    if not np.isfinite(sym).all():
+        raise ContractError("matrix contains non-finite entries")
     try:
         return np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"symmetric eigensolve failed for {name}: {exc}") from exc
+        raise NumericalError(f"symmetric eigensolve failed: {exc}") from exc
 
 
-def is_positive_spectrum(w, semidefinite=False, tol=DEFINITENESS_TOL):
+def is_positive_spectrum(w, semidefinite=False):
     """The definiteness verdict of a symmetric matrix from its eigenvalues w,
-    in ascending order: w[0] > tol * scale, or w[0] >= -tol * scale when
-    semidefinite, with scale = max(1, max|w|). Every definiteness test here
-    ends in this one threshold, so a caller holding a spectrum already gets
-    the same verdict without a second eigensolve.
+    in ascending order: w[0] > DEFINITENESS_TOL * scale, or
+    w[0] >= -DEFINITENESS_TOL * scale when semidefinite, with
+    scale = max(1, max|w|). Scaling the matrix by a positive constant does
+    not change the verdict (up to the max(1, .) floor).
     """
     scale = max(1.0, abs(float(w[0])), abs(float(w[-1])))
     if semidefinite:
-        return bool(w[0] >= -tol * scale)
-    return bool(w[0] > tol * scale)
+        return bool(w[0] >= -DEFINITENESS_TOL * scale)
+    return bool(w[0] > DEFINITENESS_TOL * scale)
 
 
-def is_positive_definite(s, tol=DEFINITENESS_TOL):
-    """Symmetric positive definiteness with a relative eigenvalue threshold.
+def is_negative_spectrum(w):
+    """True when x^T m x < 0 for all nonzero x, from w = sym_spectrum(m).
 
-    Verdict: min eigenvalue > tol * max(1, ||s||_2). Scaling s by a positive
-    constant does not change the answer (up to the max(1, .) floor).
+    The verdict is the positive-definite one on the spectrum of -(m + m^T),
+    which is w scaled by -2 and reversed: an exact scaling, so the floor of
+    the threshold's scale applies to -(m + m^T), not to its half.
     """
-    return is_positive_spectrum(sym_eigenvalues(s), tol=tol)
-
-
-def is_positive_semidefinite(s, tol=DEFINITENESS_TOL):
-    """Like is_positive_definite but permits eigenvalues down to -tol*scale."""
-    return is_positive_spectrum(sym_eigenvalues(s), semidefinite=True, tol=tol)
-
-
-def is_negative_definite_quadform(m, tol=DEFINITENESS_TOL):
-    """True when x^T m x < 0 for all nonzero x.
-
-    m need not be symmetric; only its symmetric part matters, so this is
-    the test m + m^T negative definite.
-    """
-    m = require_square(m)
-    return is_positive_definite(-(m + m.T), tol)
+    return is_positive_spectrum(-2.0 * w[::-1])
 
 
 def solve_lyapunov(f, q):
@@ -178,12 +167,13 @@ def solve_lyapunov(f, q):
     q = symmetrize(q, "q")
     if f.shape != q.shape:
         raise DimensionError(f"f has shape {f.shape} but q has shape {q.shape}")
-    if not is_hurwitz(f):
+    abscissa = spectral_abscissa(f)
+    if not abscissa < 0.0:
         raise DesignError(
             "Lyapunov premise violated: f is not Hurwitz "
-            f"(spectral abscissa {spectral_abscissa(f):.6g})"
+            f"(spectral abscissa {abscissa:.6g})"
         )
-    if not is_positive_definite(q):
+    if not is_positive_spectrum(sym_spectrum(q)):
         raise ContractError("q must be symmetric positive definite")
 
     if f.shape[0] <= LYAPUNOV_DIRECT_MAX_N:
@@ -196,7 +186,7 @@ def solve_lyapunov(f, q):
             f"Lyapunov residual {residual:.3e} exceeds "
             f"{LYAPUNOV_RESIDUAL_RTOL:.1e} * ||q||"
         )
-    if not is_positive_definite(p):
+    if not is_positive_spectrum(sym_spectrum(p)):
         raise NumericalError("Lyapunov solution is not positive definite")
     return p
 

@@ -143,10 +143,6 @@ _ESCAPE = json.encoder.encode_basestring_ascii
 _FLOAT_TEXT = float.__repr__
 
 
-class _Unsupported(Exception):
-    """A value the direct writer leaves to json.dumps."""
-
-
 def _float_text(value):
     text = _FLOAT_TEXT(value)
     if text in ("nan", "inf", "-inf"):
@@ -175,7 +171,7 @@ def _encode(value, pad):
         if not value:
             return "{}"
         if not all(isinstance(key, str) for key in value):
-            raise _Unsupported
+            raise TypeError("JSON object keys must be strings")
         inner = pad + "  "
         items = [_ESCAPE(k) + ": " + _encode(value[k], inner) for k in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
@@ -191,24 +187,22 @@ def _encode(value, pad):
         return int.__repr__(value)
     if isinstance(value, float):
         return _float_text(value)
-    raise _Unsupported
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def dumps_json(doc):
     """Canonical JSON text: sorted keys, two-space indent, trailing newline.
 
-    The text is json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    plus a newline, byte for byte, and a NaN or infinity raises ValueError
-    as there. It is written directly, float lists by one float.__repr__
-    map: json's indenting encoder is pure Python and visits every float on
-    its own. Dicts with keys other than strings and values of other types
-    go to json.dumps, which formats or refuses them itself. doc must be a
-    tree, since a container inside itself is not detected.
+    doc is a tree of dicts with string keys, lists, tuples, strings, ints,
+    floats, bools and None. Its text is json.dumps(doc, indent=2,
+    sort_keys=True, allow_nan=False) plus a newline, byte for byte, and a
+    NaN or infinity raises ValueError as there. It is written directly,
+    float lists by one float.__repr__ map: json's indenting encoder is pure
+    Python and visits every float on its own. A key that is not a string or
+    a value of any other type raises TypeError. A container inside itself
+    is not detected.
     """
-    try:
-        return _encode(doc, "\n") + "\n"
-    except _Unsupported:
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return _encode(doc, "\n") + "\n"
 
 
 def flatten_doc(doc, prefix=""):

@@ -26,7 +26,7 @@ from .sysmodel import ZeroInput, evaluate_input  # noqa: F401
 
 # trajectory norm beyond which integration is declared divergent
 DIVERGENCE_LIMIT = STATE_NORM_LIMIT
-# default band for settling-time detection (absolute)
+# band for settling-time detection (absolute)
 SETTLE_THRESHOLD = 0.05
 
 
@@ -390,19 +390,17 @@ def _cumulative_trapezoid(times, values):
     return out
 
 
-def compute_metrics(trace, settle_threshold=SETTLE_THRESHOLD, lqr_weights=None):
+def compute_metrics(trace, lqr_weights=None):
     """Evaluate peak, overshoot, settling, and cumulative squared error.
 
-    settle_threshold is an absolute band: the settling time of a state is
-    the first sample time after the last excursion |e_i| >= threshold,
-    None if the error is still outside the band at the end, and the first
-    sample time when it never leaves the band. lqr_weights, when given as
-    a (q, r) pair, adds the cumulative quadratic regulation cost
-    integral of x^T q x + u^T r u; this requires a closed-loop trace with
-    a control series.
+    Settling is judged against the absolute band SETTLE_THRESHOLD: the
+    settling time of a state is the first sample time after the last
+    excursion |e_i| >= SETTLE_THRESHOLD, None if the error is still outside
+    the band at the end, and the first sample time when it never leaves
+    the band. lqr_weights, when given as a (q, r) pair, adds the cumulative
+    quadratic regulation cost integral of x^T q x + u^T r u; this requires
+    a closed-loop trace with a control series.
     """
-    if settle_threshold <= 0.0:
-        raise ContractError("settle_threshold must be positive")
     errors = trace.errors
     times = trace.times
     n = errors.shape[1]
@@ -427,7 +425,7 @@ def compute_metrics(trace, settle_threshold=SETTLE_THRESHOLD, lqr_weights=None):
 
     settling = []
     for i in range(n):
-        outside = np.nonzero(np.abs(errors[:, i]) >= settle_threshold)[0]
+        outside = np.nonzero(np.abs(errors[:, i]) >= SETTLE_THRESHOLD)[0]
         if outside.size == 0:
             settling.append(float(times[0]))
         elif outside[-1] == times.size - 1:

@@ -159,6 +159,18 @@ def test_design_non_hurwitz_gain_exits_one(write_config, capsys):
     assert "hurwitz" in err
 
 
+def test_design_reports_a_non_hurwitz_gain_before_an_indefinite_theta(write_config, capsys):
+    cfg = base_config()
+    cfg["observer"].update({"theta": -1.0})
+    code, _, err = run_cli(capsys, "design", write_config(cfg))
+    assert (code, err) == (1, "error: theta must be symmetric positive semidefinite\n")
+    del cfg["observer"]["poles"]
+    cfg["observer"]["gain_lc"] = [-1.0, 0.0]
+    code, _, err = run_cli(capsys, "design", write_config(cfg))
+    assert code == 1
+    assert err.startswith("error: hurwitz condition violated")
+
+
 def test_design_equilibrium_search_flag(write_config, capsys):
     code, out, _ = run_cli(
         capsys, "design", write_config(base_config()), "--equilibrium-search"
@@ -225,6 +237,18 @@ def test_unknown_top_level_field_exits_two(write_config, capsys):
     code, _, err = run_cli(capsys, "design", write_config(cfg))
     assert code == 2
     assert "extras" in err
+
+
+@pytest.mark.parametrize("text", ["[]", "[1]", "5", "null", '"abc"'])
+@pytest.mark.parametrize(
+    "argv", [("design",), ("simulate",), ("sweep-gamma", "--gammas", "1")], ids=lambda a: a[0]
+)
+def test_a_config_that_is_not_an_object_exits_two(tmp_path, capsys, text, argv):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "config error: config: expected an object\n"
 
 
 def test_unknown_observer_field_names_allowed_set(write_config, capsys):
@@ -928,6 +952,19 @@ def test_sweep_gamma_rejects_bad_values(write_config, capsys):
         capsys, "sweep-gamma", write_config(base_config()), "--gammas", "a,b"
     )
     assert code == 2
+
+
+def test_sweep_gamma_negative_zero_is_the_zero_row(write_config, capsys):
+    path = write_config(base_config())
+    tables = []
+    for gammas in ("0", "-0", "0,-0", "-0,0"):
+        code, out, _ = run_cli(
+            capsys, "sweep-gamma", path, f"--gammas={gammas}", "--horizon", "0.1"
+        )
+        assert code == 0
+        tables.append(out)
+    assert tables[1:] == tables[:1] * 3
+    assert tables[0].splitlines()[1].startswith("0,1,")
 
 
 @pytest.mark.parametrize("gammas", ["nan", "inf", "-inf", "1,inf", "0.5,nan"])

@@ -1,14 +1,22 @@
 """Unit tests for gain synthesis and the stability certificates."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubicobs as co
+from cubicobs import cli, numlin
 from cubicobs import design as design_mod
-from cubicobs import numlin
 from conftest import random_observable_system, separated_stable_poles
+
+
+EXAMPLE_CONFIG = json.loads(
+    (Path(__file__).resolve().parents[1] / "docs" / "example_config.json").read_text()
+)
 
 
 def double_integrator():
@@ -605,15 +613,6 @@ def test_feedback_certificate_passes_n_starts_to_the_search(fx1, designs1):
         assert cert.margins["nonzero_equilibria_found"] == want
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf"), True, "1e-10", None])
-def test_tol_must_be_a_finite_positive_real(fx1, designs1, tol):
-    # a meaningless tol once made the flipped design's two roots disappear
-    # (nan, -1, 0) or turned every start into a "root" (inf)
-    flipped = flipped_design(fx1.system, designs1[1])
-    with pytest.raises(co.ContractError, match="tol"):
-        co.search_nonzero_equilibria(fx1.system, flipped, tol=tol)
-
-
 # ---------------------------------------------------------------------------
 # the closed-form exclusion radius
 
@@ -803,24 +802,27 @@ def test_verdicts_from_the_kept_spectrum_equal_the_numlin_tests(seed, n, exponen
     skew = 10.0**exponent * (skew - skew.T)
     # m, whose quadratic form is negative definite about when h is positive
     m = skew - h
-    spectrum = design_mod._sym_spectrum(m)
-    # the spectrum is_negative_definite_quadform takes, -(m + m^T), is this
-    # one scaled by -2, up to the eigensolver's rounding
+    spectrum = numlin.sym_spectrum(m)
+    # the reference decomposes -(m + m^T) itself; its spectrum is this one
+    # scaled by -2, up to the eigensolver's rounding
+    reference = np.linalg.eigvalsh(-(m + m.T))
     scaled = -2.0 * spectrum[::-1]
-    gap = np.abs(np.linalg.eigvalsh(-(m + m.T)) - scaled).max()
+    gap = np.abs(reference - scaled).max()
     assert gap <= n * np.finfo(float).eps * np.abs(scaled).max()
-    assert design_mod._negative_quadform(spectrum) == numlin.is_negative_definite_quadform(m)
+    assert numlin.is_negative_spectrum(spectrum) == numlin.is_positive_spectrum(reference)
     # d, symmetric up to rounding as p nc c + c^T nc^T p is, with -d near h
     d = -h + 1e-13 * np.abs(h).max() * rng.standard_normal((n, n))
-    minus_d = -design_mod._sym_spectrum(d)[::-1]
-    assert numlin.is_positive_spectrum(minus_d) == numlin.is_positive_definite(-d)
+    minus_d = -numlin.sym_spectrum(d)[::-1]
+    reference = np.linalg.eigvalsh(-0.5 * (d + d.T))
+    assert numlin.is_positive_spectrum(minus_d) == numlin.is_positive_spectrum(reference)
     assert numlin.is_positive_spectrum(minus_d, semidefinite=True) == (
-        numlin.is_positive_semidefinite(-d)
+        numlin.is_positive_spectrum(reference, semidefinite=True)
     )
     # the uniqueness test's m: h plus a skew part
-    spectrum = design_mod._sym_spectrum(h + skew)
+    spectrum = numlin.sym_spectrum(h + skew)
+    reference = np.linalg.eigvalsh(0.5 * ((h + skew) + (h + skew).T))
     assert numlin.is_positive_spectrum(spectrum, semidefinite=True) == (
-        numlin.is_positive_semidefinite(0.5 * ((h + skew) + (h + skew).T))
+        numlin.is_positive_spectrum(reference, semidefinite=True)
     )
 
 
@@ -888,3 +890,76 @@ def test_each_certificate_spectrum_is_computed_once(eigen_calls):
         assert times_decomposed(eigen_calls["eigvalsh"], form) == 1
     assert times_decomposed(eigen_calls["eigvals"], dyn.f) == 1
     assert sum(m.shape == (64, 64) for m in eigen_calls["eigvalsh"]) == len(loop_forms)
+
+
+def design_config(system, design, k):
+    """The cubicobs design config of a synthesized design with q = I and
+    theta = I, closed through u = -k xhat."""
+    return {
+        "system": {"a": system.a.tolist(), "b": system.b.tolist(), "c": system.c.tolist()},
+        "observer": {
+            "type": "cubic",
+            "gain_lc": design.gain_lc.tolist(),
+            "q": 1.0,
+            "theta": 1.0,
+            "gamma": design.gamma,
+        },
+        "feedback": {"k": k.tolist()},
+    }
+
+
+# eigvalsh and eigvals calls of one design command; each eigvalsh count is
+# one below the count when synthesize_cubic_gain decomposed theta itself
+DESIGN_COMMAND_EIGEN_CALLS = {"feedback": (15, 4), "search": (9, 3)}
+
+
+@pytest.mark.parametrize("case", ["feedback", "search"])
+def test_the_design_command_decomposes_theta_once(eigen_calls, tmp_path, case):
+    config, out = tmp_path / "config.json", tmp_path / "design.json"
+    if case == "feedback":
+        config.write_text(json.dumps(design_config(*feedback_scaling_design(n=8))))
+        argv = ["design", str(config), "--out", str(out)]
+    else:
+        config.write_text(json.dumps(EXAMPLE_CONFIG))
+        argv = ["design", str(config), "--out", str(out), "--equilibrium-search"]
+    for calls in eigen_calls.values():
+        calls.clear()
+    assert cli.main(argv) == 0
+    theta = np.array(json.loads(out.read_text())["design"]["theta"])
+    assert times_decomposed(eigen_calls["eigvalsh"], theta) == 1
+    counts = (len(eigen_calls["eigvalsh"]), len(eigen_calls["eigvals"]))
+    assert counts == DESIGN_COMMAND_EIGEN_CALLS[case]
+
+
+def stabilized_loop(kind, seed, n, n_y, n_u, gain):
+    """random_design's plant and design with n_u inputs and k = gain b^T:
+    a - b k has the negative definite symmetric part -0.1 I - gain b b^T,
+    so it is Hurwitz."""
+    system, design = random_design(kind, seed, n, n_y, 1.0)
+    b = np.random.default_rng(seed).standard_normal((n, n_u))
+    return co.LinearSystem(a=system.a, b=b, c=system.c), design, gain * b.T
+
+
+@settings(max_examples=40)
+@given(
+    kind=st.sampled_from(["synthesized", "explicit"]),
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 8),
+    n_y=st.integers(1, 2),
+    n_u=st.integers(1, 2),
+    gain=st.floats(0.0, 2.0),
+)
+def test_the_unscaled_feedback_form_is_psi_at_beta_one(kind, seed, n, n_y, n_u, gain):
+    # G = AA^T PA + PA AA equals psi(1) block by block, so its verdict and
+    # largest eigenvalue are psi(1)'s up to rounding
+    system, design, k = stabilized_loop(kind, seed, n, n_y, n_u, gain)
+    cert = co.feedback_certificate(system, design, k)
+    acl = system.a - system.b @ k
+    p1 = numlin.solve_lyapunov(acl, np.eye(n))
+    off = p1 @ system.b @ k
+    w = design_mod.ErrorDynamics(system, design).w
+    psi = np.block([[acl.T @ p1 + p1 @ acl, off], [off.T, w]])
+    spectrum = numlin.sym_spectrum(psi)
+    assert cert.feedback_unscaled_ok == numlin.is_negative_spectrum(spectrum)
+    gap = abs(cert.margins["feedback_unscaled_max_eig"] - spectrum[-1])
+    assert gap <= 1e-12 * np.abs(spectrum).max()

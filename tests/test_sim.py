@@ -588,13 +588,13 @@ def test_trace_inputs_are_the_signal_at_every_grid_time(fx2, designs2, kind):
 
 def test_peak_error_is_the_global_maximum():
     trace = make_trace([0.0, 1.0, 2.0, 3.0], [[-2.0], [-0.5], [0.3], [-0.1]])
-    met = co.compute_metrics(trace, settle_threshold=0.05)
+    met = co.compute_metrics(trace)
     assert met.peak_error[0] == 2.0
 
 
 def test_overshoot_is_the_peak_after_the_first_sign_change():
     trace = make_trace([0.0, 1.0, 2.0, 3.0], [[-2.0], [-0.5], [0.3], [-0.1]])
-    met = co.compute_metrics(trace, settle_threshold=0.05)
+    met = co.compute_metrics(trace)
     assert met.overshoot_peak[0] == pytest.approx(0.3)
 
 
@@ -615,7 +615,7 @@ def test_settling_time_uses_the_last_band_entry():
     # leaves again at t = 2; the last entry is at t = 3
     errors = [[0.2], [0.04], [0.06], [0.03], [0.02]]
     trace = make_trace([0.0, 1.0, 2.0, 3.0, 4.0], errors)
-    met = co.compute_metrics(trace, settle_threshold=0.05)
+    met = co.compute_metrics(trace)
     assert met.settling_time[0] == 3.0
 
 
@@ -624,8 +624,6 @@ def test_settling_time_edge_cases():
     assert co.compute_metrics(inside).settling_time[0] == 0.0
     never = make_trace([0.0, 1.0, 2.0], [[0.2], [0.2], [0.2]])
     assert co.compute_metrics(never).settling_time[0] is None
-    with pytest.raises(co.ContractError):
-        co.compute_metrics(inside, settle_threshold=0.0)
 
 
 def test_cumulative_error_exact_for_constant_error():
