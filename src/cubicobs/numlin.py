@@ -79,16 +79,22 @@ def symmetrize(s, name="matrix"):
 
     The check is relative: max|s - s^T| <= SYMMETRY_RTOL * max|s|.
     Asymmetry beyond that is treated as a caller bug, not something to
-    average away.
+    average away. An s whose s + s^T overflows is refused as too large.
     """
     m = require_square(s, name)
-    gap = max_abs(m - m.T)
+    # finite entries above about 9e307 overflow both sums; refuse that once,
+    # here, rather than warn and hand an infinite matrix on
+    with np.errstate(over="ignore"):
+        total = m + m.T
+        gap = max_abs(m - m.T)
+    if not np.all(np.isfinite(total)):
+        raise ContractError(f"{name} is too large: {name} + {name}' overflows")
     if gap > SYMMETRY_RTOL * max_abs(m):
         raise ContractError(
             f"{name} is not symmetric: max asymmetry {gap:.3e} exceeds "
             f"{SYMMETRY_RTOL:.1e} relative tolerance"
         )
-    return 0.5 * (m + m.T)
+    return 0.5 * total
 
 
 def eigenvalues(m):

@@ -6,8 +6,9 @@ Trace CSVs carry one row per time sample with the column layout
 
 followed by lyapunov columns V, V_cz when the trace carries them and by
 the applied feedback columns uc1..uc{nu} for closed-loop runs. Floats are
-written with shortest round-trip formatting (%.17g) and LF line endings,
-so repeated runs produce byte-identical files.
+written with 17 significant digits (%.17g), which round-trips every
+float64 but is not the shortest such string, and LF line endings, so
+repeated runs produce byte-identical files.
 """
 
 import json
@@ -18,7 +19,8 @@ from .sim import Metrics, Trace
 
 
 def format_float(value):
-    """Shortest decimal string that round-trips the float64 exactly."""
+    """Decimal string with 17 significant digits (%.17g): it round-trips
+    the float64 exactly, though a shorter string often would too."""
     return format(float(value), ".17g")
 
 

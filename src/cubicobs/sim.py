@@ -12,6 +12,7 @@ the zero-gain cubic design from design.degenerate_linear, so it runs
 through the identical code path and the gamma -> 0 limit is exact.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -132,62 +133,108 @@ def _time_grid(dt, horizon):
     return times
 
 
+# steps per block of the RK4 loop: the unit of the divergence test and of
+# an open-loop run's drive table
+_BLOCK = 128
+
+
+def _rk4(field, y0, cfg):
+    """The RK4 loop: integrate from y0 over cfg's grid to (times, states).
+
+    field(lo, hi) gives the derivative for steps lo .. hi-1 as
+    into(t, y, out, j), which writes dy/dt into out and must not write y; j
+    is 2(k - lo) at the start of step k, one more at its midpoint, two more
+    at its end. k1..k4 and the stage are kept buffers, and each new state is
+    written into its row of states by the textbook step's operations, in
+    its order: y + (h/6) (((k1 + 2 k2) + 2 k3) + k4). Divergence is tested
+    after each block, and on the rows written before a field raises.
+    """
+    times = _time_grid(cfg.dt, cfg.horizon)
+    grid = times.tolist()
+    steps = len(grid) - 1
+    states = np.empty((steps + 1, y0.size))
+    states[0] = y0
+    k1, k2, k3, k4 = ks = np.empty((4, y0.size))
+    k23 = ks[1:3]
+    twice_k2, twice_k3 = twice = np.empty((2, y0.size))
+    stage = np.empty(y0.size)
+    add, mul = np.add, np.multiply
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, steps, _BLOCK):
+            hi = min(lo + _BLOCK, steps)
+            into = field(lo, hi)
+            # h/2, h and h/6 per step, as rows shaped like y: numpy multiplies
+            # by an array of its own shape faster than by a Python float
+            h = np.diff(times[lo : hi + 1])[:, None]
+            scale = np.repeat([0.5 * h, h, h / 6.0], y0.size, axis=2)
+            y = states[lo]
+            try:
+                for k, row, half, step, sixth in zip(
+                    range(lo, hi), states[lo + 1 : hi + 1], *scale
+                ):
+                    t0 = grid[k]
+                    t1 = grid[k + 1]
+                    tm = t0 + 0.5 * (t1 - t0)
+                    j = 2 * (k - lo)
+                    into(t0, y, k1, j)
+                    mul(k1, half, stage)
+                    add(stage, y, stage)
+                    into(tm, stage, k2, j + 1)
+                    mul(k2, half, stage)
+                    add(stage, y, stage)
+                    into(tm, stage, k3, j + 1)
+                    mul(k3, step, stage)
+                    add(stage, y, stage)
+                    into(t1, stage, k4, j + 2)
+                    add(k23, k23, twice)  # 2 k2 and 2 k3, exactly
+                    add(twice_k2, k1, row)
+                    add(row, twice_k3, row)
+                    add(row, k4, row)
+                    mul(row, sixth, row)
+                    add(row, y, row)
+                    y = row
+            except Exception:
+                _check_rows(times, states, lo, k)
+                raise
+            _check_rows(times, states, lo, hi)
+    return times, states
+
+
+def _check_rows(times, states, lo, hi):
+    """Raise DivergenceError at the first of rows lo+1 .. hi of states with
+    an entry that is non-finite or above DIVERGENCE_LIMIT in magnitude."""
+    block = np.abs(states[lo + 1 : hi + 1])
+    if block.max(initial=0.0) <= DIVERGENCE_LIMIT:  # NaN fails
+        return
+    k = lo + int(np.argmin((block <= DIVERGENCE_LIMIT).all(axis=1)))
+    t0, t1 = times[k : k + 2].tolist()
+    raise DivergenceError(
+        f"trajectory diverged between t={t0:g} and t={t1:g}",
+        last_time=t0,
+        trace=(times[: k + 1].copy(), states[: k + 1].copy()),
+    )
+
+
 def integrate_rk4(derivative, x0, cfg):
     """Integrate dy/dt = derivative(t, y) over the grid described by cfg.
 
     Returns (times, states) with states[k] the solution at times[k]. The
     grid is uniform with step cfg.dt except for a shortened final step
     landing exactly on cfg.horizon. derivative receives t as a Python
-    float and returns dy/dt as a float64 array shaped like y; the loop
-    never writes to that array or to y, so it may return its argument or
-    one shared array. A step whose new state has any entry that is
+    float and a fresh copy of the stage, and returns dy/dt as a float64
+    array shaped like y; the loop copies it, so it may return its argument
+    or one shared array. A step whose new state has any entry that is
     non-finite or above DIVERGENCE_LIMIT (1e12) in absolute value raises
-    DivergenceError carrying the partial arrays; an entry of exactly 1e12
-    passes. Overflow on the way there raises only that error, not also a
-    numpy RuntimeWarning; the floating-point error state is set once around
-    the loop, not per step.
+    DivergenceError carrying the arrays before it; an entry of exactly 1e12
+    passes. The test runs per block of _BLOCK steps, so derivative may
+    also see the rest of that block, non-finite stages included. Overflow
+    raises only that error, not also a numpy RuntimeWarning.
     """
-    times = _time_grid(cfg.dt, cfg.horizon)
-    grid = times.tolist()
-    y = numlin.as_vector(x0, "x0")
-    states = np.empty((times.size, y.size))
-    states[0] = y
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(times.size - 1):
-            t0 = grid[k]
-            t1 = grid[k + 1]
-            h = t1 - t0
-            half = 0.5 * h
-            # Each stage input and the new state are fresh arrays. Every
-            # product and sum is the textbook form's, in its order:
-            # y + (h/6) * (((k1 + 2 k2) + 2 k3) + k4).
-            k1 = derivative(t0, y)
-            stage = k1 * half
-            stage += y
-            k2 = derivative(t0 + half, stage)
-            stage = k2 * half
-            stage += y
-            k3 = derivative(t0 + half, stage)
-            stage = k3 * h
-            stage += y
-            k4 = derivative(t1, stage)
-            acc = k2 * 2.0
-            acc += k1
-            acc += k3 * 2.0
-            acc += k4
-            acc *= h / 6.0
-            acc += y
-            y = acc
-            # NaN fails the comparison, so it diverges too; at these sizes a
-            # pass over the Python floats costs less than abs() and max()
-            if not all(abs(v) <= DIVERGENCE_LIMIT for v in y.tolist()):
-                raise DivergenceError(
-                    f"trajectory diverged between t={t0:g} and t={t1:g}",
-                    last_time=t0,
-                    trace=(times[: k + 1].copy(), states[: k + 1].copy()),
-                )
-            states[k + 1] = y
-    return times, states
+
+    def into(t, y, out, j):
+        out[...] = derivative(t, y.copy())
+
+    return _rk4(lambda lo, hi: into, numlin.as_vector(x0, "x0"), cfg)
 
 
 def _bind_config(sys, cfg):
@@ -216,16 +263,27 @@ def _check_design(sys, design):
 
 
 def _run_joint(sys, design, cfg, feedback_k=None):
+    """Run the joint (x, xhat) field m z + bstack u - [0; w gain_nc r], with
+    r = y - c xhat and w = r' theta r, through _rk4. Its cost is numpy call
+    overhead, so calls and allocations are cut while every floating-point
+    operation stays:
+    - The open-loop drive is read from a table built per block of steps:
+      the input is sampled once per distinct stage time (the block's grid
+      times, then its midpoints), and one stacked matmul runs the gemv of
+      bstack @ u per row. The trace's inputs are the grid-time samples.
+    - Products write into kept buffers. ndarray.dot runs the gemv of @ at
+      less overhead, and for a column an axpy onto zeros, with @'s bits; for
+      a single entry it is a bare product whose zero keeps its sign, so a
+      1 x 1 gain_nc stays matmul, and so does the drive.
+    - The correction goes into the lower half of a buffer whose upper half
+      stays +0.0, and x - (+0.0) is x. A zero gain_nc skips it.
+    """
     n = sys.n
     x0, xhat0, signal = _bind_config(sys, cfg)
     eps = 0.0 if cfg.eps is None else float(cfg.eps)
     a = sys.a if eps == 0.0 else sys.a + eps * np.eye(n)
-    c = sys.c
-    b = sys.b
-    lc = design.gain_lc
-    gain_nc = design.gain_nc
-    theta = design.theta
-    lyapunov_p = design.lyapunov_p
+    c, b, lc = sys.c, sys.b, design.gain_lc
+    gain_nc, theta = design.gain_nc, design.theta
 
     m = np.zeros((2 * n, 2 * n))
     m[:n, :n] = a
@@ -233,81 +291,70 @@ def _run_joint(sys, design, cfg, feedback_k=None):
     m[n:, n:] = a - lc @ c
     bstack = np.vstack([b, b])
     c_res = np.hstack([c, -c])  # r = y - c xhat
+    add, mul, sub, matmul = np.add, np.multiply, np.subtract, np.matmul
+    m_dot, res_dot = m.dot, c_res.dot
+    gain_dot = gain_nc.dot
+    if gain_nc.size == 1:
+        gain_dot = functools.partial(matmul, gain_nc)
 
-    # The per-step cost is numpy call overhead, so calls and allocations are
-    # cut while every floating-point operation stays as it was:
-    # - RK4's k2 and k3 share t0 + h/2, and k4 of one step shares its time
-    #   with k1 of the next, so the open-loop drive is sampled once per
-    #   distinct time (two samples per step, not four). Every grid time is
-    #   among those times, in order, and its sample is recorded there.
-    # - np.dot runs the same BLAS gemv as @ at less call overhead where the
-    #   inner dimension is 2n. Where it can be 1 (one input, one output,
-    #   n = 1), np.dot takes a scalar path whose zeros can differ in sign,
-    #   so those products stay @.
-    # - A zero gain_nc makes the cubic term subtract only zeros, so linear
-    #   runs skip it.
+    inputs = feedback = None
     if feedback_k is None:
         grid = _time_grid(cfg.dt, cfg.horizon).tolist()
         inputs = np.empty((len(grid), sys.n_inputs))
-        last_t = None
-        last_drive = None
-        row = 0
-
-        def drive(t, z):
-            nonlocal last_t, last_drive, row
-            if t != last_t:
-                u = signal.sample(t)
-                last_t = t
-                last_drive = bstack @ u
-                while row < len(grid) and grid[row] == t:
-                    inputs[row] = u
-                    row += 1
-            return last_drive
-
+        inputs[0] = signal.sample(grid[0])
+        samples = np.empty((2 * _BLOCK + 1, sys.n_inputs, 1))
     else:
-        inputs = None
-        k = feedback_k
+        u = np.empty(sys.n_inputs)
+        drive = np.empty(2 * n)
 
-        def drive(t, z):
-            u = k @ z[n:]
-            np.negative(u, out=u)
-            return bstack @ u
+        def feedback(z):
+            matmul(feedback_k, z[n:], u)
+            np.negative(u, u)
+            return matmul(bstack, u, drive)
 
-    if not np.any(gain_nc):
+    cubic = bool(np.any(gain_nc))
+    r, w, corr = np.empty(theta.shape[0]), np.empty(()), np.zeros(2 * n)
+    corr_low = corr[n:]
+    # With one output, r' theta r is a product of Python floats in the
+    # order @ takes. @ returns +0.0 for a zero product, so a zero weight,
+    # and every weight of several outputs, comes from @ itself.
+    theta11 = float(theta[0, 0]) if theta.shape == (1, 1) else None
 
-        def field(t, z):
-            out = np.dot(m, z)
-            out += drive(t, z)
-            return out
+    def field(lo, hi):
+        if feedback is None:
+            ends = grid[lo + 1 : hi + 1]
+            inputs[lo + 1 : hi + 1] = [signal.sample(t) for t in ends]
+            table = samples[: 2 * (hi - lo) + 1]
+            table[0::2, :, 0] = inputs[lo : hi + 1]
+            table[1::2, :, 0] = [
+                signal.sample(t0 + 0.5 * (t1 - t0)) for t0, t1 in zip(grid[lo:hi], ends)
+            ]
+            rows = list(matmul(bstack, table)[:, :, 0])
 
-    else:
-        r = np.empty(theta.shape[0])
-        # With one output, r' theta r is a product of Python floats in the
-        # order @ takes. @ returns +0.0 for a zero product, so a zero weight,
-        # and every weight of several outputs, comes from @ itself.
-        theta11 = float(theta[0, 0]) if theta.shape == (1, 1) else None
-
-        def field(t, z):
-            out = np.dot(m, z)
-            out += drive(t, z)
-            np.dot(c_res, z, out=r)
+        def into(t, z, out, j):
+            m_dot(z, out)
+            add(out, rows[j] if feedback is None else feedback(z), out)
+            if not cubic:
+                return
+            res_dot(z, r)
             weight = 0.0
             if theta11 is not None:
                 r0 = r.item()
                 weight = r0 * theta11 * r0
             if weight == 0.0:
                 weight = float(r @ theta @ r)
-            out[n:] -= weight * (gain_nc @ r)
-            return out
+            w[()] = weight
+            gain_dot(r, corr_low)
+            mul(corr_low, w, corr_low)
+            sub(out, corr, out)
 
-    z0 = np.concatenate([x0, xhat0])
+        return into
+
+    lyapunov_p = design.lyapunov_p
     try:
-        times, states = integrate_rk4(field, z0, cfg)
+        times, states = _rk4(field, np.concatenate([x0, xhat0]), cfg)
     except DivergenceError as exc:
-        part_times, part_states = exc.trace
-        exc.trace = _assemble_trace(
-            sys, part_times, part_states, inputs, feedback_k, lyapunov_p
-        )
+        exc.trace = _assemble_trace(sys, *exc.trace, inputs, feedback_k, lyapunov_p)
         raise
     return _assemble_trace(sys, times, states, inputs, feedback_k, lyapunov_p)
 

@@ -171,6 +171,36 @@ def test_design_reports_a_non_hurwitz_gain_before_an_indefinite_theta(write_conf
     assert err.startswith("error: hurwitz condition violated")
 
 
+TOO_LARGE_THETA = {
+    "placed poles": {"theta": 1e308},
+    "placed poles, negative": {"theta": -1e308},
+    "explicit": {
+        "type": "cubic_explicit",
+        "gain_nc": [9.882352941176471, 11.529411764705884],
+        "theta": 1e308,
+    },
+    "two outputs": {
+        "poles": None,
+        "gain_lc": [[2.0, 0.0], [0.0, 2.0]],
+        "theta": [[1.0, 1.5e308], [1.5e308, 1.0]],
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOO_LARGE_THETA))
+def test_design_refuses_a_theta_too_large_to_symmetrize(write_config, capsys, case):
+    # theta + theta' overflows: one line, the exit code of any invalid theta,
+    # and no RuntimeWarning
+    cfg = base_config()
+    cfg["observer"].update(TOO_LARGE_THETA[case])
+    if cfg["observer"]["poles"] is None:
+        del cfg["observer"]["poles"]
+        cfg["system"]["c"] = [[1.0, 0.0], [0.0, 1.0]]
+    code, out, err = run_cli(capsys, "design", write_config(cfg))
+    assert (code, out) == (1, "")
+    assert err == "error: theta is too large: theta + theta' overflows\n"
+
+
 def test_design_equilibrium_search_flag(write_config, capsys):
     code, out, _ = run_cli(
         capsys, "design", write_config(base_config()), "--equilibrium-search"

@@ -8,6 +8,8 @@ Sylvester's leading-minor criterion for definiteness.
 import ast
 from pathlib import Path
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -56,6 +58,33 @@ def test_symmetrize_accepts_roundoff_asymmetry():
 def test_symmetrize_rejects_gross_asymmetry():
     with pytest.raises(ContractError):
         numlin.symmetrize([[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_symmetrize_refuses_an_overflowing_sum_without_a_warning():
+    # finite entries above about 9e307 overflow s + s' (and s - s'); that is
+    # one ContractError naming the matrix, with no numpy RuntimeWarning
+    big = np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in ([[1e308]], [[1.0, big], [big, 1.0]], [[-big, 0.0], [0.0, 1.0]]):
+            with pytest.raises(ContractError, match=r"^theta is too large"):
+                numlin.symmetrize(s, "theta")
+        # a finite sum with an overflowing difference is plain asymmetry
+        asymmetric = "^q is not symmetric: max asymmetry inf"
+        with pytest.raises(ContractError, match=asymmetric):
+            numlin.symmetrize([[0.0, 1.5e308], [-1e308, 0.0]], "q")
+        # up to the edge the result is the half-sum, bit for bit
+        half = big / 2
+        for s in (
+            [[half, half], [half, half]],
+            [[-half, 1.0], [1.0, np.nextafter(half, 0.0)]],
+            [[2.0, 1.0], [1.0 + 1e-13, -0.0]],
+        ):
+            m = np.array(s)
+            out = numlin.symmetrize(m)
+            want = 0.5 * (m + m.T)
+            assert np.array_equal(out, want)
+            assert np.array_equal(np.signbit(out), np.signbit(want))
 
 
 def test_eigenvalues_sorted_and_conjugate():

@@ -450,7 +450,9 @@ def joint_runs(draw):
     while True:
         a = rng.standard_normal((n, n))
         if draw(st.booleans()):
-            a += 40.0 * np.eye(n)  # e^(40 t) passes 1e12 before t = 0.7
+            # e^(40 t) passes 1e12 before t = 0.7, in the first block of
+            # steps; e^(9 t) near t = 3, a few blocks on
+            a += draw(st.sampled_from([40.0, 9.0])) * np.eye(n)
         c = with_zeros(rng, rng.standard_normal((n_outputs, n)), 0.2)
         try:
             system = co.LinearSystem(
@@ -466,6 +468,8 @@ def joint_runs(draw):
         gain_nc[rng.random(n) < 0.3] = 0.0  # exact zero rows
         g = rng.standard_normal((n_outputs, n_outputs))
         theta = g @ g.T
+        if draw(st.booleans()):
+            gain_nc = np.asfortranarray(gain_nc)  # as a caller may pass it
     h = rng.standard_normal((n, n))
     design = co.CubicObserverDesign(
         gain_lc=rng.standard_normal((n, n_outputs)),
@@ -482,7 +486,8 @@ def joint_runs(draw):
         x0, xhat0 = with_zeros(rng, np.zeros(n), 0.5), np.zeros(n)
     elif start == "equal":
         xhat0 = x0.copy()
-    horizon = draw(st.floats(0.05, 1.2))
+    # up to 400 steps: several divergence-test blocks of sim._BLOCK steps
+    horizon = draw(st.floats(0.05, 4.0))
     cfg = co.SimConfig(
         horizon=horizon,
         dt=draw(st.sampled_from([0.01, 0.013, 0.02])),
@@ -557,6 +562,114 @@ def test_rk4_never_writes_to_derivative_results_or_states():
     _, fresh = co.integrate_rk4(lambda t, y: y.copy(), x0, cfg)
     assert np.array_equal(states, fresh)
     assert np.array_equal(x0, [0.5, -0.25, 3.0])
+
+
+def assert_bits_equal(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# steps of a grid of 2 blocks and a shortened final step, and the step each
+# case diverges on: the first, the last of a block, the first of the next
+# block, the shortened final one
+EDGE_STEPS = 2 * sim._BLOCK + 1
+DIVERGE_ON = {
+    "first": 0,
+    "block_end": sim._BLOCK - 1,
+    "next_block": sim._BLOCK,
+    "final": EDGE_STEPS - 1,
+}
+
+
+def edge_config(dt, **fields):
+    cfg = co.SimConfig(horizon=(EDGE_STEPS - 0.5) * dt, dt=dt, **fields)
+    times = sim._time_grid(cfg.dt, cfg.horizon)
+    assert times.size == EDGE_STEPS + 1 and times[-1] - times[-2] < 0.75 * dt
+    return cfg, times
+
+
+@pytest.mark.parametrize("where", sorted(DIVERGE_ON))
+def test_rk4_divergence_at_block_edges_matches_the_reference(where):
+    # the derivative explodes from the midpoint of the chosen step on, and
+    # overflows to inf and nan after it; the blocked test reports that step
+    # as the per-step one did, and numpy never warns
+    cfg, times = edge_config(0.01)
+    step = DIVERGE_ON[where]
+    calls = 0
+
+    def field(t, y):
+        nonlocal calls
+        calls += 1
+        return y * 1e300 if t > times[step] else -0.5 * y
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(co.DivergenceError) as got:
+            co.integrate_rk4(field, [1.0, -0.0], cfg)
+        lean_calls = calls
+        with pytest.raises(co.DivergenceError) as want:
+            reference_rk4(field, [1.0, -0.0], cfg)
+    got, want = got.value, want.value
+    assert got.last_time == want.last_time == times[step]
+    assert str(got) == str(want)
+    for g, w in zip(got.trace, want.trace):
+        assert_bits_equal(g, w)
+    assert got.trace[0].size == step + 1
+    if where == "first":
+        assert lean_calls <= 4 * sim._BLOCK  # one block, not the whole run
+
+
+@pytest.mark.parametrize("where", sorted(DIVERGE_ON))
+def test_observer_divergence_at_block_edges_matches_the_reference(fx1, designs1, where):
+    # the input jumps to 1e300 just after the chosen step's start, so the
+    # drive blows that step up and the cubic weight overflows after it
+    _, cubic = designs1
+    dt = fx1.sim.dt
+    step = DIVERGE_ON[where]
+    _, times = edge_config(dt)
+    jump = co.SampledInput([0.0, times[step] + dt / 8], [[0.5], [1e300]])
+    counting = CountingInput(jump)
+    cfg, _ = edge_config(dt, x0=fx1.sim.x0, input=counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(co.DivergenceError) as got:
+            co.simulate_cubic_observer(fx1.system, cubic, cfg)
+        with pytest.raises(co.DivergenceError) as want:
+            reference_run(fx1.system, cubic, replace(cfg, input=jump))
+    got, want = got.value, want.value
+    assert got.last_time == want.last_time == times[step]
+    assert str(got) == str(want)
+    assert_traces_equal(got.trace, want.trace)
+    assert got.trace.times.size == step + 1
+    if where == "first":
+        # the input was sampled for the first block only: its grid times
+        # and midpoints, not the whole horizon
+        assert counting.samples == 2 * sim._BLOCK + 1
+
+
+def test_a_field_that_raises_after_a_divergence_reports_the_divergence():
+    # step 30 diverges; a derivative that refuses the diverged state in the
+    # next step, still in that block, does not hide the divergence, and one
+    # that raises before any divergence still raises
+    cfg = co.SimConfig(horizon=1.0, dt=0.01)
+    times = sim._time_grid(cfg.dt, cfg.horizon)
+
+    def refusing(t, y):
+        if t > times[31] and np.abs(y).max() > 1e12:
+            raise ValueError("diverged state")
+        return np.full_like(y, 1e20 if t > times[30] else 1.0)
+
+    with pytest.raises(co.DivergenceError) as info:
+        co.integrate_rk4(refusing, [0.0], cfg)
+    assert info.value.last_time == times[30]
+
+    def broken(t, y):
+        if t > 0.5:
+            raise ValueError("broken field")
+        return -y
+
+    with pytest.raises(ValueError, match="broken field"):
+        co.integrate_rk4(broken, [1.0], cfg)
 
 
 @pytest.mark.parametrize("kind", ["zero", "sinusoid", "constant", "sampled"])
@@ -653,6 +766,16 @@ def test_lqr_cost_requires_control_series():
     trace = make_trace([0.0, 1.0], [[1.0], [1.0]])
     with pytest.raises(co.ContractError, match="closed-loop"):
         co.compute_metrics(trace, lqr_weights=(np.eye(1), np.eye(1)))
+
+
+def test_lqr_weights_too_large_to_symmetrize_are_refused():
+    trace = make_trace([0.0, 1.0], [[1.0], [1.0]], control=[[2.0], [2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(co.ContractError, match=r"^q_lqr is too large"):
+            co.compute_metrics(trace, lqr_weights=(np.eye(1) * 1e308, np.eye(1)))
+        with pytest.raises(co.ContractError, match=r"^r_lqr is too large"):
+            co.compute_metrics(trace, lqr_weights=(np.eye(1), [[-1e308]]))
 
 
 def test_lqr_cost_hand_value():
