@@ -237,6 +237,8 @@ def place_poles_single_output(sys, desired):
     _check_conjugate_closed(desired)
 
     coeffs = np.poly(desired)
+    if not np.all(np.isfinite(coeffs)):
+        raise NumericalError("desired polynomial overflows: a coefficient is not finite")
     if numlin.max_abs(coeffs.imag) > POLE_CONJUGACY_TOL * max(
         1.0, numlin.max_abs(coeffs.real)
     ):
@@ -245,19 +247,24 @@ def place_poles_single_output(sys, desired):
 
     a = sys.a
     n = sys.n
-    phi = np.zeros((n, n))
-    for ck in coeffs:  # Horner on the matrix argument
-        phi = phi @ a + ck * np.eye(n)
-
     obs = sysmodel.observability_matrix(sys)
     e_n = np.zeros(n)
     e_n[-1] = 1.0
-    try:
-        l = phi @ np.linalg.solve(obs, e_n)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"observability matrix is singular: {exc}") from exc
+    # huge poles or a nearly unobservable c overflow phi(a), l or l c;
+    # refuse that once, here, rather than warn and hand inf on
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = np.zeros((n, n))
+        for ck in coeffs:  # Horner on the matrix argument
+            phi = phi @ a + ck * np.eye(n)
+        try:
+            l = phi @ np.linalg.solve(obs, e_n)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"observability matrix is singular: {exc}") from exc
+        closed = a - l.reshape(n, 1) @ sys.c
+    if not np.all(np.isfinite(closed)):
+        raise NumericalError("pole placement overflows: the gain l or l c is not finite")
 
-    achieved = numlin.eigenvalues(a - l.reshape(n, 1) @ sys.c)
+    achieved = numlin.eigenvalues(closed)
     target = np.sort_complex(desired)
     scale = max(1.0, float(np.max(np.abs(target))))
     err = float(np.max(np.abs(np.sort_complex(achieved) - target)))
@@ -269,27 +276,56 @@ def place_poles_single_output(sys, desired):
     return l.reshape(n, 1)
 
 
-def _as_theta(theta, n_y):
-    t = np.asarray(theta, dtype=float)
-    if t.ndim == 0:
-        t = float(t) * np.eye(n_y)
-    return numlin.symmetrize(t, "theta")
+def _build(sys, gain_lc, gain_nc, theta, gamma, q, synthesized):
+    """The one path from observer parameters to a CubicObserverDesign.
 
-
-def _lyapunov_p(sys, lc, q):
-    """Check a - lc c is Hurwitz, then solve its Lyapunov equation for q.
-
-    The check is solve_lyapunov's own; the spectral abscissa is computed
-    only for the message when it fails.
+    gain_nc=None synthesizes nc = -gamma p^{-1} c^T theta (gamma > 0). A
+    scalar theta means theta * I; p solves the Lyapunov equation of
+    f = a - lc c for q. An f or a synthesized gain that overflows is refused.
     """
-    f = sys.a - lc @ sys.c
+    lc = _as_gain(gain_lc, sys.n, sys.n_outputs, "gain_lc")
+    gamma = float(gamma)
+    if gain_nc is not None:
+        gain_nc = _as_gain(gain_nc, sys.n, sys.n_outputs, "gain_nc")
+    elif not 0.0 < gamma < np.inf:
+        raise ContractError(
+            f"gamma must be strictly positive, got {gamma}; "
+            "use degenerate_linear() for the zero-gain observer"
+        )
+    if np.ndim(theta) == 0:
+        theta = float(theta) * np.eye(sys.n_outputs)
+    theta = numlin.symmetrize(theta, "theta")
+    c = sys.c
+    # huge gains, gamma, c or theta overflow: refuse, not warn and hand inf on
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = sys.a - lc @ c
+    if not np.all(np.isfinite(f)):
+        raise NumericalError("a - gain_lc c overflows")
     try:
-        return numlin.solve_lyapunov(f, q)
+        p = numlin.solve_lyapunov(f, q)
     except DesignError as exc:  # solve_lyapunov's own Hurwitz check failed
         raise DesignError(
             "hurwitz condition violated: a - gain_lc c has spectral abscissa "
             f"{numlin.spectral_abscissa(f):.6g} >= 0"
         ) from exc
+    if gain_nc is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gain_nc = -gamma * np.linalg.solve(p, c.T @ theta)
+            s = c.T @ theta @ c
+            residual = numlin.max_abs(
+                p @ gain_nc @ c + c.T @ gain_nc.T @ p + 2.0 * gamma * s
+            )
+        if not np.isfinite(residual):
+            raise NumericalError(
+                "constructive gain overflows: nc = -gamma p^-1 c' theta or its "
+                f"identity is not finite at gamma = {gamma:g}"
+            )
+        if residual > GAIN_IDENTITY_RTOL * (1.0 + 2.0 * gamma * numlin.max_abs(s)):
+            raise NumericalError(
+                f"constructive-gain identity residual {residual:.3e} "
+                f"exceeds {GAIN_IDENTITY_RTOL:.1e} relative tolerance"
+            )
+    return CubicObserverDesign(lc, gain_nc, theta, gamma, p, q, synthesized)
 
 
 def synthesize_cubic_gain(sys, gain_lc, q, theta=None, gamma=1.0):
@@ -304,36 +340,8 @@ def synthesize_cubic_gain(sys, gain_lc, q, theta=None, gamma=1.0):
     verified to tight relative tolerance, and theta's semidefiniteness by
     CubicObserverDesign, before the design is returned.
     """
-    lc = _as_gain(gain_lc, sys.n, sys.n_outputs, "gain_lc")
-    gamma = float(gamma)
-    if not np.isfinite(gamma) or gamma <= 0.0:
-        raise ContractError(
-            f"gamma must be strictly positive, got {gamma}; "
-            "use degenerate_linear() for the zero-gain observer"
-        )
-    theta = _as_theta(np.eye(sys.n_outputs) if theta is None else theta, sys.n_outputs)
-    p = _lyapunov_p(sys, lc, q)
-    nc = -gamma * np.linalg.solve(p, sys.c.T @ theta)
-
-    s = sys.c.T @ theta @ sys.c
-    identity_residual = numlin.max_abs(
-        p @ nc @ sys.c + sys.c.T @ nc.T @ p + 2.0 * gamma * s
-    )
-    scale = 1.0 + 2.0 * gamma * numlin.max_abs(s)
-    if identity_residual > GAIN_IDENTITY_RTOL * scale:
-        raise NumericalError(
-            f"constructive-gain identity residual {identity_residual:.3e} "
-            f"exceeds {GAIN_IDENTITY_RTOL:.1e} relative tolerance"
-        )
-    return CubicObserverDesign(
-        gain_lc=lc,
-        gain_nc=nc,
-        theta=theta,
-        gamma=gamma,
-        lyapunov_p=p,
-        lyapunov_q=q,
-        synthesized=True,
-    )
+    theta = np.eye(sys.n_outputs) if theta is None else theta
+    return _build(sys, gain_lc, None, theta, gamma, q, synthesized=True)
 
 
 def degenerate_linear(sys, gain_lc, q):
@@ -343,18 +351,8 @@ def degenerate_linear(sys, gain_lc, q):
     observer bit for bit while the Lyapunov data (p, q) stays available
     for certificates and energy traces.
     """
-    lc = _as_gain(gain_lc, sys.n, sys.n_outputs, "gain_lc")
-    p = _lyapunov_p(sys, lc, q)
     ny = sys.n_outputs
-    return CubicObserverDesign(
-        gain_lc=lc,
-        gain_nc=np.zeros((sys.n, ny)),
-        theta=np.zeros((ny, ny)),
-        gamma=0.0,
-        lyapunov_p=p,
-        lyapunov_q=q,
-        synthesized=True,
-    )
+    return _build(sys, gain_lc, np.zeros((sys.n, ny)), np.zeros((ny, ny)), 0.0, q, True)
 
 
 def explicit_cubic_design(sys, gain_lc, gain_nc, theta, q=None, gamma=1.0):
@@ -365,21 +363,8 @@ def explicit_cubic_design(sys, gain_lc, gain_nc, theta, q=None, gamma=1.0):
     ties nc to p here, so certify_stability holds such designs to the
     strict damping test unless told otherwise.
     """
-    lc = _as_gain(gain_lc, sys.n, sys.n_outputs, "gain_lc")
-    nc = _as_gain(gain_nc, sys.n, sys.n_outputs, "gain_nc")
-    theta = _as_theta(theta, sys.n_outputs)
-    if q is None:
-        q = np.eye(sys.n)
-    p = _lyapunov_p(sys, lc, q)
-    return CubicObserverDesign(
-        gain_lc=lc,
-        gain_nc=nc,
-        theta=theta,
-        gamma=float(gamma),
-        lyapunov_p=p,
-        lyapunov_q=q,
-        synthesized=False,
-    )
+    q = np.eye(sys.n) if q is None else q
+    return _build(sys, gain_lc, gain_nc, theta, gamma, q, synthesized=False)
 
 
 @dataclass(frozen=True)
@@ -546,11 +531,14 @@ def certify_stability(
     }
 
     try:
-        m = dyn.s @ np.linalg.solve(dyn.f, design.gain_nc @ sys.c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = dyn.s @ np.linalg.solve(dyn.f, design.gain_nc @ sys.c)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"a - gain_lc c is singular, uniqueness test impossible: {exc}"
         ) from exc
+    if not np.all(np.isfinite(m)):
+        raise NumericalError("uniqueness test overflows: c' theta c f^-1 nc c is not finite")
     m_spectrum = numlin.sym_spectrum(m)
     uniqueness_ok = numlin.is_positive_spectrum(m_spectrum, semidefinite=True)
     margins["uniqueness_min_eig"] = float(m_spectrum[0])

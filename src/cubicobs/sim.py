@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numlin
-from .errors import ContractError, DimensionError, DivergenceError
+from .errors import ContractError, DimensionError, DivergenceError, NumericalError
 from .design import STATE_NORM_LIMIT, CubicObserverDesign
 # A trace's inputs are the RK4 loop's own samples, so evaluate_input is not
 # called here; it stays importable as sim.evaluate_input, where the
@@ -41,8 +41,8 @@ class SimConfig:
     observer's internal model (the gains stay fixed), so the estimation
     error follows the perturbed error dynamics the robustness bound talks
     about. This is the only way a perturbed plant enters a run; eps = 0
-    or None reproduces the nominal run bit for bit, and a non-finite eps
-    is rejected.
+    or None reproduces the nominal run bit for bit. A non-finite eps, or a
+    grid of more horizon / dt steps than a float64 array holds, is rejected.
     """
 
     horizon: float
@@ -60,6 +60,11 @@ class SimConfig:
         if not np.isfinite(horizon) or horizon < dt:
             raise ContractError(
                 f"horizon must cover at least one step: horizon={horizon}, dt={dt}"
+            )
+        # the most points a float64 array can address; inf fails too
+        if not horizon / dt < np.iinfo(np.intp).max // 8:
+            raise ContractError(
+                f"dt is too small for the horizon: horizon / dt = {horizon / dt:g} steps"
             )
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "dt", dt)
@@ -367,7 +372,10 @@ def _assemble_trace(sys, times, states, inputs, feedback_k, lyapunov_p):
     x = states[:, :n]
     xhat = states[:, n:]
     errors = x - xhat
-    outputs = x @ sys.c.T
+    with np.errstate(over="ignore"):
+        outputs = x @ sys.c.T
+    if not np.isfinite(outputs).all():  # a huge c on a finite state
+        raise NumericalError("plant output c x overflows")
     if feedback_k is None:
         inputs = inputs[: times.size]
         control = None
@@ -480,7 +488,9 @@ def compute_metrics(trace, lqr_weights=None):
         else:
             settling.append(float(times[outside[-1] + 1]))
 
-    squared = errors**2
+    # only an initial error above ~1e154 squares to inf, and its run diverged
+    with np.errstate(over="ignore"):
+        squared = errors**2
     cum = _cumulative_trapezoid(times, squared)
     cum_total = np.sum(cum, axis=1)
 

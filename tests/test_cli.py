@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -199,6 +200,87 @@ def test_design_refuses_a_theta_too_large_to_symmetrize(write_config, capsys, ca
     code, out, err = run_cli(capsys, "design", write_config(cfg))
     assert (code, out) == (1, "")
     assert err == "error: theta is too large: theta + theta' overflows\n"
+
+
+# A config value so extreme that a product overflows: (config changes,
+# subcommand and flags, exit code, the words the one stderr line must hold).
+# Each must end in that one line, with no RuntimeWarning and no traceback.
+EXTREME_VALUES = {
+    "design, gamma 1e308": (
+        {"observer": {"gamma": 1e308}}, ["design"], 1, "constructive gain overflows"
+    ),
+    "simulate, gamma 1e308": (
+        {"observer": {"gamma": 1e308}}, ["simulate"], 1, "constructive gain overflows"
+    ),
+    "sweep-gamma, gamma 1e308": (
+        {}, ["sweep-gamma", "--gammas", "1e308"], 1, "constructive gain overflows"
+    ),
+    "design, c 1e200": (
+        {"system": {"c": [[1e200, 0.0]]}}, ["design"], 1, "constructive gain overflows"
+    ),
+    "design, gain_lc 1e300": (
+        {"observer": {"poles": None, "gain_lc": [1e300, 1e300]},
+         "system": {"c": [[1e10, 0.0]]}},
+        ["design"], 1, "a - gain_lc c overflows",
+    ),
+    "design, theta 1e200": (
+        {"observer": {"theta": 1e200}}, ["design"], 1, "uniqueness test overflows"
+    ),
+    "design, theta 1e307": (
+        {"observer": {"theta": 1e307}}, ["design"], 1, "uniqueness test overflows"
+    ),
+    "design, poles 1e200": (
+        {"observer": {"poles": [-1e200, -2e200]}},
+        ["design"], 1, "desired polynomial overflows",
+    ),
+    "design, c 1e-308": (
+        {"system": {"c": [[1e-308, 0.0]]}}, ["design"], 1, "pole placement overflows"
+    ),
+    "simulate, x0 1e200": (
+        {"sim": {"x0": [1e200, 2e200]}}, ["simulate"], 1, "trajectory diverged"
+    ),
+    "simulate, xhat0 1e200": (
+        {"sim": {"xhat0": [1e200, 2e200]}}, ["simulate"], 1, "trajectory diverged"
+    ),
+    "simulate, --dt 5e-324": (
+        {}, ["simulate", "--dt", "5e-324"], 2, "sim: dt is too small for the horizon"
+    ),
+    "simulate, sim.dt 1e-308": (
+        {"sim": {"dt": 1e-308, "horizon": 0.5}},
+        ["simulate"], 2, "sim: dt is too small for the horizon",
+    ),
+    "sweep-gamma, --dt 5e-324": (
+        {}, ["sweep-gamma", "--gammas", "1", "--dt", "5e-324"],
+        2, "sim: dt is too small for the horizon",
+    ),
+    "sweep-gamma, c 1e308": (
+        {"system": {"c": [[1e308, 0.0]]}},
+        ["sweep-gamma", "--gammas", "0"], 1, "plant output c x overflows",
+    ),
+    "sweep-gamma, c -1e308": (
+        {"system": {"c": [[-1e308, 0.0]]}},
+        ["sweep-gamma", "--gammas", "0"], 1, "plant output c x overflows",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTREME_VALUES))
+def test_extreme_values_give_one_error_line(write_config, capsys, tmp_path, case):
+    changes, argv, want, words = EXTREME_VALUES[case]
+    cfg = base_config()
+    for section, fields in changes.items():
+        cfg[section].update(fields)
+    if cfg["observer"]["poles"] is None:
+        del cfg["observer"]["poles"]
+    command, *flags = argv
+    if command == "simulate":
+        flags += ["--out", str(tmp_path / "trace.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run_cli(capsys, command, write_config(cfg), *flags)
+    prefix = "config error: " if want == 2 else "error: "
+    assert code == want
+    assert err.count("\n") == 1 and err.startswith(prefix) and words in err, err
 
 
 def test_design_equilibrium_search_flag(write_config, capsys):

@@ -136,6 +136,32 @@ def test_synthesize_rejects_non_hurwitz_gain():
         co.synthesize_cubic_gain(sys, [[0.0], [0.0]], np.eye(2), [[1.0]], 1.0)
 
 
+def test_constructors_report_the_first_fault_in_their_order():
+    # synthesize checks gain_lc, gamma > 0, theta, then p; explicit checks
+    # gain_lc, gain_nc, theta, then p. Each call holds the named fault and
+    # every later one: a wrong shape, gamma = 0, an asymmetric theta, and a
+    # zero gain_lc, which leaves a - gain_lc c non-Hurwitz.
+    one = double_integrator()
+    two = co.LinearSystem(a=one.a, b=one.b, c=np.eye(2))
+    q, asym, zero = np.eye(2), [[1.0, 0.0], [2.0, 1.0]], np.zeros((2, 2))
+    synthesize, explicit = co.synthesize_cubic_gain, co.explicit_cubic_design
+    cases = [
+        (co.DimensionError, "gain_lc", synthesize, (two, [[1.0]], q, asym, 0.0)),
+        (co.ContractError, "gamma", synthesize, (two, zero, q, asym, 0.0)),
+        (co.ContractError, "theta", synthesize, (two, zero, q, asym, 1.0)),
+        (co.DesignError, "hurwitz", synthesize, (two, zero, q, np.eye(2), 1.0)),
+        (co.DimensionError, "gain_lc", explicit, (two, [[1.0]], [[1.0]], asym)),
+        (co.DimensionError, "gain_nc", explicit, (two, zero, [[1.0]], asym)),
+        (co.ContractError, "theta", explicit, (two, zero, zero, asym)),
+        (co.DesignError, "hurwitz", explicit, (two, zero, zero, np.eye(2))),
+        (co.DimensionError, "gain_lc", co.degenerate_linear, (two, [[1.0]], q)),
+        (co.DesignError, "hurwitz", co.degenerate_linear, (two, zero, q)),
+    ]
+    for error, words, build, args in cases:
+        with pytest.raises(error, match=words):
+            build(*args)
+
+
 def test_degenerate_linear_is_the_zero_gamma_design(fx1):
     design = co.degenerate_linear(fx1.system, fx1.gain_lc, fx1.q)
     assert design.is_degenerate
