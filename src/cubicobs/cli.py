@@ -526,17 +526,16 @@ def cmd_simulate(args):
     outputs = config.outputs
     design = config.design()
 
-    diverged_at = None
+    diverged = None
     try:
         trace = simulate(config.system, design, config.sim, config.feedback_k)
     except DivergenceError as exc:
         trace = exc.trace
-        diverged_at = exc.last_time
-        _sys.stderr.write(f"error: {exc}\n")
+        diverged = exc
 
     metrics = compute_metrics(trace, lqr_weights=config.lqr_weights)
-    if diverged_at is not None:
-        metrics = dataclasses.replace(metrics, diverged_at=diverged_at)
+    if diverged is not None:
+        metrics = dataclasses.replace(metrics, diverged_at=diverged.last_time)
 
     doc = {}
     if "trace" in outputs:
@@ -552,8 +551,11 @@ def cmd_simulate(args):
     if "certificate" in outputs:
         cert = config.certificate(design)
         doc["certificate"] = serialize.certificate_to_jsonable(cert)
+    # reported once the document is built, so that a later error is the one line
+    if diverged is not None:
+        _sys.stderr.write(f"error: {diverged}\n")
     _sys.stdout.write(_render_doc(doc, args.format))
-    return EXIT_RUNTIME if diverged_at is not None else EXIT_OK
+    return EXIT_RUNTIME if diverged is not None else EXIT_OK
 
 
 def _aggregate(metrics):

@@ -250,9 +250,8 @@ def place_poles_single_output(sys, desired):
     obs = sysmodel.observability_matrix(sys)
     e_n = np.zeros(n)
     e_n[-1] = 1.0
-    # huge poles or a nearly unobservable c overflow phi(a), l or l c;
-    # refuse that once, here, rather than warn and hand inf on
-    with np.errstate(over="ignore", invalid="ignore"):
+    # huge poles or a nearly unobservable c overflow phi(a), l or l c
+    with numlin.refusing_overflow("pole placement"):
         phi = np.zeros((n, n))
         for ck in coeffs:  # Horner on the matrix argument
             phi = phi @ a + ck * np.eye(n)
@@ -261,7 +260,7 @@ def place_poles_single_output(sys, desired):
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"observability matrix is singular: {exc}") from exc
         closed = a - l.reshape(n, 1) @ sys.c
-    if not np.all(np.isfinite(closed)):
+    if not np.all(np.isfinite(closed)):  # solve returns inf without raising
         raise NumericalError("pole placement overflows: the gain l or l c is not finite")
 
     achieved = numlin.eigenvalues(closed)
@@ -276,6 +275,7 @@ def place_poles_single_output(sys, desired):
     return l.reshape(n, 1)
 
 
+@numlin.refusing_overflow("design")
 def _build(sys, gain_lc, gain_nc, theta, gamma, q, synthesized):
     """The one path from observer parameters to a CubicObserverDesign.
 
@@ -296,11 +296,8 @@ def _build(sys, gain_lc, gain_nc, theta, gamma, q, synthesized):
         theta = float(theta) * np.eye(sys.n_outputs)
     theta = numlin.symmetrize(theta, "theta")
     c = sys.c
-    # huge gains, gamma, c or theta overflow: refuse, not warn and hand inf on
-    with np.errstate(over="ignore", invalid="ignore"):
+    with numlin.refusing_overflow("a - gain_lc c"):
         f = sys.a - lc @ c
-    if not np.all(np.isfinite(f)):
-        raise NumericalError("a - gain_lc c overflows")
     try:
         p = numlin.solve_lyapunov(f, q)
     except DesignError as exc:  # solve_lyapunov's own Hurwitz check failed
@@ -309,18 +306,12 @@ def _build(sys, gain_lc, gain_nc, theta, gamma, q, synthesized):
             f"{numlin.spectral_abscissa(f):.6g} >= 0"
         ) from exc
     if gain_nc is None:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with numlin.refusing_overflow("constructive gain"):
             gain_nc = -gamma * np.linalg.solve(p, c.T @ theta)
             s = c.T @ theta @ c
-            residual = numlin.max_abs(
-                p @ gain_nc @ c + c.T @ gain_nc.T @ p + 2.0 * gamma * s
-            )
-        if not np.isfinite(residual):
-            raise NumericalError(
-                "constructive gain overflows: nc = -gamma p^-1 c' theta or its "
-                f"identity is not finite at gamma = {gamma:g}"
-            )
-        if residual > GAIN_IDENTITY_RTOL * (1.0 + 2.0 * gamma * numlin.max_abs(s)):
+            residual = numlin.max_abs(p @ gain_nc @ c + c.T @ gain_nc.T @ p + 2.0 * gamma * s)
+        # not <=, so that a NaN residual is refused too
+        if not residual <= GAIN_IDENTITY_RTOL * (1.0 + 2.0 * gamma * numlin.max_abs(s)):
             raise NumericalError(
                 f"constructive-gain identity residual {residual:.3e} "
                 f"exceeds {GAIN_IDENTITY_RTOL:.1e} relative tolerance"
@@ -449,20 +440,16 @@ def _exclusion_radius(dyn):
     relative error of 8 n^2 u.
     """
     sys, design, f, w = dyn.sys, dyn.design, dyn.f, dyn.w
-    nc = design.gain_nc
-    p = design.lyapunov_p
-    theta = design.theta
-    gamma = design.gamma
+    p, nc, theta, gamma = design.lyapunov_p, design.gain_nc, design.theta, design.gamma
     c = sys.c
     n_y, n = c.shape
-    eps = np.finfo(float).eps
-    frob = np.linalg.norm
+    eps = float(np.finfo(float).eps)
     solver = _rounding(8 * n * n, eps)
-    f_err = _rounding(n_y + 1, eps) * (frob(sys.a) + frob(design.gain_lc) * frob(c))
-    w_err = 2.0 * frob(p) * (f_err + _rounding(n + 1, eps) * frob(f))
-    w_err += solver * frob(w)
+    f_err = _rounding(n_y + 1, eps) * (_frob(sys.a) + _frob(design.gain_lc) * _frob(c))
+    w_err = 2.0 * _frob(p) * (f_err + _rounding(n + 1, eps) * _frob(f))
+    w_err += solver * _frob(w)
     w_max = float(dyn.w_spectrum[-1]) + 2.0 * w_err
-    if w_max >= 0.0:
+    if not w_max < 0.0:  # an allowance that overflowed to inf or NaN proves nothing
         return 0.0
     if not np.any(nc):
         return np.inf
@@ -473,20 +460,26 @@ def _exclusion_radius(dyn):
     h_err = _rounding(n + n_y + 2, np.finfo(ld).eps) * (
         np.abs(p) @ np.abs(nc) + gamma * (np.abs(c.T) @ np.abs(theta))
     )
-    h_norm = np.linalg.norm(h.astype(float), 2) * (1.0 + solver) + 2.0 * frob(h_err)
+    h_norm = np.linalg.norm(h.astype(float), 2) * (1.0 + solver) + 2.0 * _frob(h_err)
     e_norm = 2.0 * h_norm * np.linalg.norm(c, 2) * (1.0 + solver)
     # covers the float64 roundings of this bound's own arithmetic
     slack = _rounding(4 * n * (n_y + 1) + 16, eps)
-    return float(np.sqrt(8.0 * gamma * -w_max) / e_norm) * (1.0 - slack)
+    # ignored, not raised: a ratio that overflows, or e_norm = 0, is R = inf
+    with np.errstate(over="ignore", divide="ignore"):
+        return float(np.sqrt(8.0 * gamma * -w_max) / e_norm) * (1.0 - slack)
 
 
+def _frob(m):
+    """np.linalg.norm(m), bit for bit, on m scaled by a power of two so its
+    squares cannot overflow or underflow; a Python float (which saturates to
+    inf without a flag) for float64 m, a np.longdouble for np.longdouble m."""
+    k = np.frexp(numlin.max_abs(m))[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(m, -k)), k).item()
+
+
+@numlin.refusing_overflow("certificate")
 def certify_stability(
-    sys,
-    design,
-    strict_damping=None,
-    equilibrium_search=False,
-    n_starts=100,
-    seed=0,
+    sys, design, strict_damping=None, equilibrium_search=False, n_starts=100, seed=0
 ):
     """Evaluate the stability conditions for a cubic observer design.
 
@@ -531,14 +524,12 @@ def certify_stability(
     }
 
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with numlin.refusing_overflow("uniqueness test"):
             m = dyn.s @ np.linalg.solve(dyn.f, design.gain_nc @ sys.c)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"a - gain_lc c is singular, uniqueness test impossible: {exc}"
         ) from exc
-    if not np.all(np.isfinite(m)):
-        raise NumericalError("uniqueness test overflows: c' theta c f^-1 nc c is not finite")
     m_spectrum = numlin.sym_spectrum(m)
     uniqueness_ok = numlin.is_positive_spectrum(m_spectrum, semidefinite=True)
     margins["uniqueness_min_eig"] = float(m_spectrum[0])
@@ -580,14 +571,9 @@ def robustness_bound(design):
     return float(design.q_spectrum[0]) / (2.0 * float(design.p_spectrum[-1]))
 
 
+@numlin.refusing_overflow("feedback certificate")
 def feedback_certificate(
-    sys,
-    design,
-    k,
-    strict_damping=None,
-    equilibrium_search=False,
-    n_starts=100,
-    seed=0,
+    sys, design, k, strict_damping=None, equilibrium_search=False, n_starts=100, seed=0
 ):
     """Certify observer-based state feedback u = -k xhat around the design.
 
@@ -612,12 +598,7 @@ def feedback_certificate(
             f"k must have shape ({sys.n_inputs}, {sys.n}), got {k.shape}"
         )
     base = certify_stability(
-        sys,
-        design,
-        strict_damping=strict_damping,
-        equilibrium_search=equilibrium_search,
-        n_starts=n_starts,
-        seed=seed,
+        sys, design, strict_damping, equilibrium_search, n_starts=n_starts, seed=seed
     )
     margins = dict(base.margins)
 
@@ -705,6 +686,7 @@ def _error_rows(f, s, nc, c, e):
     return np.einsum("ij,sj->si", f, e) + ese[:, None] * ncce
 
 
+@numlin.refusing_overflow("Lyapunov derivative")
 def lyapunov_derivative_at(sys, design, e):
     """Evaluate dV/dt of V = e^T p e at a single error point.
 
@@ -873,9 +855,13 @@ def search_nonzero_equilibria(sys, design, n_starts=100, seed=0):
         radius = 10.0 ** rng.uniform(-1.0, 1.0)
         row[:] = radius * rng.standard_normal(sys.n)
     threshold = EQUILIBRIUM_TOL * max(1.0, numlin.max_abs(dyn.f))
-    e, value = _damped_newton(dyn.rows, step, starts, threshold)
+    # ignored, not raised: a start whose field overflows has an inf or NaN
+    # norm, which never falls below threshold, so it is a failed start
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        e, value = _damped_newton(dyn.rows, step, starts, threshold)
+        roots = e[(_row_norms(value) < threshold) & (_row_norms(e) > 1e-6)]
     found = []
-    for root in e[(_row_norms(value) < threshold) & (_row_norms(e) > 1e-6)]:
+    for root in roots:
         if not any(np.linalg.norm(root - r) < 1e-6 for r in found):
             found.append(root.copy())
     return found

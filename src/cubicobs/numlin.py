@@ -16,7 +16,15 @@ are 1-D arrays. Every definiteness verdict is read off one spectrum:
 sym_spectrum(m) decomposes the symmetric part of m once, and
 is_positive_spectrum and is_negative_spectrum apply a threshold relative to
 that spectrum's scale, so they behave the same for Q and 1000*Q.
+
+The package's one floating-point policy is refusing_overflow(what): around
+a named site or a public entry point, a numpy overflow, invalid or divide
+flag is one NumericalError "<what> overflows", never a RuntimeWarning.
+LAPACK, np.poly and einsum do not raise, so their results get an isfinite
+check where they can overflow; each deliberate np.errstate ignore says why.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -37,6 +45,17 @@ LYAPUNOV_SIGN_RTOL = 1e-8
 # iterations before the sign iteration gives up; the tested inputs at
 # n = 12..128 take 4 to 16
 LYAPUNOV_SIGN_MAX_ITER = 100
+
+
+@contextmanager
+def refusing_overflow(what):
+    """Run a block, or as a decorator a call, with numpy's overflow, invalid and
+    divide flags raising; any of them is one NumericalError "<what> overflows"."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise NumericalError(f"{what} overflows") from exc
 
 
 def as_matrix(values, name="matrix"):
@@ -82,8 +101,8 @@ def symmetrize(s, name="matrix"):
     average away. An s whose s + s^T overflows is refused as too large.
     """
     m = require_square(s, name)
-    # finite entries above about 9e307 overflow both sums; refuse that once,
-    # here, rather than warn and hand an infinite matrix on
+    # ignored, not raised: entries above ~9e307 overflow both sums, and an
+    # infinite s - s^T reads as asymmetry, an infinite s + s^T as too large
     with np.errstate(over="ignore"):
         total = m + m.T
         gap = max_abs(m - m.T)
@@ -187,7 +206,7 @@ def solve_lyapunov(f, q):
     else:
         p = _lyapunov_by_sign(f, q)
     residual = max_abs(f.T @ p + p @ f + q)
-    if residual > LYAPUNOV_RESIDUAL_RTOL * max_abs(q):
+    if not residual <= LYAPUNOV_RESIDUAL_RTOL * max_abs(q):  # NaN fails too
         raise NumericalError(
             f"Lyapunov residual {residual:.3e} exceeds "
             f"{LYAPUNOV_RESIDUAL_RTOL:.1e} * ||q||"

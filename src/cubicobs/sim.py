@@ -164,6 +164,7 @@ def _rk4(field, y0, cfg):
     twice_k2, twice_k3 = twice = np.empty((2, y0.size))
     stage = np.empty(y0.size)
     add, mul = np.add, np.multiply
+    # ignored, not raised: an overflowing state is a divergence, tested per block
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, steps, _BLOCK):
             hi = min(lo + _BLOCK, steps)
@@ -267,6 +268,7 @@ def _check_design(sys, design):
         raise DimensionError("design dimensions do not match the system")
 
 
+@numlin.refusing_overflow("simulation")
 def _run_joint(sys, design, cfg, feedback_k=None):
     """Run the joint (x, xhat) field m z + bstack u - [0; w gain_nc r], with
     r = y - c xhat and w = r' theta r, through _rk4. Its cost is numpy call
@@ -372,10 +374,8 @@ def _assemble_trace(sys, times, states, inputs, feedback_k, lyapunov_p):
     x = states[:, :n]
     xhat = states[:, n:]
     errors = x - xhat
-    with np.errstate(over="ignore"):
+    with numlin.refusing_overflow("plant output c x"):  # a huge c on a finite state
         outputs = x @ sys.c.T
-    if not np.isfinite(outputs).all():  # a huge c on a finite state
-        raise NumericalError("plant output c x overflows")
     if feedback_k is None:
         inputs = inputs[: times.size]
         control = None
@@ -445,6 +445,7 @@ def _cumulative_trapezoid(times, values):
     return out
 
 
+@numlin.refusing_overflow("metrics")
 def compute_metrics(trace, lqr_weights=None):
     """Evaluate peak, overshoot, settling, and cumulative squared error.
 
@@ -488,7 +489,8 @@ def compute_metrics(trace, lqr_weights=None):
         else:
             settling.append(float(times[outside[-1] + 1]))
 
-    # only an initial error above ~1e154 squares to inf, and its run diverged
+    # ignored, not raised: an initial error above ~1e154 squares to inf, and
+    # its run diverged, which the metrics must still report
     with np.errstate(over="ignore"):
         squared = errors**2
     cum = _cumulative_trapezoid(times, squared)
@@ -511,6 +513,8 @@ def compute_metrics(trace, lqr_weights=None):
         )
         lqr_series = _cumulative_trapezoid(times, integrand)
         lqr_cost = float(lqr_series[-1])
+        if not np.isfinite(lqr_cost):  # einsum returns inf without raising
+            raise NumericalError("lqr cost overflows")
 
     return Metrics(
         peak_error=peak,

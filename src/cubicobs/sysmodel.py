@@ -22,6 +22,7 @@ from .errors import ContractError, DimensionError
 OBSERVABILITY_RTOL = 1e-9
 
 
+@numlin.refusing_overflow("observability matrix")
 def _observability_blocks(a, c):
     n = a.shape[0]
     blocks = [c]

@@ -261,6 +261,19 @@ EXTREME_VALUES = {
         {"system": {"c": [[-1e308, 0.0]]}},
         ["sweep-gamma", "--gammas", "0"], 1, "plant output c x overflows",
     ),
+    "simulate, x0 1e308 against xhat0 -1e308": (
+        {"sim": {"x0": [1e308, 1e308], "xhat0": [-1e308, -1e308]}},
+        ["simulate"], 1, "simulation overflows",
+    ),
+    "simulate, x0 -1e308 against xhat0 1e308": (
+        {"sim": {"x0": [-1e308, -1e308], "xhat0": [1e308, 1e308]}},
+        ["simulate"], 1, "simulation overflows",
+    ),
+    "design, cubic_explicit c 1e200": (
+        {"observer": {"type": "cubic_explicit", "gain_nc": [9.88, 11.5]},
+         "system": {"c": [[1e200, 0.0]]}},
+        ["design"], 1, "certificate overflows",
+    ),
 }
 
 
@@ -281,6 +294,48 @@ def test_extreme_values_give_one_error_line(write_config, capsys, tmp_path, case
     prefix = "config error: " if want == 2 else "error: "
     assert code == want
     assert err.count("\n") == 1 and err.startswith(prefix) and words in err, err
+
+
+# Designs with an extreme but valid value: the equilibrium search's closed
+# form, or the search itself, must neither warn nor hand on a non-finite number.
+EXTREME_BUT_VALID = {
+    "c 1e-300": {"system": {"c": [[1e-300, 0.0]]}},
+    "q 1e300": {"observer": {"q": 1e300}},
+    "linear, c 1e200": {
+        "observer": {"type": "linear", "poles": [-2.0, -5.0]},
+        "system": {"c": [[1e200, 0.0]]},
+    },
+    "theta 1e-300": {"observer": {"theta": 1e-300}},
+    "theta 5e-324": {"observer": {"theta": 5e-324}},
+    "theta 1e154": {"observer": {"theta": 1e154}},
+    "gamma 1e154": {"observer": {"gamma": 1e154}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTREME_BUT_VALID))
+def test_extreme_but_valid_designs_exit_zero_without_a_warning(write_config, capsys, case):
+    cfg = base_config()
+    for section, fields in EXTREME_BUT_VALID[case].items():
+        if fields.get("type") == "linear":
+            cfg[section] = fields
+        else:
+            cfg[section].update(fields)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "design", write_config(cfg), "--equilibrium-search")
+    assert (code, err) == (0, "")
+    margins = json.loads(out, parse_constant=reject_constant)["certificate"]["margins"]
+    assert 0.0 <= margins["equilibrium_exclusion_radius"] <= 1e12
+
+
+def test_a_diverged_run_whose_certificate_fails_prints_one_line(write_config, capsys):
+    # the closed loop diverges at once, and its certificate then fails: the
+    # failure that ends the command is its one line
+    cfg = base_config()
+    cfg.update(feedback={"k": [[1e10, 2.0]]}, outputs=["metrics", "certificate"])
+    code, out, err = run_cli(capsys, "simulate", write_config(cfg))
+    assert (code, out) == (1, "")
+    assert err == "error: Lyapunov solution is not positive definite\n"
 
 
 def test_design_equilibrium_search_flag(write_config, capsys):
@@ -567,6 +622,58 @@ def test_schema_violations_exit_two_in_every_subcommand(
         assert err.startswith("config error: ")
         errors.add(err)
     assert len(errors) == 1
+
+
+EXTREME_OBSERVERS = [
+    EXAMPLE_CONFIG["observer"],
+    {"type": "cubic_explicit", "gain_lc": [7.0, 10.0], "gain_nc": [9.88, 11.5],
+     "q": 10.0, "theta": 10.0, "gamma": 2.0},
+    {"type": "linear", "poles": [-2.0, -5.0], "q": 10.0},
+]
+
+
+@st.composite
+def extreme_configs(draw):
+    """A valid config, open or closed loop, with one to three of its numbers
+    set to +-10^u for u in [-320, 308], and at most 100 steps to run."""
+    cfg = copy.deepcopy(EXAMPLE_CONFIG)
+    cfg["observer"] = copy.deepcopy(draw(st.sampled_from(EXTREME_OBSERVERS)))
+    cfg["sim"].update(horizon=0.1, xhat0=[0.0, 0.0], eps=0.0)
+    cfg["sim"]["input"]["phase"] = 0.0
+    cfg["outputs"] = ["trace", "metrics", "certificate", "lyapunov"]
+    if draw(st.booleans()):
+        cfg.update(feedback={"k": [[1.0, 2.0]]}, lqr={"q": 1.0, "r": 1.0})
+    numbers = config_paths(cfg)[1]
+    for *parents, last in draw(st.lists(st.sampled_from(numbers), min_size=1, max_size=3)):
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        at_path(cfg, parents)[last] = sign * 10.0 ** draw(st.floats(-320.0, 308.0))
+    sim = cfg["sim"]
+    # a grid of 100 to 1e19 steps is cut to 100; a longer one is refused unrun
+    if sim["dt"] > 0.0 and 100.0 < sim["horizon"] / sim["dt"] < 1e19:
+        sim["horizon"] = 100.0 * sim["dt"]
+    return cfg
+
+
+@settings(
+    max_examples=100,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(cfg=extreme_configs())
+def test_any_magnitude_of_a_config_number_ends_cleanly(
+    write_config, capsys, monkeypatch, tmp_path, cfg
+):
+    # an exit code, at most one stderr line (or design's certificate report),
+    # finite JSON, and neither a RuntimeWarning nor a traceback
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
+    path = write_config(cfg)
+    for argv in (["design", "--equilibrium-search"], ["simulate", "--format", "json"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+        assert code in (0, 1, 2)
+        assert err.count("\n") <= 1 or err.startswith("certificate failed: "), err
+        if out:
+            json.loads(out, parse_constant=reject_constant)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Unit tests for gain synthesis and the stability certificates."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -791,6 +792,43 @@ def test_exclusion_radius_edge_cases(fx1, designs1):
     # no proof without a decaying quadratic part: p = I does not certify f
     unproved = design_mod.replace(cubic, lyapunov_p=np.eye(2))
     assert exclusion_radius(fx1.system, unproved) == 0.0
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    exponent=st.floats(-100.0, 100.0),
+)
+def test_the_scaled_frobenius_norm_keeps_the_bits_of_np_norm(seed, shape, exponent):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape) * 10.0**exponent
+    assert design_mod._frob(m) == np.linalg.norm(m)
+
+
+def test_the_scaled_frobenius_norm_neither_overflows_nor_underflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert design_mod._frob(np.full((3, 3), 1e300)) == 3e300
+        assert design_mod._frob(np.full((4, 1), -1e-300)) == 2e-300
+        assert design_mod._frob(np.zeros((2, 2))) == 0.0
+
+
+def test_certifying_an_explicit_design_whose_forms_overflow_is_refused():
+    # c' theta c overflows although the builder's products do not: every
+    # design entry point refuses that with one NumericalError, not a warning
+    plant = co.LinearSystem(a=[[0.0, 1.0], [0.0, 0.0]], b=[[0.0], [1.0]], c=[[1e200, 0.0]])
+    lc = co.place_poles_single_output(plant, [-2.0, -5.0])
+    design = co.explicit_cubic_design(plant, lc, [[9.88], [11.5]], 10.0, gamma=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call, what in (
+            (lambda: co.certify_stability(plant, design), "certificate"),
+            (lambda: co.feedback_certificate(plant, design, [[1.0, 2.0]]), "certificate"),
+            (lambda: co.lyapunov_derivative_at(plant, design, [1.0, 1.0]), "Lyapunov derivative"),
+        ):
+            with pytest.raises(co.NumericalError, match=f"^{what} overflows$"):
+                call()
 
 
 # ---------------------------------------------------------------------------

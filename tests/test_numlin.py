@@ -301,6 +301,13 @@ def test_sign_iteration_refuses_to_return_an_unconverged_p(monkeypatch):
         numlin.solve_lyapunov(f, q)
 
 
+def test_a_nan_residual_is_refused_as_a_residual():
+    # the Kronecker solve returns NaN for this q without raising a flag, and a
+    # residual test that reads NaN as small would hand the NaN on
+    with pytest.raises(NumericalError, match="^Lyapunov residual nan exceeds"):
+        numlin.solve_lyapunov([[-7.0, 1.0], [-10.0, 0.0]], 5e307 * np.eye(2))
+
+
 def test_every_public_numlin_function_has_a_caller_in_the_package():
     # a public helper that only tests call is a second path in waiting, as
     # the matrix-form definiteness tests beside the spectrum verdicts were
@@ -323,3 +330,63 @@ def test_every_public_numlin_function_has_a_caller_in_the_package():
             elif isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "numlin":
                 called.add(func.attr)
     assert sorted(public - called) == []
+
+
+def test_refusing_overflow_turns_each_raised_flag_into_one_numerical_error():
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for flagged in (
+            lambda: np.array([1e308]) * 10.0,  # overflow
+            lambda: np.array([np.inf]) - np.inf,  # invalid
+            lambda: np.array([1.0]) / 0.0,  # divide
+        ):
+            with pytest.raises(NumericalError, match="^the block overflows$"):
+                with numlin.refusing_overflow("the block"):
+                    flagged()
+
+        @numlin.refusing_overflow("the call")
+        def scaled(x):
+            return x * 10.0
+
+        with pytest.raises(NumericalError, match="^the call overflows$"):
+            scaled(np.array([1e308]))
+        assert scaled(np.array([1.0]))[0] == 10.0
+        with numlin.refusing_overflow("an underflow"):  # not a flag it raises
+            assert (np.array([1e-308]) * 1e-308)[0] == 0.0
+    assert np.geterr() == before
+
+
+# Where np.errstate may appear: the policy itself, and the deliberate ignores,
+# each under a comment that says why it is ignored, not raised.
+ERRSTATE_SITES = [
+    ("design", "_exclusion_radius"),
+    ("design", "search_nonzero_equilibria"),
+    ("numlin", "refusing_overflow"),
+    ("numlin", "symmetrize"),
+    ("sim", "_rk4"),
+    ("sim", "compute_metrics"),
+]
+
+
+def test_np_errstate_appears_only_in_the_policy_and_its_named_ignores():
+    sites = []
+    for path in sorted(Path(numlin.__file__).parent.glob("*.py")):
+        lines = path.read_text().splitlines()
+
+        def visit(node, function):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            if isinstance(node, ast.Attribute) and node.attr == "errstate":
+                sites.append((path.stem, function))
+                if function != "refusing_overflow":
+                    k = node.lineno - 2
+                    while lines[k].lstrip().startswith("#"):
+                        k -= 1
+                    comment = " ".join(lines[k + 1 : node.lineno - 1])
+                    assert "not raised" in comment, (path.name, node.lineno)
+            for child in ast.iter_child_nodes(node):
+                visit(child, function)
+
+        visit(ast.parse("\n".join(lines)), None)
+    assert sorted(sites) == ERRSTATE_SITES

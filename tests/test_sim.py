@@ -778,6 +778,18 @@ def test_lqr_weights_too_large_to_symmetrize_are_refused():
             co.compute_metrics(trace, lqr_weights=(np.eye(1), [[-1e308]]))
 
 
+def test_metrics_that_overflow_are_refused_without_a_warning():
+    trace = make_trace([0.0, 1.0], [[3.0], [3.0]], control=[[2.0], [2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # x' q x is inf inside einsum, which raises no flag
+        with pytest.raises(co.NumericalError, match=r"^lqr cost overflows$"):
+            co.compute_metrics(trace, lqr_weights=(np.eye(1) * 5e307, np.eye(1)))
+        # 9e307 twice overflows in the trapezoid's sum, which does
+        with pytest.raises(co.NumericalError, match=r"^metrics overflows$"):
+            co.compute_metrics(trace, lqr_weights=(np.eye(1) * 1e307, np.eye(1)))
+
+
 def test_lqr_cost_hand_value():
     trace = make_trace([0.0, 1.0], [[1.0], [1.0]], control=[[2.0], [2.0]])
     met = co.compute_metrics(trace, lqr_weights=(np.eye(1), np.eye(1)))
