@@ -349,6 +349,8 @@ def _build_signal(doc, path, n_u):
             times = _as_number_list(doc.get("times"), f"{path}.times")
             values = _as_matrix(doc.get("values"), f"{path}.values")
             return SampledInput(times=times, values=values)
+    except ConfigError:  # already names its field
+        raise
     except ObserverToolkitError as exc:
         raise ConfigError(f"{path}: {exc}")
     raise ConfigError(
@@ -813,6 +815,9 @@ def main(argv=None):
         return EXIT_CONFIG
     except ObserverToolkitError as exc:
         _sys.stderr.write(f"error: {exc}\n")
+        return EXIT_RUNTIME
+    except MemoryError as exc:  # a grid too long to allocate
+        _sys.stderr.write(f"error: out of memory: {exc}\n")
         return EXIT_RUNTIME
     except OSError as exc:
         _sys.stderr.write(f"io error: {exc}\n")

@@ -103,11 +103,7 @@ class CubicObserverDesign:
 
     def __post_init__(self):
         lc = numlin.as_matrix(self.gain_lc, "gain_lc")
-        nc = numlin.as_matrix(self.gain_nc, "gain_nc")
-        if nc.shape != lc.shape:
-            raise DimensionError(
-                f"gain_nc shape {nc.shape} must match gain_lc shape {lc.shape}"
-            )
+        nc = numlin.as_matrix(self.gain_nc, "gain_nc", lc.shape)
         theta = numlin.symmetrize(self.theta, "theta")
         if theta.shape[0] != lc.shape[1]:
             raise DimensionError(
@@ -188,14 +184,7 @@ class Certificate:
 
 def _as_gain(gain, n, n_y, name):
     g = np.array(gain, dtype=float)
-    if g.ndim == 1:
-        g = g.reshape(-1, 1)
-    g = numlin.as_matrix(g, name)
-    if g.shape != (n, n_y):
-        raise DimensionError(
-            f"{name} must have shape ({n}, {n_y}), got {g.shape}"
-        )
-    return g
+    return numlin.as_matrix(g.reshape(-1, 1) if g.ndim == 1 else g, name, (n, n_y))
 
 
 def _check_conjugate_closed(poles):
@@ -236,9 +225,7 @@ def place_poles_single_output(sys, desired):
         raise ContractError("desired poles must be finite")
     _check_conjugate_closed(desired)
 
-    coeffs = np.poly(desired)
-    if not np.all(np.isfinite(coeffs)):
-        raise NumericalError("desired polynomial overflows: a coefficient is not finite")
+    coeffs = numlin.finite(np.poly(desired), "desired polynomial")
     if numlin.max_abs(coeffs.imag) > POLE_CONJUGACY_TOL * max(
         1.0, numlin.max_abs(coeffs.real)
     ):
@@ -259,9 +246,8 @@ def place_poles_single_output(sys, desired):
             l = phi @ np.linalg.solve(obs, e_n)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"observability matrix is singular: {exc}") from exc
-        closed = a - l.reshape(n, 1) @ sys.c
-    if not np.all(np.isfinite(closed)):  # solve returns inf without raising
-        raise NumericalError("pole placement overflows: the gain l or l c is not finite")
+        # solve returns inf without raising
+        closed = numlin.finite(a - l.reshape(n, 1) @ sys.c, "pole placement")
 
     achieved = numlin.eigenvalues(closed)
     target = np.sort_complex(desired)
@@ -592,11 +578,7 @@ def feedback_certificate(
     strict_damping, equilibrium_search, n_starts and seed go to the
     observer certificate from certify_stability.
     """
-    k = numlin.as_matrix(k, "k")
-    if k.shape != (sys.n_inputs, sys.n):
-        raise DimensionError(
-            f"k must have shape ({sys.n_inputs}, {sys.n}), got {k.shape}"
-        )
+    k = numlin.as_matrix(k, "k", (sys.n_inputs, sys.n))
     base = certify_stability(
         sys, design, strict_damping, equilibrium_search, n_starts=n_starts, seed=seed
     )
@@ -695,9 +677,7 @@ def lyapunov_derivative_at(sys, design, e):
     quadratic part alone). Their gap is the quartic damping the cubic
     correction buys at that point.
     """
-    e = numlin.as_vector(e, "e")
-    if e.size != sys.n:
-        raise DimensionError(f"e must have {sys.n} entries, got {e.size}")
+    e = numlin.as_vector(e, "e", sys.n)
     dyn = ErrorDynamics(sys, design)
     vdot_linear = float(e @ dyn.w @ e)
     vdot_cubic = vdot_linear + float(e @ dyn.s @ e) * float(e @ dyn.d @ e)

@@ -20,8 +20,13 @@ that spectrum's scale, so they behave the same for Q and 1000*Q.
 The package's one floating-point policy is refusing_overflow(what): around
 a named site or a public entry point, a numpy overflow, invalid or divide
 flag is one NumericalError "<what> overflows", never a RuntimeWarning.
-LAPACK, np.poly and einsum do not raise, so their results get an isfinite
-check where they can overflow; each deliberate np.errstate ignore says why.
+LAPACK, np.poly and einsum raise no flag, so their results pass through
+finite(values, what), which raises the same error on an inf or NaN. The
+trace's V = e'Pe is such an einsum: p > 0 makes its NaN inf - inf, read as
++inf, refused on a row within the divergence limit and kept only on the
+unchecked first row of a start beyond it. Each deliberate np.errstate
+ignore says why. as_matrix and as_vector take the expected shape or size,
+so shape checks, too, are written only here.
 """
 
 from contextlib import contextmanager
@@ -58,8 +63,17 @@ def refusing_overflow(what):
             raise NumericalError(f"{what} overflows") from exc
 
 
-def as_matrix(values, name="matrix"):
-    """Coerce to a finite 2-D float64 array, failing loudly otherwise."""
+def finite(values, what):
+    """values, unless an entry is inf or NaN: then one NumericalError
+    "<what> overflows", as refusing_overflow gives for a raised flag."""
+    if not np.isfinite(values).all():
+        raise NumericalError(f"{what} overflows")
+    return values
+
+
+def as_matrix(values, name="matrix", shape=None):
+    """Coerce to a finite 2-D float64 array, of the given shape when one is
+    given, failing loudly otherwise."""
     m = np.array(values, dtype=float)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be two-dimensional, got shape {m.shape}")
@@ -67,16 +81,21 @@ def as_matrix(values, name="matrix"):
         raise DimensionError(f"{name} must be non-empty, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ContractError(f"{name} contains non-finite entries")
+    if shape is not None and m.shape != shape:
+        raise DimensionError(f"{name} must have shape {shape}, got {m.shape}")
     return m
 
 
-def as_vector(values, name="vector"):
-    """Coerce to a finite 1-D float64 array."""
+def as_vector(values, name="vector", size=None):
+    """Coerce to a finite 1-D float64 array, of the given size when one is
+    given."""
     v = np.array(values, dtype=float).reshape(-1)
     if v.size == 0:
         raise DimensionError(f"{name} must be non-empty")
     if not np.all(np.isfinite(v)):
         raise ContractError(f"{name} contains non-finite entries")
+    if size is not None and v.size != size:
+        raise DimensionError(f"{name} must have {size} entries, got {v.size}")
     return v
 
 

@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cubicobs import cli
+from cubicobs.design import place_poles_single_output
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((REPO_ROOT / "docs" / "schema.json").read_text())
@@ -129,6 +130,16 @@ def test_design_gamma_defaults_to_one(write_config, capsys):
     code, out, _ = run_cli(capsys, "design", write_config(cfg))
     assert code == 0
     assert json.loads(out)["design"]["gamma"] == 1.0
+
+
+def test_design_places_complex_poles_given_as_re_im_pairs(write_config, capsys):
+    cfg = base_config()
+    cfg["observer"]["poles"] = [[-2.0, 1.0], [-2.0, -1.0]]
+    code, out, err = run_cli(capsys, "design", write_config(cfg))
+    assert (code, err) == (0, "")
+    system = cli.build_system(cfg)
+    gain = place_poles_single_output(system, [-2.0 + 1.0j, -2.0 - 1.0j])
+    assert json.loads(out)["design"]["gain_lc"] == gain.tolist()
 
 
 def test_design_failing_certificate_exits_one(write_config, capsys):
@@ -273,6 +284,18 @@ EXTREME_VALUES = {
         {"observer": {"type": "cubic_explicit", "gain_nc": [9.88, 11.5]},
          "system": {"c": [[1e200, 0.0]]}},
         ["design"], 1, "certificate overflows",
+    ),
+    "simulate, q 1e290 against x0 1e10": (
+        {"observer": {"q": 1e290}, "sim": {"x0": [1e10, 1e10], "horizon": 0.1}},
+        ["simulate"], 1, "Lyapunov function V = e'Pe overflows",
+    ),
+    # 1e15 steps, 8 PB a column: beyond any address space, refused at once
+    "simulate, horizon 1e12": (
+        {"sim": {"horizon": 1e12}}, ["simulate"], 1, "out of memory: Unable to allocate"
+    ),
+    "sweep-gamma, horizon 1e12": (
+        {"sim": {"horizon": 1e12}},
+        ["sweep-gamma", "--gammas", "1"], 1, "out of memory: Unable to allocate",
     ),
 }
 
@@ -514,6 +537,37 @@ def at_path(doc, path):
             "outputs: unknown artifact(s) plots; "
             "allowed: trace, metrics, certificate, lyapunov",
         ),
+        ({"outputs": "trace"}, "outputs: expected an array of artifact names"),
+        (
+            {"system.a": [[0.0, 1.0], [0.0]]},
+            "system.a: rows have inconsistent lengths",
+        ),
+        (
+            {"observer.poles": [[-2.0, 1.0, 0.0], -5.0]},
+            "observer.poles[0]: complex pole must be a [re, im] pair",
+        ),
+        (
+            {"observer.type": "cubic_explicit"},
+            "observer.gain_nc: required for cubic_explicit",
+        ),
+        (
+            {"observer.damping_mode": "loose"},
+            "observer.damping_mode: expected strict or semidefinite, got 'loose'",
+        ),
+        (
+            {"sim.input": {"kind": "constant"}},
+            "sim.input.level: required for constant input",
+        ),
+        ({"feedback": {}}, "feedback.k: required"),
+        ({"feedback": {"k": [[1.0]]}}, "feedback.k: expected shape (1, 2), got (1, 1)"),
+        ({"system.c": 5}, "system.c: expected an array of row arrays"),
+        ({"observer.poles": [-2.0]}, "observer.poles: expected 2 poles, got 1"),
+        ({"observer.q": [[1.0]]}, "observer.q: expected a 2x2 matrix"),
+        ({"sim.input.amplitude": "x"}, "sim.input.amplitude: expected a number"),
+        (
+            {"sim.input": {"kind": "sampled", "times": [1.0, 0.0], "values": [[1.0], [2.0]]}},
+            "sim.input: sample times must be strictly increasing",
+        ),
     ],
     ids=[
         "without-feedback",
@@ -523,6 +577,19 @@ def at_path(doc, path):
         "sim-horizon-below-dt",
         "sim-dt-without-horizon",
         "unknown-output",
+        "outputs-not-a-list",
+        "ragged-system-a",
+        "malformed-complex-pole",
+        "explicit-without-gain-nc",
+        "bad-damping-mode",
+        "constant-without-level",
+        "feedback-without-k",
+        "feedback-k-shape",
+        "system-c-not-a-matrix",
+        "pole-count",
+        "observer-q-shape",
+        "input-amplitude-not-a-number",
+        "sampled-times-decreasing",
     ],
 )
 @pytest.mark.parametrize(
@@ -939,6 +1006,44 @@ def test_simulate_lyapunov_columns_are_opt_in(write_config, capsys, tmp_path):
     assert header == "t,x1,x2,xhat1,xhat2,e1,e2,y1,u1,V,V_cz"
 
 
+@pytest.mark.parametrize(
+    "q, x0", [(10.0, [1e200, 2e200]), (1e290, [1e50, 1e50]), (1e250, [1e50, 1e50])]
+)
+def test_a_start_beyond_the_limit_keeps_v_infinite_in_the_trace(
+    write_config, capsys, tmp_path, q, x0
+):
+    # e'Pe of such a start overflows inside einsum, whose NaN is written as
+    # its true value inf (V_cz = 1); the run then diverges on its first step
+    cfg = copy.deepcopy(EXAMPLE_CONFIG)
+    cfg["observer"]["q"] = q
+    cfg["sim"].update(horizon=0.1, x0=x0)
+    cfg["outputs"] = ["trace", "metrics", "lyapunov"]
+    out_csv = tmp_path / "trace.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run_cli(capsys, "simulate", write_config(cfg), "--out", str(out_csv))
+    assert (code, err) == (1, "error: trajectory diverged between t=0 and t=0.001\n")
+    header, row = out_csv.read_text().splitlines()
+    assert header.endswith(",V,V_cz")
+    assert row.endswith(",inf,1") and "nan" not in row
+
+
+@pytest.mark.parametrize(
+    "signal, u1",
+    [({"kind": "zero"}, "0"), ({"kind": "constant", "level": 0.5}, "0.5")],
+    ids=["zero", "constant"],
+)
+def test_simulate_zero_and_constant_inputs(write_config, capsys, tmp_path, signal, u1):
+    cfg = base_config()
+    cfg["sim"].update(horizon=0.01, input=signal)
+    out_csv = tmp_path / "trace.csv"
+    code, _, err = run_cli(capsys, "simulate", write_config(cfg), "--out", str(out_csv))
+    assert (code, err) == (0, "")
+    header, *rows = out_csv.read_text().splitlines()
+    assert header.split(",")[-1] == "u1" and len(rows) == 11
+    assert {row.split(",")[-1] for row in rows} == {u1}
+
+
 def test_simulate_metrics_only(write_config, capsys):
     cfg = base_config()
     cfg["outputs"] = ["metrics"]
@@ -1171,6 +1276,12 @@ def test_sweep_gamma_rejects_bad_values(write_config, capsys):
         capsys, "sweep-gamma", write_config(base_config()), "--gammas", "a,b"
     )
     assert code == 2
+    for empty in ("", " , "):
+        code, out, err = run_cli(
+            capsys, "sweep-gamma", write_config(base_config()), f"--gammas={empty}"
+        )
+        assert (code, out) == (2, "")
+        assert err == "config error: --gammas: expected a comma-separated list of values\n"
 
 
 def test_sweep_gamma_negative_zero_is_the_zero_row(write_config, capsys):

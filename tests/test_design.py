@@ -174,8 +174,10 @@ def test_degenerate_linear_is_the_zero_gamma_design(fx1):
 
 def test_explicit_design_validation(fx1):
     sys = fx1.system
-    with pytest.raises(co.DimensionError):
+    with pytest.raises(co.DimensionError, match=r"^gain_nc must have shape \(2, 1\), got \(3, 1\)$"):
         co.explicit_cubic_design(sys, fx1.gain_lc, [[1.0], [2.0], [3.0]], [[1.0]])
+    with pytest.raises(co.DimensionError, match=r"^gain_nc must have shape \(2, 1\), got \(1, 2\)$"):
+        co.CubicObserverDesign(fx1.gain_lc, [[1.0, 2.0]], [[1.0]], 1.0, np.eye(2), np.eye(2))
     # the packaged dataclass enforces that gamma = 0 means no cubic action
     with pytest.raises(co.ContractError):
         co.CubicObserverDesign(
@@ -301,9 +303,36 @@ def test_feedback_certificate_destabilizing_gain_fails(fx1, designs1):
     assert cert.margins["feedback_spectral_abscissa"] >= 0.0
 
 
+def test_feedback_certificate_fails_when_no_beta_of_the_grid_certifies(fx1, designs1):
+    # a tiny q makes the observer block beta * w tiny, so the smallest
+    # certifying beta, lambda_max((-w)^-1 off' off), lies past 1e8; the
+    # margin is then the least lambda_max(psi(beta)) over the grid
+    _, cubic = designs1
+    sys, k = fx1.system, np.array([[1.0, 2.0]])
+    design = co.synthesize_cubic_gain(
+        sys, cubic.gain_lc, 1e-8 * np.eye(2), cubic.theta, cubic.gamma
+    )
+    cert = co.feedback_certificate(sys, design, k)
+    assert cert.stability_ok
+    assert cert.feedback_ok is False
+    assert cert.feedback_beta is None
+    assert not cert.all_ok
+    acl = sys.a - sys.b @ k
+    p1 = numlin.solve_lyapunov(acl, np.eye(2))
+    off = p1 @ sys.b @ k
+    f = sys.a - design.gain_lc @ sys.c
+    w = f.T @ design.lyapunov_p + design.lyapunov_p @ f
+    grid_max = [
+        numlin.sym_spectrum(np.block([[acl.T @ p1 + p1 @ acl, off], [off.T, beta * w]]))[-1]
+        for beta in design_mod.FEEDBACK_BETA_GRID
+    ]
+    assert min(grid_max) > 0.0
+    assert cert.margins["feedback_psi_max_eig"] == min(grid_max)
+
+
 def test_feedback_certificate_rejects_wrong_k_shape(fx1, designs1):
     _, cubic = designs1
-    with pytest.raises(co.DimensionError):
+    with pytest.raises(co.DimensionError, match=r"^k must have shape \(1, 2\), got \(1, 3\)$"):
         co.feedback_certificate(fx1.system, cubic, [[1.0, 2.0, 3.0]])
 
 

@@ -28,6 +28,9 @@ def test_as_matrix_rejects_bad_shapes_and_values():
         numlin.as_matrix([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ContractError):
         numlin.as_matrix([[np.inf, 0.0], [0.0, 1.0]])
+    assert numlin.as_matrix([[1.0, 2.0]], "k", (1, 2)).shape == (1, 2)
+    with pytest.raises(DimensionError, match=r"^k must have shape \(1, 2\), got \(2, 1\)$"):
+        numlin.as_matrix([[1.0], [2.0]], "k", (1, 2))
 
 
 def test_as_vector_flattens_and_validates():
@@ -37,6 +40,18 @@ def test_as_vector_flattens_and_validates():
         numlin.as_vector([1.0, np.nan])
     with pytest.raises(DimensionError):
         numlin.as_vector([])
+    assert numlin.as_vector([1.0, 2.0], "x0", 2).shape == (2,)
+    with pytest.raises(DimensionError, match=r"^x0 must have 3 entries, got 2$"):
+        numlin.as_vector([1.0, 2.0], "x0", 3)
+
+
+def test_finite_returns_its_argument_or_refuses_it_as_an_overflow():
+    values = np.array([1e308, -1e308, 0.0])
+    assert numlin.finite(values, "v") is values
+    assert numlin.finite(2.5, "v") == 2.5
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(NumericalError, match="^v overflows$"):
+            numlin.finite(np.array([1.0, bad]), "v")
 
 
 def test_require_square():
@@ -390,3 +405,32 @@ def test_np_errstate_appears_only_in_the_policy_and_its_named_ignores():
 
         visit(ast.parse("\n".join(lines)), None)
     assert sorted(sites) == ERRSTATE_SITES
+
+
+# The words of the two refusals whose one home is numlin: finite and
+# refusing_overflow write "<what> overflows", as_matrix and as_vector the
+# shape and size texts.
+HOMED_REFUSALS = {
+    "NumericalError": ("overflows",),
+    "DimensionError": ("must have shape", "entries, got"),
+}
+
+
+def test_shape_and_finiteness_refusals_are_written_only_in_numlin():
+    written = []
+    for path in sorted(Path(numlin.__file__).parent.glob("*.py")):
+        if path.stem == "numlin":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+                continue
+            name = getattr(node.exc.func, "id", getattr(node.exc.func, "attr", None))
+            text = " ".join(
+                part.value
+                for arg in node.exc.args
+                for part in ast.walk(arg)
+                if isinstance(part, ast.Constant) and isinstance(part.value, str)
+            )
+            if any(words in text for words in HOMED_REFUSALS.get(name, ())):
+                written.append((path.name, node.lineno, text))
+    assert written == []

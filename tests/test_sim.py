@@ -166,6 +166,28 @@ def test_lyapunov_columns_match_quadratic_form(fx1, designs1):
     assert np.all(trace.lyapunov_zubov < 1.0)
 
 
+def test_a_lyapunov_function_that_overflows_is_refused_or_saturated(fx1, designs1):
+    # p is positive definite, so einsum's NaN for e'Pe is inf - inf, whose
+    # true value is +inf: refused on a row within DIVERGENCE_LIMIT, kept as
+    # V = inf, V_cz = 1 on the unchecked first row of a start beyond it
+    _, cubic = designs1
+    huge = co.synthesize_cubic_gain(
+        fx1.system, cubic.gain_lc, 1e290 * np.eye(2), cubic.theta, cubic.gamma
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = co.SimConfig(horizon=0.1, x0=[1e10, 1e10])
+        with pytest.raises(co.NumericalError, match=r"^Lyapunov function V = e'Pe overflows$"):
+            co.simulate_cubic_observer(fx1.system, huge, cfg)
+        for design, x0 in ((cubic, [1e200, 2e200]), (huge, [1e50, 1e50])):
+            cfg = co.SimConfig(horizon=0.1, x0=x0)
+            with pytest.raises(co.DivergenceError, match="between t=0 and") as info:
+                co.simulate_cubic_observer(fx1.system, design, cfg)
+            trace = info.value.trace
+            assert trace.lyapunov.tolist() == [np.inf]
+            assert trace.lyapunov_zubov.tolist() == [1.0]
+
+
 class CountingInput:
     """Wraps an input signal and counts its samples."""
 
@@ -244,8 +266,13 @@ def test_simulate_rejects_mismatched_dimensions(fx1, designs1):
     with pytest.raises(co.DimensionError):
         co.simulate_cubic_observer(other, cubic, co.SimConfig(horizon=1.0))
     bad_x0 = co.SimConfig(horizon=1.0, x0=[1.0, 2.0, 3.0])
-    with pytest.raises(co.DimensionError):
+    with pytest.raises(co.DimensionError, match=r"^x0 must have 2 entries, got 3$"):
         co.simulate_cubic_observer(fx1.system, cubic, bad_x0)
+    bad_xhat0 = co.SimConfig(horizon=1.0, xhat0=[1.0])
+    with pytest.raises(co.DimensionError, match=r"^xhat0 must have 2 entries, got 1$"):
+        co.simulate_cubic_observer(fx1.system, cubic, bad_xhat0)
+    with pytest.raises(co.DimensionError, match=r"^k must have shape \(1, 2\), got \(2, 1\)$"):
+        co.simulate_closed_loop(fx1.system, cubic, [[1.0], [2.0]], co.SimConfig(horizon=1.0))
     bad_u = co.SimConfig(horizon=1.0, input=co.ZeroInput(dimension=2))
     with pytest.raises(co.DimensionError):
         co.simulate_cubic_observer(fx1.system, cubic, bad_u)
@@ -825,5 +852,5 @@ def test_lyapunov_derivative_decomposition(fx1, designs1):
 
 def test_lyapunov_derivative_input_validation(fx1, designs1):
     _, cubic = designs1
-    with pytest.raises(co.DimensionError):
+    with pytest.raises(co.DimensionError, match=r"^e must have 2 entries, got 3$"):
         co.lyapunov_derivative_at(fx1.system, cubic, [1.0, 2.0, 3.0])
