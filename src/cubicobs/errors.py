@@ -34,8 +34,9 @@ class ConfigError(ObserverToolkitError):
 class DivergenceError(ObserverToolkitError):
     """A simulated trajectory left the trusted numeric range.
 
-    Carries the last time stamp that was still finite and, when available,
-    the partial trace computed up to that point (attached by the simulator).
+    Carries the last time stamp that was still finite and the partial
+    trajectory up to it: trace is the (times, states) tuple when
+    integrate_rk4 raises, and a Trace when a simulate_* function raises.
     """
 
     def __init__(self, message, last_time, trace=None):

@@ -5,7 +5,9 @@ Trace CSVs carry one row per time sample with the column layout
     t, x1..xn, xhat1..xn, e1..en, y1..y{ny}, u1..u{nu}
 
 followed by lyapunov columns V, V_cz when the trace carries them and by
-the applied feedback columns uc1..uc{nu} for closed-loop runs. Floats are
+the feedback columns uc1..uc{nu} for closed-loop runs. Under feedback, u
+and uc are both -(xhat k'), formed by one product over all rows after the
+run: the input the loop applied, except in the last bits. Floats are
 written with 17 significant digits (%.17g), which round-trips every
 float64 but is not the shortest such string, and LF line endings, so
 repeated runs produce byte-identical files.
@@ -24,37 +26,37 @@ def format_float(value):
     return format(float(value), ".17g")
 
 
-def trace_columns(trace):
-    n, ny, nu = trace.n, trace.n_outputs, trace.n_inputs
-    names = ["t"]
-    names += [f"x{i + 1}" for i in range(n)]
-    names += [f"xhat{i + 1}" for i in range(n)]
-    names += [f"e{i + 1}" for i in range(n)]
-    names += [f"y{i + 1}" for i in range(ny)]
-    names += [f"u{i + 1}" for i in range(nu)]
+def _trace_blocks(trace):
+    """(name, values) of each block of CSV columns, in order: a 1-D series
+    is one column of that name, a matrix one numbered column per column."""
+    blocks = [
+        ("t", trace.times),
+        ("x", trace.plant_states),
+        ("xhat", trace.estimates),
+        ("e", trace.errors),
+        ("y", trace.outputs),
+        ("u", trace.inputs),
+    ]
     if trace.lyapunov is not None:
-        names += ["V", "V_cz"]
+        blocks += [("V", trace.lyapunov), ("V_cz", trace.lyapunov_zubov)]
     if trace.control is not None:
-        names += [f"uc{i + 1}" for i in range(nu)]
+        blocks.append(("uc", trace.control))
+    return blocks
+
+
+def trace_columns(trace):
+    names = []
+    for name, values in _trace_blocks(trace):
+        if values.ndim == 1:
+            names.append(name)
+        else:
+            names += [f"{name}{i + 1}" for i in range(values.shape[1])]
     return names
 
 
 def trace_rows(trace):
     """The trace as one dense float matrix, columns as in trace_columns."""
-    blocks = [
-        trace.times[:, None],
-        trace.plant_states,
-        trace.estimates,
-        trace.errors,
-        trace.outputs,
-        trace.inputs,
-    ]
-    if trace.lyapunov is not None:
-        blocks.append(trace.lyapunov[:, None])
-        blocks.append(trace.lyapunov_zubov[:, None])
-    if trace.control is not None:
-        blocks.append(trace.control)
-    return np.hstack(blocks)
+    return np.column_stack([values for _, values in _trace_blocks(trace)])
 
 
 def _write_csv(path, columns, rows):

@@ -143,8 +143,8 @@ def _time_grid(dt, horizon):
 _BLOCK = 128
 
 
-def _rk4(field, y0, cfg):
-    """The RK4 loop: integrate from y0 over cfg's grid to (times, states).
+def _rk4(field, y0, times):
+    """The RK4 loop: integrate from y0 over the grid times to (times, states).
 
     field(lo, hi) gives the derivative for steps lo .. hi-1 as
     into(t, y, out, j), which writes dy/dt into out and must not write y; j
@@ -154,7 +154,6 @@ def _rk4(field, y0, cfg):
     its order: y + (h/6) (((k1 + 2 k2) + 2 k3) + k4). Divergence is tested
     after each block, and on the rows written before a field raises.
     """
-    times = _time_grid(cfg.dt, cfg.horizon)
     grid = times.tolist()
     steps = len(grid) - 1
     states = np.empty((steps + 1, y0.size))
@@ -240,7 +239,8 @@ def integrate_rk4(derivative, x0, cfg):
     def into(t, y, out, j):
         out[...] = derivative(t, y.copy())
 
-    return _rk4(lambda lo, hi: into, numlin.as_vector(x0, "x0"), cfg)
+    times = _time_grid(cfg.dt, cfg.horizon)
+    return _rk4(lambda lo, hi: into, numlin.as_vector(x0, "x0"), times)
 
 
 def _bind_config(sys, cfg):
@@ -266,24 +266,24 @@ def _check_design(sys, design):
 @numlin.refusing_overflow("simulation")
 def _run_joint(sys, design, cfg, feedback_k=None):
     """Run the joint (x, xhat) field m z + bstack u - [0; w gain_nc r], with
-    r = y - c xhat and w = r' theta r, through _rk4. Its cost is numpy call
-    overhead, so calls and allocations are cut while every floating-point
-    operation stays:
+    r = y - c xhat, w = r' theta r and, under feedback, u = -feedback_k xhat,
+    through _rk4. Its cost is numpy call overhead, so calls and allocations
+    are cut while every floating-point operation stays:
     - The open-loop drive is read from a table built per block of steps:
       the input is sampled once per distinct stage time (the block's grid
       times, then its midpoints), and one stacked matmul runs the gemv of
       bstack @ u per row. The trace's inputs are the grid-time samples.
-    - Products write into kept buffers. ndarray.dot runs the gemv of @ at
-      less overhead, and for a column an axpy onto zeros, with @'s bits; for
-      a single entry it is a bare product whose zero keeps its sign, so a
-      1 x 1 gain_nc stays matmul, and so does the drive.
-    - The correction goes into the lower half of a buffer whose upper half
-      stays +0.0, and x - (+0.0) is x. A zero gain_nc skips it.
+    - The closed-loop drive bstack (feedback_k xhat) is subtracted: a sum of
+      negated products is the negated sum, and m z, a gemv summed from +0.0,
+      holds no -0.0 for x - (+0.0) to keep.
+    - With one output, w is a product of Python floats in @'s order, and
+      + 0.0 gives the +0.0 that @ sums from. The correction goes into the
+      lower half of a buffer whose upper half stays +0.0, and x - (+0.0) is
+      x. A zero gain_nc skips it.
     """
     n = sys.n
     x0, xhat0, signal = _bind_config(sys, cfg)
-    eps = 0.0 if cfg.eps is None else float(cfg.eps)
-    a = sys.a if eps == 0.0 else sys.a + eps * np.eye(n)
+    a = sys.a if not cfg.eps else sys.a + cfg.eps * np.eye(n)  # None or a float
     c, b, lc = sys.c, sys.b, design.gain_lc
     gain_nc, theta = design.gain_nc, design.theta
 
@@ -294,36 +294,31 @@ def _run_joint(sys, design, cfg, feedback_k=None):
     bstack = np.vstack([b, b])
     c_res = np.hstack([c, -c])  # r = y - c xhat
     add, mul, sub, matmul = np.add, np.multiply, np.subtract, np.matmul
-    m_dot, res_dot = m.dot, c_res.dot
-    gain_dot = gain_nc.dot
-    if gain_nc.size == 1:
-        gain_dot = functools.partial(matmul, gain_nc)
+    # mat @ v into a kept buffer: ndarray.dot runs @'s gemv (for a column, an
+    # axpy onto zeros) with @'s bits at less overhead, but a single entry is a
+    # bare product whose zero keeps its sign where @ gives +0.0: np.matmul
+    def product(mat):
+        return functools.partial(matmul, mat) if mat.size == 1 else mat.dot
 
-    inputs = feedback = None
+    m_dot, res_dot, gain_dot = product(m), product(c_res), product(gain_nc)
+
+    times = _time_grid(cfg.dt, cfg.horizon)
     if feedback_k is None:
-        grid = _time_grid(cfg.dt, cfg.horizon).tolist()
+        grid = times.tolist()
         inputs = np.empty((len(grid), sys.n_inputs))
         inputs[0] = signal.sample(grid[0])
         samples = np.empty((2 * _BLOCK + 1, sys.n_inputs, 1))
     else:
-        u = np.empty(sys.n_inputs)
-        drive = np.empty(2 * n)
-
-        def feedback(z):
-            matmul(feedback_k, z[n:], u)
-            np.negative(u, u)
-            return matmul(bstack, u, drive)
+        inputs, k_dot = None, product(feedback_k)
+        u, drive = np.empty(sys.n_inputs), np.empty(2 * n)
 
     cubic = bool(np.any(gain_nc))
     r, w, corr = np.empty(theta.shape[0]), np.empty(()), np.zeros(2 * n)
     corr_low = corr[n:]
-    # With one output, r' theta r is a product of Python floats in the
-    # order @ takes. @ returns +0.0 for a zero product, so a zero weight,
-    # and every weight of several outputs, comes from @ itself.
     theta11 = float(theta[0, 0]) if theta.shape == (1, 1) else None
 
     def field(lo, hi):
-        if feedback is None:
+        if inputs is not None:
             ends = grid[lo + 1 : hi + 1]
             inputs[lo + 1 : hi + 1] = [signal.sample(t) for t in ends]
             table = samples[: 2 * (hi - lo) + 1]
@@ -335,17 +330,19 @@ def _run_joint(sys, design, cfg, feedback_k=None):
 
         def into(t, z, out, j):
             m_dot(z, out)
-            add(out, rows[j] if feedback is None else feedback(z), out)
+            if inputs is not None:
+                add(out, rows[j], out)
+            else:
+                k_dot(z[n:], u)
+                sub(out, matmul(bstack, u, drive), out)
             if not cubic:
                 return
             res_dot(z, r)
-            weight = 0.0
-            if theta11 is not None:
+            if theta11 is None:
+                w[()] = float(r @ theta @ r)
+            else:
                 r0 = r.item()
-                weight = r0 * theta11 * r0
-            if weight == 0.0:
-                weight = float(r @ theta @ r)
-            w[()] = weight
+                w[()] = r0 * theta11 * r0 + 0.0
             gain_dot(r, corr_low)
             mul(corr_low, w, corr_low)
             sub(out, corr, out)
@@ -354,7 +351,7 @@ def _run_joint(sys, design, cfg, feedback_k=None):
 
     lyapunov_p = design.lyapunov_p
     try:
-        times, states = _rk4(field, np.concatenate([x0, xhat0]), cfg)
+        times, states = _rk4(field, np.concatenate([x0, xhat0]), times)
     except DivergenceError as exc:
         exc.trace = _assemble_trace(sys, *exc.trace, inputs, feedback_k, lyapunov_p)
         raise
@@ -363,8 +360,9 @@ def _run_joint(sys, design, cfg, feedback_k=None):
 
 def _assemble_trace(sys, times, states, inputs, feedback_k, lyapunov_p):
     """Assemble the trace of a run. inputs holds the open-loop input the
-    drive recorded at each grid time (a partial run uses its first rows);
-    under feedback it is None and the applied control is rebuilt from xhat."""
+    drive recorded at each grid time (a partial run uses its first rows).
+    Under feedback it is None, and inputs and control are -(xhat k'), one
+    product over all rows: the loop's per-row k xhat up to the last bits."""
     n = sys.n
     x = states[:, :n]
     xhat = states[:, n:]
@@ -414,8 +412,9 @@ def simulate_closed_loop(sys, design, k, cfg):
     """Simulate observer-based state feedback u = -k xhat.
 
     design is a CubicObserverDesign; pass degenerate_linear() for the
-    linear observer in the loop. The trace's control series records the
-    applied input.
+    linear observer in the loop. The trace's inputs and control are
+    -(xhat k'), formed by one product over all rows after the run; they
+    match the input the loop applied except in the last bits.
     """
     k = numlin.as_matrix(k, "k", (sys.n_inputs, sys.n))
     _check_design(sys, design)

@@ -236,7 +236,7 @@ def test_zero_cubic_gain_runs_the_linear_field(fx1, designs1):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
-def test_closed_loop_records_applied_control(fx3):
+def test_closed_loop_control_is_minus_k_xhat_over_all_rows(fx3):
     design = co.explicit_cubic_design(
         fx3.system, fx3.gain_lc, fx3.gain_nc, fx3.theta, q=fx3.q, gamma=fx3.gamma
     )
@@ -495,6 +495,10 @@ def joint_runs(draw):
         gain_nc[rng.random(n) < 0.3] = 0.0  # exact zero rows
         g = rng.standard_normal((n_outputs, n_outputs))
         theta = g @ g.T
+        if n_outputs == 1 and draw(st.booleans()):
+            # a zero or tiny negative weight, which the semidefinite
+            # tolerance admits: r' theta r is -0.0 or may underflow to it
+            theta = np.array([[draw(st.sampled_from([-0.0, -1e-300]))]])
         if draw(st.booleans()):
             gain_nc = np.asfortranarray(gain_nc)  # as a caller may pass it
     h = rng.standard_normal((n, n))
