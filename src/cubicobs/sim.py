@@ -20,9 +20,8 @@ import numpy as np
 from . import numlin
 from .errors import ContractError, DimensionError, DivergenceError
 from .design import STATE_NORM_LIMIT, CubicObserverDesign
-# A trace's inputs are the RK4 loop's own samples, so evaluate_input is not
-# called here; it stays importable as sim.evaluate_input, where the
-# benchmark's tracer counts input samples taken outside the loop.
+# evaluate_input is not called here (a trace's inputs are the loop's own
+# samples); the benchmark counts calls to it as sim.evaluate_input
 from .sysmodel import ZeroInput, evaluate_input  # noqa: F401
 
 # trajectory norm beyond which integration is declared divergent
@@ -35,14 +34,16 @@ SETTLE_THRESHOLD = 0.05
 class SimConfig:
     """Grid and initial data for a simulation run.
 
-    x0 is the plant initial state; xhat0 defaults to zero. input defaults
-    to the zero signal of the plant's input dimension. eps, when set,
-    shifts the dynamics matrix to a + eps*I for both the plant and the
-    observer's internal model (the gains stay fixed), so the estimation
-    error follows the perturbed error dynamics the robustness bound talks
-    about. This is the only way a perturbed plant enters a run; eps = 0
-    or None reproduces the nominal run bit for bit. A non-finite eps, or a
-    grid of more horizon / dt steps than a float64 array holds, is rejected.
+    x0 is the plant initial state; xhat0 defaults to zero. input defaults to the
+    zero signal of the plant's input dimension. A signal has a dimension and a
+    sample(t) that takes a float, giving shape (dimension,), or a 1-D array of
+    times, giving one such row per time: runs sample a block of stage times per
+    call. eps, when set, shifts the dynamics matrix to a + eps*I for both the
+    plant and the observer's internal model (the gains stay fixed), so the
+    estimation error follows the perturbed error dynamics the robustness bound
+    talks about. This is the only way a perturbed plant enters a run; eps = 0 or
+    None reproduces the nominal run bit for bit. A non-finite eps, or a grid of
+    more horizon / dt steps than a float64 array holds, is rejected.
     """
 
     horizon: float
@@ -131,11 +132,15 @@ class Metrics:
 
 
 def _time_grid(dt, horizon):
+    """The run's RK4 stage times: grid time k at 2k, the midpoint of step k
+    at 2k + 1; the last, shortened step lands exactly on horizon."""
     n_steps = int(np.ceil(horizon / dt - 1e-9))
-    times = np.empty(n_steps + 1)
-    times[:n_steps] = np.arange(n_steps) * dt
-    times[n_steps] = horizon
-    return times
+    stages = np.empty(2 * n_steps + 1)
+    grid = stages[0::2]
+    grid[:n_steps] = np.arange(n_steps) * dt
+    grid[n_steps] = horizon
+    stages[1::2] = grid[:-1] + 0.5 * (grid[1:] - grid[:-1])
+    return stages
 
 
 # steps per block of the RK4 loop: the unit of the divergence test and of
@@ -143,19 +148,20 @@ def _time_grid(dt, horizon):
 _BLOCK = 128
 
 
-def _rk4(field, y0, times):
-    """The RK4 loop: integrate from y0 over the grid times to (times, states).
+def _rk4(field, y0, stages):
+    """The RK4 loop: integrate y0 over _time_grid's stages to (times, states).
 
     field(lo, hi) gives the derivative for steps lo .. hi-1 as
-    into(t, y, out, j), which writes dy/dt into out and must not write y; j
-    is 2(k - lo) at the start of step k, one more at its midpoint, two more
-    at its end. k1..k4 and the stage are kept buffers, and each new state is
-    written into its row of states by the textbook step's operations, in
-    its order: y + (h/6) (((k1 + 2 k2) + 2 k3) + k4). Divergence is tested
-    after each block, and on the rows written before a field raises.
+    into(t, y, out, j), which writes dy/dt into out and must not write y; t
+    is stages[2 lo + j], so j is 2(k - lo) at the start of step k, one more
+    at its midpoint, two more at its end. k1..k4 and the stage are kept
+    buffers, and each new state is written into its row of states by the
+    textbook step's operations, in its order:
+    y + (h/6) (((k1 + 2 k2) + 2 k3) + k4). Divergence is tested after each
+    block, and on the rows written before a field raises.
     """
-    grid = times.tolist()
-    steps = len(grid) - 1
+    times = stages[0::2].copy()
+    steps = times.size - 1
     states = np.empty((steps + 1, y0.size))
     states[0] = y0
     k1, k2, k3, k4 = ks = np.empty((4, y0.size))
@@ -168,6 +174,7 @@ def _rk4(field, y0, times):
         for lo in range(0, steps, _BLOCK):
             hi = min(lo + _BLOCK, steps)
             into = field(lo, hi)
+            block = stages[2 * lo : 2 * hi + 1].tolist()
             # h/2, h and h/6 per step, as rows shaped like y: numpy multiplies
             # by an array of its own shape faster than by a Python float
             h = np.diff(times[lo : hi + 1])[:, None]
@@ -177,10 +184,8 @@ def _rk4(field, y0, times):
                 for k, row, half, step, sixth in zip(
                     range(lo, hi), states[lo + 1 : hi + 1], *scale
                 ):
-                    t0 = grid[k]
-                    t1 = grid[k + 1]
-                    tm = t0 + 0.5 * (t1 - t0)
                     j = 2 * (k - lo)
+                    t0, tm, t1 = block[j : j + 3]
                     into(t0, y, k1, j)
                     mul(k1, half, stage)
                     add(stage, y, stage)
@@ -239,8 +244,8 @@ def integrate_rk4(derivative, x0, cfg):
     def into(t, y, out, j):
         out[...] = derivative(t, y.copy())
 
-    times = _time_grid(cfg.dt, cfg.horizon)
-    return _rk4(lambda lo, hi: into, numlin.as_vector(x0, "x0"), times)
+    stages = _time_grid(cfg.dt, cfg.horizon)
+    return _rk4(lambda lo, hi: into, numlin.as_vector(x0, "x0"), stages)
 
 
 def _bind_config(sys, cfg):
@@ -269,10 +274,10 @@ def _run_joint(sys, design, cfg, feedback_k=None):
     r = y - c xhat, w = r' theta r and, under feedback, u = -feedback_k xhat,
     through _rk4. Its cost is numpy call overhead, so calls and allocations
     are cut while every floating-point operation stays:
-    - The open-loop drive is read from a table built per block of steps:
-      the input is sampled once per distinct stage time (the block's grid
-      times, then its midpoints), and one stacked matmul runs the gemv of
-      bstack @ u per row. The trace's inputs are the grid-time samples.
+    - The open-loop drive is read from a table of the input at every stage
+      time: per block of steps, one signal.sample call fills the block's new
+      stage times and one stacked matmul runs the gemv of bstack @ u per
+      row. The trace's inputs are the grid-time rows.
     - The closed-loop drive bstack (feedback_k xhat) is subtracted: a sum of
       negated products is the negated sum, and m z, a gemv summed from +0.0,
       holds no -0.0 for x - (+0.0) to keep.
@@ -302,12 +307,11 @@ def _run_joint(sys, design, cfg, feedback_k=None):
 
     m_dot, res_dot, gain_dot = product(m), product(c_res), product(gain_nc)
 
-    times = _time_grid(cfg.dt, cfg.horizon)
+    stages = _time_grid(cfg.dt, cfg.horizon)
     if feedback_k is None:
-        grid = times.tolist()
-        inputs = np.empty((len(grid), sys.n_inputs))
-        inputs[0] = signal.sample(grid[0])
-        samples = np.empty((2 * _BLOCK + 1, sys.n_inputs, 1))
+        table = np.empty((stages.size, sys.n_inputs, 1))
+        table[:1, :, 0] = signal.sample(stages[:1])
+        inputs = table[0::2, :, 0]
     else:
         inputs, k_dot = None, product(feedback_k)
         u, drive = np.empty(sys.n_inputs), np.empty(2 * n)
@@ -319,14 +323,9 @@ def _run_joint(sys, design, cfg, feedback_k=None):
 
     def field(lo, hi):
         if inputs is not None:
-            ends = grid[lo + 1 : hi + 1]
-            inputs[lo + 1 : hi + 1] = [signal.sample(t) for t in ends]
-            table = samples[: 2 * (hi - lo) + 1]
-            table[0::2, :, 0] = inputs[lo : hi + 1]
-            table[1::2, :, 0] = [
-                signal.sample(t0 + 0.5 * (t1 - t0)) for t0, t1 in zip(grid[lo:hi], ends)
-            ]
-            rows = list(matmul(bstack, table)[:, :, 0])
+            new = slice(2 * lo + 1, 2 * hi + 1)  # stage times after the block's first
+            table[new, :, 0] = signal.sample(stages[new])
+            rows = list(matmul(bstack, table[2 * lo : new.stop])[:, :, 0])
 
         def into(t, z, out, j):
             m_dot(z, out)
@@ -351,7 +350,7 @@ def _run_joint(sys, design, cfg, feedback_k=None):
 
     lyapunov_p = design.lyapunov_p
     try:
-        times, states = _rk4(field, np.concatenate([x0, xhat0]), times)
+        times, states = _rk4(field, np.concatenate([x0, xhat0]), stages)
     except DivergenceError as exc:
         exc.trace = _assemble_trace(sys, *exc.trace, inputs, feedback_k, lyapunov_p)
         raise
@@ -370,7 +369,7 @@ def _assemble_trace(sys, times, states, inputs, feedback_k, lyapunov_p):
     with numlin.refusing_overflow("plant output c x"):  # a huge c on a finite state
         outputs = x @ sys.c.T
     if feedback_k is None:
-        inputs = inputs[: times.size]
+        inputs = inputs[: times.size].copy()  # out of the drive table
         control = None
     else:
         inputs = -(xhat @ np.asarray(feedback_k).T)

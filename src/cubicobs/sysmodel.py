@@ -8,7 +8,9 @@ Construction validates shapes and rejects unobservable (a, c) pairs, since
 every design routine downstream assumes observability. Model uncertainty
 of the form a + eps*I is not a plant of its own: SimConfig.eps applies it
 inside the simulator. Input signals are small frozen dataclasses with a
-common sample(t) method.
+common sample(t) method: t is a float, giving the input of shape
+(dimension,), or a 1-D array of times, giving one row per time, shape
+(len(t), dimension), with the same bits as sampling each time alone.
 """
 
 from dataclasses import dataclass
@@ -84,7 +86,7 @@ def observability_matrix(sys):
 
 @dataclass(frozen=True)
 class ZeroInput:
-    """u(t) = 0 with a fixed dimension."""
+    """u(t) = 0 with a fixed dimension: fresh zeros, one row per time."""
 
     dimension: int = 1
 
@@ -94,12 +96,16 @@ class ZeroInput:
         object.__setattr__(self, "dimension", int(self.dimension))
 
     def sample(self, t):
-        return np.zeros(self.dimension)
+        return np.zeros(np.shape(t) + (self.dimension,))
 
 
 @dataclass(frozen=True)
 class SinusoidInput:
-    """u(t) = amplitude * sin(angular_frequency * t + phase), componentwise."""
+    """u(t) = amplitude * sin(angular_frequency * t + phase), componentwise.
+
+    angular_frequency and phase must be finite. An array of times is one
+    np.sin over all of them, bit for bit the per-time values.
+    """
 
     amplitude: np.ndarray
     angular_frequency: float
@@ -109,20 +115,24 @@ class SinusoidInput:
         amp = numlin.as_vector(self.amplitude, "amplitude")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitude", amp)
-        object.__setattr__(self, "angular_frequency", float(self.angular_frequency))
-        object.__setattr__(self, "phase", float(self.phase))
+        for name in ("angular_frequency", "phase"):
+            value = float(getattr(self, name))
+            if not np.isfinite(value):
+                raise ContractError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
 
     @property
     def dimension(self):
         return self.amplitude.size
 
     def sample(self, t):
+        t = np.asarray(t)[..., None]  # one row per time
         return self.amplitude * np.sin(self.angular_frequency * t + self.phase)
 
 
 @dataclass(frozen=True)
 class ConstantInput:
-    """u(t) = level for all t."""
+    """u(t) = level for all t, as a fresh copy per sample."""
 
     level: np.ndarray
 
@@ -136,7 +146,7 @@ class ConstantInput:
         return self.level.size
 
     def sample(self, t):
-        return self.level.copy()
+        return np.broadcast_to(self.level, np.shape(t) + self.level.shape).copy()
 
 
 @dataclass(frozen=True)
@@ -144,7 +154,8 @@ class SampledInput:
     """Zero-order hold over samples (times[k], values[k]).
 
     Queries before the first sample return the first value; queries past
-    the last sample hold the last value.
+    the last sample hold the last value. An array of times is looked up by
+    one searchsorted over the sample times.
     """
 
     times: np.ndarray
@@ -173,15 +184,16 @@ class SampledInput:
         return self.values.shape[1]
 
     def sample(self, t):
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        idx = min(max(idx, 0), self.times.size - 1)
-        return self.values[idx].copy()
+        idx = np.searchsorted(self.times, t, side="right") - 1
+        return self.values.take(np.clip(idx, 0, self.times.size - 1), axis=0)
 
 
 def evaluate_input(signal, t):
-    """Evaluate an input signal at time t >= 0."""
+    """Evaluate an input signal at a finite time t >= 0."""
     t = float(t)
-    if t < 0.0:
-        raise ContractError(f"input signals are defined for t >= 0, got t={t}")
+    if not (np.isfinite(t) and t >= 0.0):
+        raise ContractError(
+            f"input signals are defined for finite t >= 0, got t={t}"
+        )
     u = signal.sample(t)
     return np.asarray(u, dtype=float).reshape(-1)

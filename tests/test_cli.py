@@ -568,6 +568,11 @@ def at_path(doc, path):
             {"sim.input": {"kind": "sampled", "times": [1.0, 0.0], "values": [[1.0], [2.0]]}},
             "sim.input: sample times must be strictly increasing",
         ),
+        (
+            {"sim.input.angular_frequency": float("inf")},
+            "sim.input: angular_frequency must be finite, got inf",
+        ),
+        ({"sim.input.phase": float("nan")}, "sim.input: phase must be finite, got nan"),
     ],
     ids=[
         "without-feedback",
@@ -590,6 +595,8 @@ def at_path(doc, path):
         "observer-q-shape",
         "input-amplitude-not-a-number",
         "sampled-times-decreasing",
+        "sinusoid-frequency-infinite",
+        "sinusoid-phase-nan",
     ],
 )
 @pytest.mark.parametrize(

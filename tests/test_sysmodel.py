@@ -125,3 +125,38 @@ def test_evaluate_input_contract():
     assert out.shape == (2,)
     with pytest.raises(ContractError):
         evaluate_input(sig, -0.1)
+    # NaN passes a bare t < 0 test; a sinusoid would give NaN and a sampled
+    # input its last value
+    record = SampledInput(times=[0.0, 1.0], values=[[1.0], [2.0]])
+    for signal in (SinusoidInput([1.0], 1.0), record):
+        for t in (float("nan"), float("inf")):
+            with pytest.raises(ContractError, match="finite t >= 0"):
+                evaluate_input(signal, t)
+
+
+# one of each signal kind, with signed zeros in what they return
+SIGNALS = {
+    "zero": ZeroInput(dimension=2),
+    "sinusoid": SinusoidInput(amplitude=[1.5, -0.0, 0.0], angular_frequency=7.3),
+    "constant": ConstantInput(level=[-0.0, 2.0]),
+    "sampled": SampledInput(
+        times=[0.5, 1.0, 2.5], values=[[1.0, -0.0], [0.0, -2.0], [3.0, 4.0]]
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SIGNALS))
+def test_sampling_an_array_of_times_matches_sampling_each_time(kind):
+    # the simulator samples a block of stage times in one call; it must give
+    # the per-time values bit for bit, signs of zeros included. The fixed
+    # times fall before, on and past the sampled input's record.
+    sig = SIGNALS[kind]
+    rng = np.random.default_rng(11)
+    fixed = [0.0, 0.25, 0.5, 1.0, 2.5, 3.0]
+    times = np.concatenate([fixed, rng.uniform(0.0, 50.0, 5000)])
+    got = sig.sample(times)
+    want = np.stack([sig.sample(t) for t in times.tolist()])
+    assert got.shape == (times.size, sig.dimension)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert sig.sample(0.75).shape == (sig.dimension,)
