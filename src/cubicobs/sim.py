@@ -12,7 +12,6 @@ the zero-gain cubic design from design.degenerate_linear, so it runs
 through the identical code path and the gamma -> 0 limit is exact.
 """
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -152,11 +151,11 @@ def _rk4(field, y0, stages):
     """The RK4 loop: integrate y0 over _time_grid's stages to (times, states).
 
     field(lo, hi) gives the derivative for steps lo .. hi-1 as
-    into(t, y, out, j), which writes dy/dt into out and must not write y; t
-    is stages[2 lo + j], so j is 2(k - lo) at the start of step k, one more
-    at its midpoint, two more at its end. k1..k4 and the stage are kept
-    buffers, and each new state is written into its row of states by the
-    textbook step's operations, in its order:
+    into(y, out, j), which writes dy/dt into out and must not write y; j is
+    the stage index, 2(k - lo) at the start of step k, one more at its
+    midpoint, two more at its end, so the stage time is stages[2 lo + j].
+    k1..k4 and the stage are kept buffers, and each new state is written
+    into its row of states by the textbook step's operations, in its order:
     y + (h/6) (((k1 + 2 k2) + 2 k3) + k4). Divergence is tested after each
     block, and on the rows written before a field raises.
     """
@@ -174,7 +173,6 @@ def _rk4(field, y0, stages):
         for lo in range(0, steps, _BLOCK):
             hi = min(lo + _BLOCK, steps)
             into = field(lo, hi)
-            block = stages[2 * lo : 2 * hi + 1].tolist()
             # h/2, h and h/6 per step, as rows shaped like y: numpy multiplies
             # by an array of its own shape faster than by a Python float
             h = np.diff(times[lo : hi + 1])[:, None]
@@ -185,17 +183,16 @@ def _rk4(field, y0, stages):
                     range(lo, hi), states[lo + 1 : hi + 1], *scale
                 ):
                     j = 2 * (k - lo)
-                    t0, tm, t1 = block[j : j + 3]
-                    into(t0, y, k1, j)
+                    into(y, k1, j)
                     mul(k1, half, stage)
                     add(stage, y, stage)
-                    into(tm, stage, k2, j + 1)
+                    into(stage, k2, j + 1)
                     mul(k2, half, stage)
                     add(stage, y, stage)
-                    into(tm, stage, k3, j + 1)
+                    into(stage, k3, j + 1)
                     mul(k3, step, stage)
                     add(stage, y, stage)
-                    into(t1, stage, k4, j + 2)
+                    into(stage, k4, j + 2)
                     add(k23, k23, twice)  # 2 k2 and 2 k3, exactly
                     add(twice_k2, k1, row)
                     add(row, twice_k3, row)
@@ -241,11 +238,17 @@ def integrate_rk4(derivative, x0, cfg):
     raises only that error, not also a numpy RuntimeWarning.
     """
 
-    def into(t, y, out, j):
-        out[...] = derivative(t, y.copy())
-
     stages = _time_grid(cfg.dt, cfg.horizon)
-    return _rk4(lambda lo, hi: into, numlin.as_vector(x0, "x0"), stages)
+
+    def field(lo, hi):
+        block = stages[2 * lo : 2 * hi + 1].tolist()
+
+        def into(y, out, j):
+            out[...] = derivative(block[j], y.copy())
+
+        return into
+
+    return _rk4(field, numlin.as_vector(x0, "x0"), stages)
 
 
 def _bind_config(sys, cfg):
@@ -273,18 +276,19 @@ def _run_joint(sys, design, cfg, feedback_k=None):
     """Run the joint (x, xhat) field m z + bstack u - [0; w gain_nc r], with
     r = y - c xhat, w = r' theta r and, under feedback, u = -feedback_k xhat,
     through _rk4. Its cost is numpy call overhead, so calls and allocations
-    are cut while every floating-point operation stays:
+    are cut while the trace stays the textbook loop's, zero signs included:
+    - m z, c_res z, gain_nc r and feedback_k xhat are the bound ndarray.dot
+      into kept buffers; with one output, w is a product of Python floats in
+      @'s order. Their zeros may be -0.0 where @ gives +0.0, but m z is a
+      gemv summed from +0.0 and the drive only adds or subtracts, so no
+      stage derivative holds -0.0 before the correction: x - (+-0.0) is x.
     - The open-loop drive is read from a table of the input at every stage
       time: per block of steps, one signal.sample call fills the block's new
       stage times and one stacked matmul runs the gemv of bstack @ u per
       row. The trace's inputs are the grid-time rows.
     - The closed-loop drive bstack (feedback_k xhat) is subtracted: a sum of
-      negated products is the negated sum, and m z, a gemv summed from +0.0,
-      holds no -0.0 for x - (+0.0) to keep.
-    - With one output, w is a product of Python floats in @'s order, and
-      + 0.0 gives the +0.0 that @ sums from. The correction goes into the
-      lower half of a buffer whose upper half stays +0.0, and x - (+0.0) is
-      x. A zero gain_nc skips it.
+      negated products is the negated sum. The correction goes into the lower
+      half of a buffer whose upper half stays +0.0; a zero gain_nc skips it.
     """
     n = sys.n
     x0, xhat0, signal = _bind_config(sys, cfg)
@@ -299,13 +303,7 @@ def _run_joint(sys, design, cfg, feedback_k=None):
     bstack = np.vstack([b, b])
     c_res = np.hstack([c, -c])  # r = y - c xhat
     add, mul, sub, matmul = np.add, np.multiply, np.subtract, np.matmul
-    # mat @ v into a kept buffer: ndarray.dot runs @'s gemv (for a column, an
-    # axpy onto zeros) with @'s bits at less overhead, but a single entry is a
-    # bare product whose zero keeps its sign where @ gives +0.0: np.matmul
-    def product(mat):
-        return functools.partial(matmul, mat) if mat.size == 1 else mat.dot
-
-    m_dot, res_dot, gain_dot = product(m), product(c_res), product(gain_nc)
+    m_dot, res_dot, gain_dot = m.dot, c_res.dot, gain_nc.dot
 
     stages = _time_grid(cfg.dt, cfg.horizon)
     if feedback_k is None:
@@ -313,7 +311,7 @@ def _run_joint(sys, design, cfg, feedback_k=None):
         table[:1, :, 0] = signal.sample(stages[:1])
         inputs = table[0::2, :, 0]
     else:
-        inputs, k_dot = None, product(feedback_k)
+        inputs, k_dot = None, feedback_k.dot
         u, drive = np.empty(sys.n_inputs), np.empty(2 * n)
 
     cubic = bool(np.any(gain_nc))
@@ -327,7 +325,7 @@ def _run_joint(sys, design, cfg, feedback_k=None):
             table[new, :, 0] = signal.sample(stages[new])
             rows = list(matmul(bstack, table[2 * lo : new.stop])[:, :, 0])
 
-        def into(t, z, out, j):
+        def into(z, out, j):
             m_dot(z, out)
             if inputs is not None:
                 add(out, rows[j], out)
@@ -341,7 +339,7 @@ def _run_joint(sys, design, cfg, feedback_k=None):
                 w[()] = float(r @ theta @ r)
             else:
                 r0 = r.item()
-                w[()] = r0 * theta11 * r0 + 0.0
+                w[()] = r0 * theta11 * r0
             gain_dot(r, corr_low)
             mul(corr_low, w, corr_low)
             sub(out, corr, out)
@@ -448,9 +446,9 @@ def compute_metrics(trace, lqr_weights=None):
     settling time of a state is the first sample time after the last
     excursion |e_i| >= SETTLE_THRESHOLD, None if the error is still outside
     the band at the end, and the first sample time when it never leaves
-    the band. lqr_weights, when given as a (q, r) pair, adds the cumulative
-    quadratic regulation cost integral of x^T q x + u^T r u; this requires
-    a closed-loop trace with a control series.
+    the band. lqr_weights, a (q, r) pair sized to the states and inputs,
+    adds the cumulative regulation cost integral of x^T q x + u^T r u; this
+    requires a closed-loop trace with a control series.
     """
     errors = trace.errors
     times = trace.times
@@ -501,8 +499,9 @@ def compute_metrics(trace, lqr_weights=None):
             raise ContractError(
                 "lqr cost requires a closed-loop trace with a control series"
             )
-        x = trace.plant_states
-        u = trace.control
+        x, u = trace.plant_states, trace.control
+        q_lqr = numlin.as_matrix(q_lqr, "q_lqr", (x.shape[1],) * 2)
+        r_lqr = numlin.as_matrix(r_lqr, "r_lqr", (u.shape[1],) * 2)
         integrand = np.einsum("ij,jk,ik->i", x, q_lqr, x) + np.einsum(
             "ij,jk,ik->i", u, r_lqr, u
         )

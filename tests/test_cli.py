@@ -1382,3 +1382,22 @@ def test_module_entry_point_runs(write_config, tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["certificate"]["all_ok"] is True
+
+
+IMPORT_PROBE = """
+import sys
+start = {name.partition(".")[0] for name in sys.modules}
+import cubicobs, cubicobs.cli
+added = {name.partition(".")[0] for name in sys.modules} - start
+print(sorted(added - sys.stdlib_module_names - {"numpy", "cubicobs"}))
+"""
+
+
+def test_the_package_imports_only_numpy_and_the_standard_library():
+    # measured against the interpreter's own start-up modules, since site
+    # may load third-party ones (certifi, _distutils_hack) before any import
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

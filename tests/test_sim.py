@@ -546,10 +546,8 @@ def run_or_divergence(run):
         return exc.trace, exc
 
 
-@settings(max_examples=200)
-@given(case=joint_runs())
-def test_lean_hot_path_is_bit_identical_to_the_reference(case):
-    system, design, cfg, feedback_k = case
+def assert_matches_reference(system, design, cfg, feedback_k):
+    """The run, or its divergence, equals reference_run's bit for bit."""
     if feedback_k is None:
         got, got_exc = run_or_divergence(
             lambda: co.simulate_cubic_observer(system, design, cfg)
@@ -566,6 +564,41 @@ def test_lean_hot_path_is_bit_identical_to_the_reference(case):
         assert got_exc.last_time == want_exc.last_time
         assert str(got_exc) == str(want_exc)
     assert_traces_equal(got, want)
+
+
+@settings(max_examples=200)
+@given(case=joint_runs())
+def test_lean_hot_path_is_bit_identical_to_the_reference(case):
+    assert_matches_reference(*case)
+
+
+# zero starts stay zero in the lower half; a nonzero one makes r nonzero
+PINNED_STARTS = {"zero": (0.0, 0.0), "signed_zero": (-0.0, -0.0), "one": (1.0, -0.0)}
+
+
+@pytest.mark.parametrize("start", sorted(PINNED_STARTS))
+@pytest.mark.parametrize("theta", [-0.0, -1e-300])
+@pytest.mark.parametrize("loop", ["open", "closed"])
+def test_one_state_zero_sign_cases_are_bit_identical_to_the_reference(loop, theta, start):
+    # n = 1 with one output and one input: gain_nc r and k xhat are bare
+    # products whose zeros keep their sign where @ gives +0.0, and the one-
+    # output weight r0 theta r0 is -0.0 (or underflows to it) where @ gives
+    # +0.0; none of these zeros may reach a state
+    system = co.LinearSystem(a=[[-1.0]], b=[[0.5]], c=[[1.0]])
+    design = co.CubicObserverDesign(
+        gain_lc=np.array([[2.0]]),
+        gain_nc=np.array([[-0.7]]),
+        theta=np.array([[theta]]),
+        gamma=1.0,
+        lyapunov_p=np.eye(1),
+        lyapunov_q=np.eye(1),
+    )
+    x0, xhat0 = PINNED_STARTS[start]
+    cfg = co.SimConfig(
+        horizon=0.3, dt=0.01, x0=[x0], xhat0=[xhat0], input=co.ConstantInput([-0.0])
+    )
+    feedback_k = None if loop == "open" else np.array([[1.5]])
+    assert_matches_reference(system, design, cfg, feedback_k)
 
 
 def test_rk4_never_writes_to_derivative_results_or_states():
@@ -677,6 +710,24 @@ def test_observer_divergence_at_block_edges_matches_the_reference(fx1, designs1,
         # the input was sampled for the first block only: its grid times
         # and midpoints, not the whole horizon
         assert counting.samples == 2 * sim._BLOCK + 1
+
+
+def test_integrate_rk4_hands_each_step_its_start_midpoint_twice_and_end():
+    # over two blocks and a shortened final step, the derivative sees t_k,
+    # the midpoint twice and t_{k+1}, as Python floats equal to the stages
+    cfg, _ = edge_config(0.01)
+    seen = []
+
+    def field(t, y):
+        seen.append(t)
+        return -y
+
+    co.integrate_rk4(field, [1.0], cfg)
+    assert {type(t) for t in seen} == {float}
+    stages = sim._time_grid(cfg.dt, cfg.horizon)
+    start, mid, end = stages[0:-1:2], stages[1::2], stages[2::2]
+    want = np.column_stack([start, mid, mid, end])
+    assert np.array_equal(np.reshape(seen, (-1, 4)), want)
 
 
 def test_a_field_that_raises_after_a_divergence_reports_the_divergence():
@@ -798,6 +849,21 @@ def test_lqr_cost_requires_control_series():
     trace = make_trace([0.0, 1.0], [[1.0], [1.0]])
     with pytest.raises(co.ContractError, match="closed-loop"):
         co.compute_metrics(trace, lqr_weights=(np.eye(1), np.eye(1)))
+
+
+@pytest.mark.parametrize(
+    "q, r, message",
+    [
+        (np.eye(2), np.eye(1), r"^q_lqr must have shape \(3, 3\), got \(2, 2\)$"),
+        (np.eye(3), np.eye(2), r"^r_lqr must have shape \(1, 1\), got \(2, 2\)$"),
+    ],
+    ids=["q", "r"],
+)
+def test_lqr_weights_of_the_wrong_shape_are_refused(q, r, message):
+    # a 3-state trace with one input takes a 3 x 3 q and a 1 x 1 r
+    trace = make_trace([0.0, 1.0], [[1.0, 2.0, 3.0]] * 2, control=[[2.0], [2.0]])
+    with pytest.raises(co.DimensionError, match=message):
+        co.compute_metrics(trace, lqr_weights=(q, r))
 
 
 def test_lqr_weights_too_large_to_symmetrize_are_refused():
