@@ -157,24 +157,33 @@ def _as_number(value, path):
         raise ConfigError(f"{path}: number too large for a float") from None
 
 
+def _as_finite(value, path):
+    number = _as_number(value, path)
+    if not np.isfinite(number):  # json reads NaN, Infinity and 1e999
+        raise ConfigError(f"{path}: expected a finite number")
+    return number
+
+
 def _as_number_list(value, path):
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a nonempty array of numbers")
     if all(map(_is_number, value)):
         try:
-            return [float(v) for v in value]
+            floats = [float(v) for v in value]
+            if np.isfinite(sum(floats)):  # a float sum is finite only if every term is
+                return floats
         except OverflowError:
             pass
-    # raises, naming the first bad entry: its path is built only here,
-    # since matrices hold many
-    return [_as_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    # raises, naming the first bad entry (its path is built only here, since
+    # matrices hold many), or returns finite floats whose sum overflowed
+    return [_as_finite(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 def _repeated(value, path, n):
-    """A nonempty array of numbers, or one number repeated n times."""
+    """A nonempty array of finite numbers, or one repeated n times."""
     if isinstance(value, list):
         return _as_number_list(value, path)
-    return [_as_number(value, path)] * n
+    return [_as_finite(value, path)] * n
 
 
 def _as_matrix(value, path):
@@ -211,7 +220,7 @@ def _scalar_or_matrix(value, path, size):
         if m.shape != (size, size):
             raise ConfigError(f"{path}: expected a {size}x{size} matrix")
         return m
-    return _as_number(value, path) * np.eye(size)
+    return _as_finite(value, path) * np.eye(size)
 
 
 def _parse_poles(value, path, n):
@@ -224,11 +233,11 @@ def _parse_poles(value, path, n):
         if isinstance(entry, list):
             if len(entry) != 2:
                 raise ConfigError(f"{where}: complex pole must be a [re, im] pair")
-            re = _as_number(entry[0], f"{where}[0]")
-            im = _as_number(entry[1], f"{where}[1]")
+            re = _as_finite(entry[0], f"{where}[0]")
+            im = _as_finite(entry[1], f"{where}[1]")
             poles.append(complex(re, im))
         else:
-            poles.append(complex(_as_number(entry, where), 0.0))
+            poles.append(complex(_as_finite(entry, where), 0.0))
     if len(poles) != n:
         raise ConfigError(f"{path}: expected {n} poles, got {len(poles)}")
     return poles

@@ -39,7 +39,7 @@ each form once, and numlin.is_positive_spectrum or is_negative_spectrum
 gives the verdict. The certificates, the search and the error field read
 an ErrorDynamics, which forms a - lc c, c^T theta c and the two Lyapunov
 forms and takes each of their spectra once. A CubicObserverDesign checks
-theta, p and q when it is built, so every design carries checked data.
+its parts against gain_lc, and check_pairing gain_lc against the plant.
 
 Asked for an equilibrium search, certify_stability first bounds the
 equilibria away in closed form. With w = f^T p + p f, s = e^T c^T theta c e
@@ -103,12 +103,9 @@ class CubicObserverDesign:
 
     def __post_init__(self):
         lc = numlin.as_matrix(self.gain_lc, "gain_lc")
+        n, n_y = lc.shape
         nc = numlin.as_matrix(self.gain_nc, "gain_nc", lc.shape)
-        theta = numlin.symmetrize(self.theta, "theta")
-        if theta.shape[0] != lc.shape[1]:
-            raise DimensionError(
-                f"theta must be {lc.shape[1]}x{lc.shape[1]}, got {theta.shape}"
-            )
+        theta = numlin.symmetrize(self.theta, "theta", (n_y, n_y))
         if not numlin.is_positive_spectrum(numlin.sym_spectrum(theta), semidefinite=True):
             raise ContractError("theta must be symmetric positive semidefinite")
         gamma = float(self.gamma)
@@ -116,11 +113,8 @@ class CubicObserverDesign:
             raise ContractError(f"gamma must be a nonnegative real, got {gamma}")
         if gamma == 0.0 and numlin.max_abs(nc) != 0.0:
             raise ContractError("gamma = 0 requires gain_nc = 0 (degenerate design)")
-        p = numlin.symmetrize(self.lyapunov_p, "lyapunov_p")
-        q = numlin.symmetrize(self.lyapunov_q, "lyapunov_q")
-        n = lc.shape[0]
-        if p.shape != (n, n) or q.shape != (n, n):
-            raise DimensionError("lyapunov_p and lyapunov_q must be n x n")
+        p = numlin.symmetrize(self.lyapunov_p, "lyapunov_p", (n, n))
+        q = numlin.symmetrize(self.lyapunov_q, "lyapunov_q", (n, n))
         p_spectrum = numlin.sym_spectrum(p)
         if not numlin.is_positive_spectrum(p_spectrum):
             raise ContractError("lyapunov_p must be positive definite")
@@ -140,10 +134,6 @@ class CubicObserverDesign:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "synthesized", bool(self.synthesized))
-
-    @property
-    def n(self):
-        return self.gain_lc.shape[0]
 
     @property
     def is_degenerate(self):
@@ -182,11 +172,6 @@ class Certificate:
         return self.feedback_ok is not False
 
 
-def _as_gain(gain, n, n_y, name):
-    g = np.array(gain, dtype=float)
-    return numlin.as_matrix(g.reshape(-1, 1) if g.ndim == 1 else g, name, (n, n_y))
-
-
 def _check_conjugate_closed(poles):
     by_key = sorted(poles, key=lambda z: (z.real, z.imag))
     conj = sorted(np.conj(poles), key=lambda z: (z.real, z.imag))
@@ -216,11 +201,9 @@ def place_poles_single_output(sys, desired):
             "pole placement is implemented for single-output systems only; "
             "supply the observer gain directly for multi-output plants"
         )
-    desired = np.atleast_1d(np.asarray(desired, dtype=complex))
+    desired = numlin.as_array(desired, "desired poles", complex).reshape(-1)
     if desired.size != sys.n:
-        raise DimensionError(
-            f"need exactly {sys.n} desired poles, got {desired.size}"
-        )
+        raise DimensionError(f"need exactly {sys.n} desired poles, got {desired.size}")
     if not np.all(np.isfinite(desired)):
         raise ContractError("desired poles must be finite")
     _check_conjugate_closed(desired)
@@ -269,18 +252,19 @@ def _build(sys, gain_lc, gain_nc, theta, gamma, q, synthesized):
     scalar theta means theta * I; p solves the Lyapunov equation of
     f = a - lc c for q. An f or a synthesized gain that overflows is refused.
     """
-    lc = _as_gain(gain_lc, sys.n, sys.n_outputs, "gain_lc")
+    n_y = sys.n_outputs
+    lc = numlin.as_columns(gain_lc, "gain_lc", (sys.n, n_y))
     gamma = float(gamma)
     if gain_nc is not None:
-        gain_nc = _as_gain(gain_nc, sys.n, sys.n_outputs, "gain_nc")
+        gain_nc = numlin.as_columns(gain_nc, "gain_nc", (sys.n, n_y))
     elif not 0.0 < gamma < np.inf:
         raise ContractError(
             f"gamma must be strictly positive, got {gamma}; "
             "use degenerate_linear() for the zero-gain observer"
         )
-    if np.ndim(theta) == 0:
-        theta = float(theta) * np.eye(sys.n_outputs)
-    theta = numlin.symmetrize(theta, "theta")
+    theta = numlin.as_array(theta, "theta")
+    theta = theta * np.eye(n_y) if theta.ndim == 0 else theta
+    theta = numlin.symmetrize(theta, "theta", (n_y, n_y))
     c = sys.c
     with numlin.refusing_overflow("a - gain_lc c"):
         f = sys.a - lc @ c
@@ -344,6 +328,14 @@ def explicit_cubic_design(sys, gain_lc, gain_nc, theta, q=None, gamma=1.0):
     return _build(sys, gain_lc, gain_nc, theta, gamma, q, synthesized=False)
 
 
+def check_pairing(sys, design):
+    """ContractError unless design is a CubicObserverDesign, DimensionError
+    unless its gain_lc, and so every part of it, fits sys."""
+    if not isinstance(design, CubicObserverDesign):
+        raise ContractError(f"unsupported design type {type(design).__name__}")
+    numlin.as_matrix(design.gain_lc, "gain_lc", (sys.n, sys.n_outputs))
+
+
 @dataclass(frozen=True)
 class ErrorDynamics:
     """The error dynamics de/dt = f e + (e^T s e) nc c e of a design on a
@@ -351,15 +343,16 @@ class ErrorDynamics:
 
     Built with f = a - lc c, s = c^T theta c, the quadratic Lyapunov form
     w = f^T p + p f and the damping form d = p nc c + c^T nc^T p, all
-    read-only. w_spectrum and d_spectrum, the ascending eigenvalues of the
-    symmetric parts of w and d, and abscissa, the spectral abscissa of f,
-    are computed on first use and kept.
+    read-only, after check_pairing. w_spectrum and d_spectrum, the ascending
+    eigenvalues of the symmetric parts of w and d, and abscissa, the
+    spectral abscissa of f, are computed on first use and kept.
     """
 
     sys: sysmodel.LinearSystem
     design: CubicObserverDesign
 
     def __post_init__(self):
+        check_pairing(self.sys, self.design)
         c, p, nc = self.sys.c, self.design.lyapunov_p, self.design.gain_nc
         f = self.sys.a - self.design.gain_lc @ c
         for name, value in (
@@ -640,17 +633,17 @@ def error_field(sys, design):
     """Right-hand side of the estimation-error dynamics as a callable f(e).
 
     f takes one point, shape (n,), or a stack of points as rows, shape
-    (S, n), and returns an array of the same shape. Each row is evaluated
-    with fixed-order einsum reductions, not a BLAS product over the stack,
-    so a row's bits do not depend on the rows around it.
+    (S, n), finite (numlin checks), and returns an array of that shape. Each
+    row is evaluated with fixed-order einsum reductions, not a BLAS product
+    over the stack, so a row's bits do not depend on the rows around it.
     """
     dyn = ErrorDynamics(sys, design)
 
     def rhs(e):
-        e = np.asarray(e, dtype=float)
+        e = numlin.as_array(e, "e")
         if e.ndim == 2:
-            return dyn.rows(e)
-        return dyn.rows(e.reshape(1, -1))[0]
+            return dyn.rows(numlin.as_matrix(e, "e", (None, sys.n)))
+        return dyn.rows(numlin.as_vector(e, "e", sys.n)[None])[0]
 
     return rhs
 

@@ -25,8 +25,9 @@ finite(values, what), which raises the same error on an inf or NaN. The
 trace's V = e'Pe is such an einsum: p > 0 makes its NaN inf - inf, read as
 +inf, refused on a row within the divergence limit and kept only on the
 unchecked first row of a start beyond it. Each deliberate np.errstate
-ignore says why. as_matrix and as_vector take the expected shape or size,
-so shape checks, too, are written only here.
+ignore says why. Shape checks are written only here too: as_matrix and
+as_vector take a shape (None for a free dimension) or size, and read input
+through as_array, one ContractError for ragged or non-numeric input.
 """
 
 from contextlib import contextmanager
@@ -71,25 +72,41 @@ def finite(values, what):
     return values
 
 
+def as_array(values, name="array", dtype=float):
+    """values as a fresh ndarray of dtype; ContractError "<name> is not a
+    numeric array" when numpy cannot read it so (ragged, or not numbers)."""
+    try:
+        return np.array(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"{name} is not a numeric array") from exc
+
+
 def as_matrix(values, name="matrix", shape=None):
     """Coerce to a finite 2-D float64 array, of the given shape when one is
-    given, failing loudly otherwise."""
-    m = np.array(values, dtype=float)
+    given, failing loudly otherwise. A None dimension of shape is free."""
+    m = as_array(values, name)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be two-dimensional, got shape {m.shape}")
     if m.size == 0:
         raise DimensionError(f"{name} must be non-empty, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ContractError(f"{name} contains non-finite entries")
-    if shape is not None and m.shape != shape:
-        raise DimensionError(f"{name} must have shape {shape}, got {m.shape}")
+    if shape is not None and any(w not in (None, g) for w, g in zip(shape, m.shape)):
+        wanted = ", ".join("any" if w is None else str(w) for w in shape)
+        raise DimensionError(f"{name} must have shape ({wanted}), got {m.shape}")
     return m
+
+
+def as_columns(values, name="matrix", shape=None):
+    """as_matrix, with 1-D values read as one column."""
+    m = as_array(values, name)
+    return as_matrix(m.reshape(-1, 1) if m.ndim == 1 else m, name, shape)
 
 
 def as_vector(values, name="vector", size=None):
     """Coerce to a finite 1-D float64 array, of the given size when one is
     given."""
-    v = np.array(values, dtype=float).reshape(-1)
+    v = as_array(values, name).reshape(-1)
     if v.size == 0:
         raise DimensionError(f"{name} must be non-empty")
     if not np.all(np.isfinite(v)):
@@ -112,14 +129,15 @@ def max_abs(m):
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def symmetrize(s, name="matrix"):
-    """Return the symmetric part of s after checking s is symmetric.
+def symmetrize(s, name="matrix", shape=None):
+    """Return the symmetric part of s after checking s is symmetric (and of
+    the given square shape, as as_matrix checks it).
 
     The check is relative: max|s - s^T| <= SYMMETRY_RTOL * max|s|.
     Asymmetry beyond that is treated as a caller bug, not something to
     average away. An s whose s + s^T overflows is refused as too large.
     """
-    m = require_square(s, name)
+    m = require_square(s, name) if shape is None else as_matrix(s, name, shape)
     # ignored, not raised: entries above ~9e307 overflow both sums, and an
     # infinite s - s^T reads as asymmetry, an infinite s + s^T as too large
     with np.errstate(over="ignore"):
@@ -208,9 +226,7 @@ def solve_lyapunov(f, q):
     P that fails a check.
     """
     f = require_square(f, "f")
-    q = symmetrize(q, "q")
-    if f.shape != q.shape:
-        raise DimensionError(f"f has shape {f.shape} but q has shape {q.shape}")
+    q = symmetrize(q, "q", f.shape)
     abscissa = spectral_abscissa(f)
     if not abscissa < 0.0:
         raise DesignError(

@@ -9,7 +9,8 @@ The cubic observer correction is always evaluated from the output residual
 r = y - c xhat, never from the unmeasurable state error, so the simulated
 observer only uses quantities it could measure. The linear observer is
 the zero-gain cubic design from design.degenerate_linear, so it runs
-through the identical code path and the gamma -> 0 limit is exact.
+through the identical code path and the gamma -> 0 limit is exact. A run
+matches its design to the plant with design.check_pairing.
 """
 
 from dataclasses import dataclass, replace
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import numlin
 from .errors import ContractError, DimensionError, DivergenceError
-from .design import STATE_NORM_LIMIT, CubicObserverDesign
+from .design import STATE_NORM_LIMIT, check_pairing
 # evaluate_input is not called here (a trace's inputs are the loop's own
 # samples); the benchmark counts calls to it as sim.evaluate_input
 from .sysmodel import ZeroInput, evaluate_input  # noqa: F401
@@ -264,13 +265,6 @@ def _bind_config(sys, cfg):
     return x0, xhat0, signal
 
 
-def _check_design(sys, design):
-    if not isinstance(design, CubicObserverDesign):
-        raise ContractError(f"unsupported design type {type(design).__name__}")
-    if design.n != sys.n or design.gain_lc.shape[1] != sys.n_outputs:
-        raise DimensionError("design dimensions do not match the system")
-
-
 @numlin.refusing_overflow("simulation")
 def _run_joint(sys, design, cfg, feedback_k=None):
     """Run the joint (x, xhat) field m z + bstack u - [0; w gain_nc r], with
@@ -401,7 +395,7 @@ def simulate_cubic_observer(sys, design, cfg):
     how one falsifies them. The linear observer is the degenerate_linear
     design, which runs the same code path with zero cubic coefficients.
     """
-    _check_design(sys, design)
+    check_pairing(sys, design)
     return _run_joint(sys, design, cfg)
 
 
@@ -414,7 +408,7 @@ def simulate_closed_loop(sys, design, k, cfg):
     match the input the loop applied except in the last bits.
     """
     k = numlin.as_matrix(k, "k", (sys.n_inputs, sys.n))
-    _check_design(sys, design)
+    check_pairing(sys, design)
     return _run_joint(sys, design, cfg, feedback_k=k)
 
 
@@ -492,16 +486,14 @@ def compute_metrics(trace, lqr_weights=None):
     lqr_cost = None
     lqr_series = None
     if lqr_weights is not None:
-        q_lqr, r_lqr = lqr_weights
-        q_lqr = numlin.symmetrize(q_lqr, "q_lqr")
-        r_lqr = numlin.symmetrize(r_lqr, "r_lqr")
         if trace.control is None:
             raise ContractError(
                 "lqr cost requires a closed-loop trace with a control series"
             )
         x, u = trace.plant_states, trace.control
-        q_lqr = numlin.as_matrix(q_lqr, "q_lqr", (x.shape[1],) * 2)
-        r_lqr = numlin.as_matrix(r_lqr, "r_lqr", (u.shape[1],) * 2)
+        q_lqr, r_lqr = lqr_weights
+        q_lqr = numlin.symmetrize(q_lqr, "q_lqr", (x.shape[1],) * 2)
+        r_lqr = numlin.symmetrize(r_lqr, "r_lqr", (u.shape[1],) * 2)
         integrand = np.einsum("ij,jk,ik->i", x, q_lqr, x) + np.einsum(
             "ij,jk,ik->i", u, r_lqr, u
         )

@@ -4,13 +4,14 @@ A LinearSystem is the continuous-time triple (a, b, c) of
 
     dx/dt = a x + b u,    y = c x.
 
-Construction validates shapes and rejects unobservable (a, c) pairs, since
-every design routine downstream assumes observability. Model uncertainty
-of the form a + eps*I is not a plant of its own: SimConfig.eps applies it
-inside the simulator. Input signals are small frozen dataclasses with a
-common sample(t) method: t is a float, giving the input of shape
-(dimension,), or a 1-D array of times, giving one row per time, shape
-(len(t), dimension), with the same bits as sampling each time alone.
+Construction checks shapes through numlin (b has n rows, c n columns) and
+rejects unobservable (a, c) pairs, since every design routine downstream
+assumes observability. Model uncertainty of the form a + eps*I is not a
+plant of its own: SimConfig.eps applies it inside the simulator. Input
+signals are small frozen dataclasses with a common sample(t) method: t is
+a float, giving the input of shape (dimension,), or a 1-D array of times,
+giving one row per time, shape (len(t), dimension), with the same bits as
+sampling each time alone.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numlin
-from .errors import ContractError, DimensionError
+from .errors import ContractError
 
 # relative singular-value threshold for the observability rank test
 OBSERVABILITY_RTOL = 1e-9
@@ -50,13 +51,9 @@ class LinearSystem:
 
     def __post_init__(self):
         a = numlin.require_square(self.a, "a")
-        b = numlin.as_matrix(self.b, "b")
-        c = numlin.as_matrix(self.c, "c")
         n = a.shape[0]
-        if b.shape[0] != n:
-            raise DimensionError(f"b must have {n} rows, got shape {b.shape}")
-        if c.shape[1] != n:
-            raise DimensionError(f"c must have {n} columns, got shape {c.shape}")
+        b = numlin.as_matrix(self.b, "b", (n, None))
+        c = numlin.as_matrix(self.c, "c", (None, n))
         rank = _rank(_observability_blocks(a, c))
         if rank < n:
             raise ContractError(
@@ -163,15 +160,7 @@ class SampledInput:
 
     def __post_init__(self):
         times = numlin.as_vector(self.times, "times")
-        values = np.array(self.values, dtype=float)
-        if values.ndim == 1:
-            values = values.reshape(-1, 1)
-        if values.ndim != 2 or values.shape[0] != times.size:
-            raise DimensionError(
-                f"values must have one row per sample time, got {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ContractError("values contain non-finite entries")
+        values = numlin.as_columns(self.values, "values", (times.size, None))
         if np.any(np.diff(times) <= 0.0):
             raise ContractError("sample times must be strictly increasing")
         times.setflags(write=False)

@@ -800,6 +800,42 @@ def test_an_integer_too_large_for_a_float_is_a_config_error(
         assert err == f"config error: {where}: number too large for a float\n"
 
 
+# Python's json reads NaN, Infinity and -Infinity. Every number of the shipped
+# config, with a feedback and an lqr section, is refused at parse time when it
+# is one of them; the scalars below keep the refusals their checks write.
+NON_FINITE_CONFIG = {
+    **copy.deepcopy(EXAMPLE_CONFIG), "feedback": {"k": [[1.0, 2.0]]}, "lqr": {"q": 1.0, "r": 1.0}
+}
+NON_FINITE_PINNED = {
+    ("sim", "horizon"): "sim: horizon must cover at least one step: horizon={}, dt=0.001",
+    ("sim", "dt"): "sim: dt must be a positive real, got {}",
+    ("sim", "input", "angular_frequency"): "sim.input: angular_frequency must be finite, got {}",
+    ("observer", "gamma"): "observer.gamma: must be a finite nonnegative number",
+}
+
+
+@pytest.mark.parametrize("token", [float("nan"), float("inf"), float("-inf")], ids=str)
+@pytest.mark.parametrize(
+    "bad", config_paths(NON_FINITE_CONFIG)[1], ids=lambda path: ".".join(map(str, path))
+)
+def test_a_non_finite_config_number_is_a_config_error(
+    write_config, capsys, monkeypatch, tmp_path, bad, token
+):
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
+    *parents, last = bad
+    cfg = copy.deepcopy(NON_FINITE_CONFIG)
+    at_path(cfg, parents)[last] = token
+    where = parents[0] + "".join(
+        f"[{key}]" if isinstance(key, int) else f".{key}" for key in (*parents[1:], last)
+    )
+    pinned = NON_FINITE_PINNED.get(tuple(bad), "{where}: expected a finite number")
+    message = pinned.format(token, where=where)
+    path = write_config(cfg)
+    for argv in (["design"], ["simulate"], ["sweep-gamma", "--gammas", "1"]):
+        code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+        assert (code, out, err) == (2, "", f"config error: {message}\n"), argv
+
+
 def test_an_integer_past_the_digit_limit_is_a_config_error(write_config, capsys, tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(base_config()).replace("2.0", "1" + "0" * 5000, 1))

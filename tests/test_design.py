@@ -190,6 +190,86 @@ def test_explicit_design_validation(fx1):
         )
 
 
+def test_design_parts_of_the_wrong_shape_are_refused_in_numlins_words(fx1):
+    with pytest.raises(co.DimensionError, match=r"^theta must have shape \(1, 1\), got \(2, 2\)$"):
+        co.synthesize_cubic_gain(fx1.system, fx1.gain_lc, fx1.q, theta=np.eye(2))
+    parts = dict(
+        gain_lc=fx1.gain_lc, gain_nc=np.zeros((2, 1)), theta=[[1.0]], gamma=1.0,
+        lyapunov_p=np.eye(2), lyapunov_q=np.eye(2),
+    )
+    for name, value, message in [
+        ("theta", np.eye(2), r"^theta must have shape \(1, 1\), got \(2, 2\)$"),
+        ("lyapunov_p", np.eye(3), r"^lyapunov_p must have shape \(2, 2\), got \(3, 3\)$"),
+        ("lyapunov_q", [[1.0]], r"^lyapunov_q must have shape \(2, 2\), got \(1, 1\)$"),
+    ]:
+        with pytest.raises(co.DimensionError, match=message):
+            co.CubicObserverDesign(**{**parts, name: value})
+    rhs = co.error_field(fx1.system, co.CubicObserverDesign(**parts))
+    with pytest.raises(co.DimensionError, match=r"^e must have 2 entries, got 3$"):
+        rhs([1.0, 2.0, 3.0])
+    with pytest.raises(co.DimensionError, match=r"^e must have shape \(any, 2\), got \(4, 3\)$"):
+        rhs(np.ones((4, 3)))
+
+
+# Every public call that reads a design on a plant, given example 1's design
+# (n = 2) on example 2's plant (n = 3), each with its other arguments shaped
+# for the plant: one DimensionError from the one pairing check.
+PAIRING_CALLS = {
+    "certify_stability": lambda sys, d: co.certify_stability(sys, d),
+    "feedback_certificate": lambda sys, d: co.feedback_certificate(sys, d, np.ones((1, sys.n))),
+    "error_field": lambda sys, d: co.error_field(sys, d),
+    "lyapunov_derivative_at": lambda sys, d: co.lyapunov_derivative_at(sys, d, np.ones(sys.n)),
+    "search_nonzero_equilibria": lambda sys, d: co.search_nonzero_equilibria(sys, d),
+    "simulate_cubic_observer": lambda sys, d: co.simulate_cubic_observer(
+        sys, d, co.SimConfig(horizon=0.1)
+    ),
+    "simulate_closed_loop": lambda sys, d: co.simulate_closed_loop(
+        sys, d, np.ones((1, sys.n)), co.SimConfig(horizon=0.1)
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(PAIRING_CALLS))
+def test_a_design_for_another_plant_is_refused_by_the_one_pairing_check(
+    fx1, fx2, designs1, call
+):
+    with pytest.raises(co.DimensionError, match=r"^gain_lc must have shape \(3, 1\), got \(2, 1\)$"):
+        PAIRING_CALLS[call](fx2.system, designs1[1])
+    with pytest.raises(co.ContractError, match="^unsupported design type object$"):
+        PAIRING_CALLS[call](fx1.system, object())
+
+
+# Ragged or non-numeric arguments, each read through numlin.as_array: one
+# ContractError naming the argument, never numpy's ValueError or TypeError.
+RAGGED = [[1.0, 2.0], [3.0]]
+UNREADABLE_CALLS = {
+    "system-a": ("a", lambda fx, d: co.LinearSystem(RAGGED, [[0.0], [1.0]], [[1.0, 0.0]])),
+    "system-c": ("c", lambda fx, d: co.LinearSystem(np.eye(2), [[0.0], [1.0]], RAGGED)),
+    "gain-lc": ("gain_lc", lambda fx, d: co.synthesize_cubic_gain(fx.system, RAGGED, fx.q)),
+    "gain-nc": ("gain_nc", lambda fx, d: co.explicit_cubic_design(
+        fx.system, fx.gain_lc, [["x"], [1.0]], [[1.0]])),
+    "theta": ("theta", lambda fx, d: co.synthesize_cubic_gain(
+        fx.system, fx.gain_lc, fx.q, RAGGED)),
+    "q": ("q", lambda fx, d: co.degenerate_linear(fx.system, fx.gain_lc, RAGGED)),
+    "poles": ("desired poles", lambda fx, d: co.place_poles_single_output(fx.system, RAGGED)),
+    "k": ("k", lambda fx, d: co.simulate_closed_loop(
+        fx.system, d, RAGGED, co.SimConfig(horizon=0.1))),
+    "e": ("e", lambda fx, d: co.lyapunov_derivative_at(fx.system, d, RAGGED)),
+    "field-e": ("e", lambda fx, d: co.error_field(fx.system, d)(RAGGED)),
+    "x0": ("x0", lambda fx, d: co.simulate_cubic_observer(
+        fx.system, d, co.SimConfig(horizon=0.1, x0=RAGGED))),
+    "amplitude": ("amplitude", lambda fx, d: co.SinusoidInput(RAGGED, 1.0)),
+    "sampled-values": ("values", lambda fx, d: co.SampledInput([0.0, 1.0], RAGGED)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_CALLS))
+def test_unreadable_arguments_are_one_contract_error(fx1, designs1, case):
+    name, call = UNREADABLE_CALLS[case]
+    with pytest.raises(co.ContractError, match=f"^{name} is not a numeric array$"):
+        call(fx1, designs1[1])
+
+
 # ---------------------------------------------------------------------------
 # certificates
 

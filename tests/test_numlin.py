@@ -33,6 +33,23 @@ def test_as_matrix_rejects_bad_shapes_and_values():
         numlin.as_matrix([[1.0], [2.0]], "k", (1, 2))
 
 
+def test_a_none_dimension_of_a_shape_is_free():
+    assert numlin.as_matrix(np.ones((2, 3)), "b", (2, None)).shape == (2, 3)
+    assert numlin.as_matrix(np.ones((2, 3)), "c", (None, 3)).shape == (2, 3)
+    with pytest.raises(DimensionError, match=r"^b must have shape \(3, any\), got \(2, 3\)$"):
+        numlin.as_matrix(np.ones((2, 3)), "b", (3, None))
+    assert numlin.as_columns([1.0, 2.0], "g", (2, 1)).shape == (2, 1)
+    with pytest.raises(DimensionError, match=r"^s must have shape \(3, 3\), got \(2, 2\)$"):
+        numlin.symmetrize(np.eye(2), "s", (3, 3))
+
+
+@pytest.mark.parametrize("values", [[[1.0, 2.0], [3.0]], ["x"], [1.0, {}], [1 + 2j]])
+def test_as_array_refuses_what_numpy_cannot_read_as_one_contract_error(values):
+    for coerce in (numlin.as_array, numlin.as_matrix, numlin.as_vector, numlin.as_columns):
+        with pytest.raises(ContractError, match="^v is not a numeric array$"):
+            coerce(values, "v")
+
+
 def test_as_vector_flattens_and_validates():
     v = numlin.as_vector([[1.0], [2.0]])
     assert v.shape == (2,)
@@ -231,6 +248,11 @@ def test_solve_lyapunov_rejects_bad_premises():
         numlin.solve_lyapunov(-np.eye(2), np.eye(3))
 
 
+def test_lyapunov_q_of_the_wrong_shape_is_refused_in_numlins_words():
+    with pytest.raises(DimensionError, match=r"^q must have shape \(2, 2\), got \(3, 3\)$"):
+        numlin.solve_lyapunov(-np.eye(2), np.eye(3))
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=40)
 def test_solve_lyapunov_properties(seed):
@@ -407,30 +429,43 @@ def test_np_errstate_appears_only_in_the_policy_and_its_named_ignores():
     assert sorted(sites) == ERRSTATE_SITES
 
 
-# The words of the two refusals whose one home is numlin: finite and
-# refusing_overflow write "<what> overflows", as_matrix and as_vector the
-# shape and size texts.
-HOMED_REFUSALS = {
-    "NumericalError": ("overflows",),
-    "DimensionError": ("must have shape", "entries, got"),
-}
+# The words of the refusal whose one home is numlin: finite and
+# refusing_overflow write "<what> overflows".
+HOMED_REFUSALS = {"NumericalError": ("overflows",)}
+
+# Where DimensionError may be raised outside numlin, whose as_matrix,
+# as_vector and require_square write every array shape and size refusal.
+# Each site compares a count that is not an array's own dimension.
+DIMENSION_SITES = [
+    ("design", "place_poles_single_output"),  # the number of desired poles
+    ("sim", "_bind_config"),  # a signal's declared dimension with the plant's inputs
+]
 
 
 def test_shape_and_finiteness_refusals_are_written_only_in_numlin():
-    written = []
+    written, dimension_sites = [], []
     for path in sorted(Path(numlin.__file__).parent.glob("*.py")):
         if path.stem == "numlin":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
-                continue
-            name = getattr(node.exc.func, "id", getattr(node.exc.func, "attr", None))
-            text = " ".join(
-                part.value
-                for arg in node.exc.args
-                for part in ast.walk(arg)
-                if isinstance(part, ast.Constant) and isinstance(part.value, str)
-            )
-            if any(words in text for words in HOMED_REFUSALS.get(name, ())):
-                written.append((path.name, node.lineno, text))
+
+        def visit(node, function):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                name = getattr(node.exc.func, "id", getattr(node.exc.func, "attr", None))
+                if name == "DimensionError":
+                    dimension_sites.append((path.stem, function))
+                text = " ".join(
+                    part.value
+                    for arg in node.exc.args
+                    for part in ast.walk(arg)
+                    if isinstance(part, ast.Constant) and isinstance(part.value, str)
+                )
+                if any(words in text for words in HOMED_REFUSALS.get(name, ())):
+                    written.append((path.name, node.lineno, text))
+            for child in ast.iter_child_nodes(node):
+                visit(child, function)
+
+        visit(ast.parse(path.read_text()), None)
     assert written == []
+    assert sorted(dimension_sites) == DIMENSION_SITES

@@ -41,6 +41,20 @@ def test_linear_system_rejects_mismatched_shapes():
         LinearSystem(a=-np.eye(2), b=np.zeros((2, 1)), c=[[1.0]])
 
 
+def test_plant_and_sampled_input_shapes_are_refused_in_numlins_words():
+    b, c = [[0.0], [1.0]], [[1.0, 0.0]]
+    with pytest.raises(DimensionError, match=r"^b must have shape \(2, any\), got \(3, 1\)$"):
+        LinearSystem(a=np.eye(2), b=np.zeros((3, 1)), c=c)
+    with pytest.raises(DimensionError, match=r"^c must have shape \(any, 2\), got \(1, 1\)$"):
+        LinearSystem(a=np.eye(2), b=b, c=[[1.0]])
+    with pytest.raises(DimensionError, match=r"^values must have shape \(2, any\), got \(1, 1\)$"):
+        SampledInput(times=[0.0, 1.0], values=[[1.0]])
+    with pytest.raises(DimensionError, match=r"^values must have shape \(2, any\), got \(3, 1\)$"):
+        SampledInput(times=[0.0, 1.0], values=[1.0, 2.0, 3.0])  # 1-D values are one column
+    with pytest.raises(ContractError, match="^values contains non-finite entries$"):
+        SampledInput(times=[0.0, 1.0], values=[[1.0], [np.nan]])
+
+
 def test_linear_system_rejects_unobservable_pair():
     # identical decoupled states seen through one of them only
     with pytest.raises(ContractError, match="not observable"):
