@@ -34,9 +34,9 @@ import sys as _sys
 
 import numpy as np
 
-from . import serialize
+from . import numlin, serialize
 from .design import place_poles_single_output
-from .errors import ConfigError, DivergenceError, ObserverToolkitError
+from .errors import ConfigError, ContractError, DivergenceError, ObserverToolkitError
 from .examples import build_design, certify, compute_bundle, gamma_sweep, simulate
 from .sim import SimConfig, compute_metrics
 from .sysmodel import (
@@ -96,10 +96,10 @@ class Config:
         q, theta, gamma, nc = obs["q"], obs["theta"], obs["gamma"], obs["gain_nc"]
         return build_design(self.system, self.gain_lc(), q, theta, gamma, nc)
 
-    def certificate(self, design, **search):
-        """The configured run's certificate; search options pass through."""
+    def certificate(self, design, equilibrium_search=False):
+        """The configured run's certificate, with the equilibrium set if asked."""
         strict = self.observer["strict_damping"]
-        return certify(self.system, design, self.feedback_k, strict, **search)
+        return certify(self.system, design, self.feedback_k, strict, equilibrium_search)
 
 
 def _load_config(args, run=False):
@@ -378,8 +378,14 @@ def _initial_state(doc, key, n):
 
 
 def _sim_number(doc, key, override, default=None):
-    """The override when given, else the file's value; the file's is checked."""
-    value = _as_number(doc[key], f"sim.{key}") if key in doc else default
+    """The override when given, else the file's value. The file's is checked,
+    and refused here if the override hides it and it is not finite."""
+    if key not in doc:
+        value = default
+    elif override is None:
+        value = _as_number(doc[key], f"sim.{key}")
+    else:
+        value = _as_finite(doc[key], f"sim.{key}")
     return value if override is None else override
 
 
@@ -512,13 +518,13 @@ def _print_certificate_failure(cert):
 
 
 def cmd_design(args):
-    if args.seed < 0:
-        raise ConfigError(f"--seed: must be a nonnegative integer, got {args.seed}")
+    try:  # --seed feeds nothing, but scripts pass it, so it is still checked
+        numlin.as_count(args.seed, "--seed", 0)
+    except ContractError as exc:
+        raise ConfigError(str(exc)) from None
     config = _load_config(args)
     design = config.design()
-    cert = config.certificate(
-        design, equilibrium_search=args.equilibrium_search, seed=args.seed
-    )
+    cert = config.certificate(design, args.equilibrium_search)
 
     doc = {
         "observer_type": "linear" if design.is_degenerate else "cubic",
@@ -765,11 +771,11 @@ def build_parser():
     p.add_argument("config", help="JSON config file with system and observer sections")
     p.add_argument("--out", help="write the design document here instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=0, help="seed for the equilibrium search")
+    p.add_argument("--seed", type=int, default=0, help="unused: the search draws no numbers")
     p.add_argument(
         "--equilibrium-search",
         action="store_true",
-        help="also run the randomized nonzero-equilibrium falsifier",
+        help="also count the nonzero equilibria of the error dynamics",
     )
     p.set_defaults(handler="cmd_design")
 

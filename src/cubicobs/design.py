@@ -51,12 +51,13 @@ along the error dynamics g, so no nonzero equilibrium lies within
 R = sqrt(8 gamma (-lambda_max(w))) / |E|_2. For a synthesized gain E is the
 rounding residual of the defining identity, evaluated in np.longdouble
 with an a-priori rounding allowance (_exclusion_radius), and R is
-astronomically large. The damped-Newton search runs only when
-R < STATE_NORM_LIMIT (1e12), and the certificate reports
+astronomically large. Only when R < STATE_NORM_LIMIT (1e12) does
+search_nonzero_equilibria compute the nonzero equilibria, which it does
+exactly: they are the real eigenpairs of the n_y x n_y matrix
+c (a - lc c)^{-1} nc, scaled. The certificate reports
 equilibrium_exclusion_radius = min(R, 1e12) next to the root count.
 """
 
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -76,8 +77,9 @@ FEEDBACK_BETA_GRID = tuple(10.0 ** k for k in range(9))
 # state norm beyond which a simulated trajectory counts as diverged, and
 # the exclusion radius beyond which the equilibrium search is not run
 STATE_NORM_LIMIT = 1e12
-# the equilibrium search's residual tolerance, relative to max(1, max|a - lc c|)
-EQUILIBRIUM_TOL = 1e-10
+# the equilibrium set's relative tolerance: which eigenvalue of M is real,
+# which candidate is a root, and when two roots or two eigenvalues are one
+EQUILIBRIUM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -457,9 +459,7 @@ def _frob(m):
 
 
 @numlin.refusing_overflow("certificate")
-def certify_stability(
-    sys, design, strict_damping=None, equilibrium_search=False, n_starts=100, seed=0
-):
+def certify_stability(sys, design, strict_damping=None, equilibrium_search=False):
     """Evaluate the stability conditions for a cubic observer design.
 
     strict_damping selects the damping verdict mode: True forces the strict
@@ -469,16 +469,14 @@ def certify_stability(
     equilibrium_search=True the margins gain equilibrium_exclusion_radius,
     min(R, STATE_NORM_LIMIT) for the closed-form radius R of
     _exclusion_radius, inside which the origin is the only equilibrium, and
-    nonzero_equilibria_found. Where R < STATE_NORM_LIMIT (1e12) a seeded
-    damped-Newton search for nonzero equilibria runs as an extra falsifier
-    from n_starts starts drawn from seed, and the roots it finds are
-    counted; otherwise the count is 0 without a search. n_starts and seed
-    must be a positive and a nonnegative integer, checked even when the
-    search is off. The certificate carries the design's robustness radius,
-    robustness_bound(design), as robustness_eps_max. Every margin and
-    verdict reads one ErrorDynamics.
+    nonzero_equilibria_found. Where R < STATE_NORM_LIMIT (1e12) that count
+    is the length of search_nonzero_equilibria's exact set; otherwise it is
+    0 without a search. Where that set represents a continuum, the margins
+    also gain nonzero_equilibria_continuum, the dimension of the largest
+    eigenspace that holds one (see _continuum). The certificate carries the
+    design's robustness radius, robustness_bound(design), as
+    robustness_eps_max. Every margin and verdict reads one ErrorDynamics.
     """
-    _check_search_args(n_starts, seed)
     dyn = ErrorDynamics(sys, design)
     w_spectrum, d_spectrum = dyn.w_spectrum, dyn.d_spectrum
     hurwitz_ok = numlin.is_negative_spectrum(w_spectrum)
@@ -515,11 +513,13 @@ def certify_stability(
 
     if equilibrium_search:
         radius = _exclusion_radius(dyn)
-        found = 0
+        roots = []
         if radius < STATE_NORM_LIMIT:
-            roots = search_nonzero_equilibria(sys, design, n_starts=n_starts, seed=seed)
-            found = len(roots)
-        margins["nonzero_equilibria_found"] = float(found)
+            roots = search_nonzero_equilibria(sys, design)
+        margins["nonzero_equilibria_found"] = float(len(roots))
+        dimension = _continuum(dyn, roots) if roots else 0
+        if dimension > 1:
+            margins["nonzero_equilibria_continuum"] = float(dimension)
         margins["equilibrium_exclusion_radius"] = min(radius, STATE_NORM_LIMIT)
 
     return Certificate(
@@ -551,9 +551,7 @@ def robustness_bound(design):
 
 
 @numlin.refusing_overflow("feedback certificate")
-def feedback_certificate(
-    sys, design, k, strict_damping=None, equilibrium_search=False, n_starts=100, seed=0
-):
+def feedback_certificate(sys, design, k, strict_damping=None, equilibrium_search=False):
     """Certify observer-based state feedback u = -k xhat around the design.
 
     Builds the composite quadratic form for the stacked (x, e) dynamics,
@@ -568,13 +566,11 @@ def feedback_certificate(
     same test expressed through the block-triangular composite matrix of
     the linear-observer loop. A False here only means this particular
     composite Lyapunov candidate failed, not that the loop is unstable.
-    strict_damping, equilibrium_search, n_starts and seed go to the
-    observer certificate from certify_stability.
+    strict_damping and equilibrium_search go to the observer certificate
+    from certify_stability.
     """
     k = numlin.as_matrix(k, "k", (sys.n_inputs, sys.n))
-    base = certify_stability(
-        sys, design, strict_damping, equilibrium_search, n_starts=n_starts, seed=seed
-    )
+    base = certify_stability(sys, design, strict_damping, equilibrium_search)
     margins = dict(base.margins)
 
     acl = sys.a - sys.b @ k
@@ -648,16 +644,10 @@ def error_field(sys, design):
     return rhs
 
 
-def _error_parts(s, c, e):
-    """(c e, s e, e^T s e) at the rows of e, (S, n), one row per row of e."""
-    se = np.einsum("ij,sj->si", s, e)
-    return np.einsum("ij,sj->si", c, e), se, np.einsum("si,si->s", e, se)
-
-
 def _error_rows(f, s, nc, c, e):
     """Error field f e + (e^T s e) nc c e at the rows of e, (S, n)."""
-    ce, _, ese = _error_parts(s, c, e)
-    ncce = np.einsum("ij,sj->si", nc, ce)
+    ese = np.einsum("si,si->s", e, np.einsum("ij,sj->si", s, e))
+    ncce = np.einsum("ij,sj->si", nc, np.einsum("ij,sj->si", c, e))
     return np.einsum("ij,sj->si", f, e) + ese[:, None] * ncce
 
 
@@ -677,164 +667,76 @@ def lyapunov_derivative_at(sys, design, e):
     return vdot_cubic, vdot_linear
 
 
-def _check_search_args(n_starts, seed):
-    """ContractError unless n_starts is a positive and seed a nonnegative int."""
-    for name, value, least, kind in (
-        ("n_starts", n_starts, 1, "positive"),
-        ("seed", seed, 0, "nonnegative"),
-    ):
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, numbers.Integral)
-            or value < least
-        ):
-            raise ContractError(f"{name} must be a {kind} integer, got {value!r}")
+@numlin.refusing_overflow("equilibrium search")
+def search_nonzero_equilibria(sys, design):
+    """Every nonzero equilibrium of the error dynamics, in closed form.
 
+    An equilibrium e != 0 has f e = -s nc r with r = c e and s = r^T theta r,
+    so r != 0 as f is invertible, and with G = f^{-1} nc and M = c G
 
-def _row_norms(v):
-    return np.sqrt(np.einsum("si,si->s", v, v))
+        e = -s G r,   M r = lambda r,   s = -1 / lambda.
 
+    The nonzero equilibria are exactly these points over the real eigenpairs
+    (lambda, v) of M with lambda v^T theta v < 0, where r = +-t v and
+    t^2 = -1 / (lambda v^T theta v). With one output M is a number m, and
+    roots exist iff m theta < 0, which is the paper's uniqueness test. One
+    np.linalg.solve gives G and one np.linalg.eig the eigenpairs of M. A
+    singular f is a NumericalError, and so is an overflow ("equilibrium
+    search overflows").
 
-def _newton_steps(jac, value):
-    """Solve jac[i] step[i] = -value[i] for every row i.
+    Three rules read the relative tolerance tol = EQUILIBRIUM_TOL:
 
-    Returns (step, ok): ok is False where LAPACK finds jac[i] singular, and
-    that row of step is meaningless.
+      real  an eigenvalue counts as real when |Im lambda| <= tol |lambda|;
+            Re lambda and the real part of its eigenvector stand for it.
+      root  a candidate e is kept only when its field value is at most
+            tol max(|f| |e|), the size of the terms of f e that the cubic
+            term cancels, so no false root is reported.
+      same  a candidate within tol |e| (max norm) of a kept root is that
+            root: the conjugate of a lambda that counts as real gives one,
+            and so does the second eigenvector of a defective lambda.
+
+    An eigenspace of dimension k >= 2 holds a continuum of equilibria: every
+    r in it with r^T theta r = -1 / lambda. The list then holds a pair per
+    eigenvector eig returns there (none where theta vanishes on it), and
+    certify_stability reports k as nonzero_equilibria_continuum. Roots come
+    as pairs e, -e.
     """
+    dyn = ErrorDynamics(sys, design)
     try:
-        step = np.linalg.solve(jac, -value[:, :, None])[:, :, 0]
-        return step, np.ones(len(value), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    # the stacked solve refuses the whole stack for one singular matrix
-    step = np.zeros_like(value)
-    ok = np.ones(len(value), dtype=bool)
-    for i in range(len(value)):
-        try:
-            step[i] = np.linalg.solve(jac[i], -value[i])
-        except np.linalg.LinAlgError:
-            ok[i] = False
-    return step, ok
-
-
-def _low_rank_newton(f, s, nc, c):
-    """Newton steps of the error field by the Woodbury identity.
-
-    The field f e + (e^T s e) nc c e has the Jacobian J(e) = f + nc m(e),
-    m(e) = 2 (c e)(s e)^T + (e^T s e) c, a rank-p change of f (p outputs).
-    With g = f^{-1} nc and w = -f^{-1} v, the step solving J(e) step = -v
-    is w - g (I_p + m(e) g)^{-1} m(e) w: O(n^2 + n p) per row and one
-    stacked (S, p, p) solve, instead of an n x n LU per row. I_p + m(e) g
-    is singular exactly when J(e) is. f must be invertible (NumericalError
-    otherwise); it is Hurwitz for every design the toolkit builds.
-
-    Returns step(e, value) -> (step, ok) over rows, as _damped_newton takes.
-    """
-    try:
-        f_inv = np.linalg.inv(f)
+        g = np.linalg.solve(dyn.f, design.gain_nc)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"a - gain_lc c is singular, equilibrium search impossible: {exc}"
         ) from exc
-    g = f_inv @ nc
-    cg = c @ g
+    g = numlin.finite(g, "equilibrium search")  # solve returns inf without raising
+    eigenvalues, eigenvectors = np.linalg.eig(sys.c @ g)
+    roots = []
+    for lam, v in zip(eigenvalues, eigenvectors.T.real):
+        k = lam.real * float(v @ design.theta @ v)
+        if abs(lam.imag) > EQUILIBRIUM_TOL * abs(lam) or not k < 0.0:
+            continue
+        e = np.sqrt(-1.0 / k) * (g @ v) / lam.real
+        scale = EQUILIBRIUM_TOL * numlin.max_abs(np.abs(dyn.f) @ np.abs(e))
+        for root, value in zip((e, -e), dyn.rows(np.array([e, -e]))):
+            if numlin.max_abs(value) <= scale and not any(
+                numlin.max_abs(root - kept) <= EQUILIBRIUM_TOL * numlin.max_abs(root)
+                for kept in roots
+            ):
+                roots.append(root)
+    return roots
 
-    def step(e, value):
-        ce, se, ese = _error_parts(s, c, e)
-        w = -np.einsum("ij,sj->si", f_inv, value)
-        mw = 2.0 * np.einsum("si,si->s", se, w)[:, None] * ce
-        mw += ese[:, None] * np.einsum("ij,sj->si", c, w)
-        capacitance = (2.0 * ce)[:, :, None] * np.einsum("si,ij->sj", se, g)[:, None, :]
-        capacitance += ese[:, None, None] * cg
-        capacitance += np.eye(len(cg))
-        # z = -(I_p + m g)^{-1} m w, so the step is w + g z
-        z, ok = _newton_steps(capacitance, mw)
-        return w + np.einsum("ij,sj->si", g, z), ok
 
-    return step
-
-
-def _damped_newton(rhs, step, starts, threshold):
-    """Damped Newton from every row of starts, (S, n), all rows together.
-
-    rhs maps a stack of rows to their field values, and step maps rows and
-    their values to (Newton steps, ok), ok False where a row's Jacobian is
-    singular; both treat each row on its own. A row takes at most 60
-    Newton steps. It stops early once the norm of its field value is below
-    threshold, when its Jacobian is singular, or when 40 halvings of its
-    step all fail to reduce that norm; the other rows go on. Returns the
-    final rows and their field values.
+def _continuum(dyn, roots):
+    """The dimension of the largest eigenspace of M = c f^{-1} nc that holds
+    one of roots, the nonzero equilibria of dyn: the nullity of M - lambda I
+    at each root's lambda = -1 / (r^T theta r), r = c e, as the number of
+    its singular values at most EQUILIBRIUM_TOL max|M|. Above 1, the roots
+    there represent a continuum of equilibria.
     """
-    e = np.array(starts, dtype=float)
-    value = rhs(e)
-    norm = _row_norms(value)
-    active = np.arange(len(e))
-    for _ in range(60):
-        active = active[~(norm[active] < threshold)]
-        if not active.size:
-            break
-        direction, ok = step(e[active], value[active])
-        rows, direction = active[ok], direction[ok]
-        pending = np.arange(len(rows))
-        alpha = 1.0
-        for _ in range(40):
-            if not pending.size:
-                break
-            trial = e[rows[pending]] + alpha * direction[pending]
-            trial_value = rhs(trial)
-            trial_norm = _row_norms(trial_value)
-            better = trial_norm < norm[rows[pending]]
-            moved = rows[pending[better]]
-            e[moved] = trial[better]
-            value[moved] = trial_value[better]
-            norm[moved] = trial_norm[better]
-            pending = pending[~better]
-            alpha *= 0.5
-        active = np.delete(rows, pending)
-    return e, value
-
-
-def search_nonzero_equilibria(sys, design, n_starts=100, seed=0):
-    """Damped-Newton search for nonzero equilibria of the error dynamics.
-
-    A falsifier, not a prover: it reports any nonzero root it converges to
-    from n_starts seeded random starts at several radii, and an empty list
-    proves nothing. For certified designs it should come back empty, and
-    certify_stability calls it only when _exclusion_radius cannot prove
-    the origin the only equilibrium out to 1e12; called directly, it
-    always searches. No root it returns lies inside _exclusion_radius.
-
-    Each start draws a radius 10**uniform(-1, 1) and then a direction
-    standard_normal(n) from default_rng(seed); n_starts must be a positive
-    and seed a nonnegative integer (ContractError otherwise). All starts
-    then run as one (n_starts, n) batch of damped-Newton iterations (see
-    _damped_newton). Each step uses the Woodbury form of the Jacobian's
-    inverse, a rank-p change of a - lc c (see _low_rank_newton), so a step
-    is one stacked (n_starts, p, p) solve, not an n x n LU per start; a - lc c
-    must be invertible (NumericalError otherwise). Fixed-order einsum
-    reductions and one LAPACK solve per row keep a start's path and root
-    the same bits whatever the batch holds: the first k starts of a larger
-    search find exactly the roots the search with n_starts=k finds. A start
-    counts as converged when its residual norm is below
-    EQUILIBRIUM_TOL * max(1, max|a - lc c|). Roots are kept in start order,
-    dropping any within 1e-6 of one already kept or of the origin.
-    """
-    _check_search_args(n_starts, seed)
-    dyn = ErrorDynamics(sys, design)
-    step = _low_rank_newton(dyn.f, dyn.s, design.gain_nc, sys.c)
-    rng = np.random.default_rng(seed)
-    starts = np.empty((n_starts, sys.n))
-    for row in starts:
-        radius = 10.0 ** rng.uniform(-1.0, 1.0)
-        row[:] = radius * rng.standard_normal(sys.n)
-    threshold = EQUILIBRIUM_TOL * max(1.0, numlin.max_abs(dyn.f))
-    # ignored, not raised: a start whose field overflows has an inf or NaN
-    # norm, which never falls below threshold, so it is a failed start
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        e, value = _damped_newton(dyn.rows, step, starts, threshold)
-        roots = e[(_row_norms(value) < threshold) & (_row_norms(e) > 1e-6)]
-    found = []
-    for root in roots:
-        if not any(np.linalg.norm(root - r) < 1e-6 for r in found):
-            found.append(root.copy())
-    return found
+    c, theta = dyn.sys.c, dyn.design.theta
+    m = c @ np.linalg.solve(dyn.f, dyn.design.gain_nc)
+    dimension = 0
+    for r in np.array(roots) @ c.T:
+        singular = np.linalg.svd(m + np.eye(len(m)) / float(r @ theta @ r), compute_uv=False)
+        dimension = max(dimension, int(np.sum(singular <= EQUILIBRIUM_TOL * numlin.max_abs(m))))
+    return dimension

@@ -27,9 +27,11 @@ trace's V = e'Pe is such an einsum: p > 0 makes its NaN inf - inf, read as
 unchecked first row of a start beyond it. Each deliberate np.errstate
 ignore says why. Shape checks are written only here too: as_matrix and
 as_vector take a shape (None for a free dimension) or size, and read input
-through as_array, one ContractError for ragged or non-numeric input.
+through as_array, one ContractError for ragged or non-numeric input. A
+count, such as a signal's dimension, is checked by as_count.
 """
 
+import numbers
 from contextlib import contextmanager
 
 import numpy as np
@@ -79,6 +81,14 @@ def as_array(values, name="array", dtype=float):
         return np.array(values, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise ContractError(f"{name} is not a numeric array") from exc
+
+
+def as_count(value, name, least):
+    """value as an int, unless it is a bool, not an integer, or below least:
+    then ContractError "<name> must be an integer of at least <least>"."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ContractError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
 
 
 def as_matrix(values, name="matrix", shape=None):

@@ -88,9 +88,8 @@ class ZeroInput:
     dimension: int = 1
 
     def __post_init__(self):
-        if int(self.dimension) < 1:
-            raise ContractError("input dimension must be at least 1")
-        object.__setattr__(self, "dimension", int(self.dimension))
+        dimension = numlin.as_count(self.dimension, "input dimension", 1)
+        object.__setattr__(self, "dimension", dimension)
 
     def sample(self, t):
         return np.zeros(np.shape(t) + (self.dimension,))

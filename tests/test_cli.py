@@ -6,6 +6,7 @@ JSON documents are additionally validated against docs/schema.json.
 """
 
 import argparse
+import ast
 import copy
 import json
 import os
@@ -836,6 +837,27 @@ def test_a_non_finite_config_number_is_a_config_error(
         assert (code, out, err) == (2, "", f"config error: {message}\n"), argv
 
 
+# The command-line value overrides the file's, and a non-finite file value
+# is refused all the same; without the override the pinned texts above stand.
+SIM_OVERRIDES = {"horizon": "0.01", "dt": "0.001", "eps": "0"}
+
+
+@pytest.mark.parametrize("token", [float("nan"), float("inf"), float("-inf")], ids=str)
+@pytest.mark.parametrize("key", sorted(SIM_OVERRIDES))
+@pytest.mark.parametrize(
+    "argv", [["simulate"], ["sweep-gamma", "--gammas", "1"]], ids=lambda argv: argv[0]
+)
+def test_a_non_finite_sim_number_is_refused_under_its_override(
+    write_config, capsys, monkeypatch, tmp_path, argv, key, token
+):
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
+    cfg = copy.deepcopy(EXAMPLE_CONFIG)
+    cfg["sim"][key] = token
+    path = write_config(cfg)
+    code, out, err = run_cli(capsys, argv[0], path, *argv[1:], f"--{key}", SIM_OVERRIDES[key])
+    assert (code, out, err) == (2, "", f"config error: sim.{key}: expected a finite number\n")
+
+
 def test_an_integer_past_the_digit_limit_is_a_config_error(write_config, capsys, tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(base_config()).replace("2.0", "1" + "0" * 5000, 1))
@@ -922,14 +944,14 @@ CLI_SURFACE = {
         ("config", None, None, True, None, "JSON config file with system and observer sections"),
         ("--out", None, None, False, None, "write the design document here instead of stdout"),
         ("--format", ("json", "csv"), "json", False, None, None),
-        ("--seed", None, 0, False, "int", "seed for the equilibrium search"),
+        ("--seed", None, 0, False, "int", "unused: the search draws no numbers"),
         (
             "--equilibrium-search",
             None,
             False,
             False,
             None,
-            "also run the randomized nonzero-equilibrium falsifier",
+            "also count the nonzero equilibria of the error dynamics",
         ),
     ],
     "simulate": [
@@ -1437,3 +1459,22 @@ def test_the_package_imports_only_numpy_and_the_standard_library():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def imported_or_reached_names(node):
+    """The module path parts an import names, or the attribute a node reads."""
+    if isinstance(node, ast.Import):
+        return [part for alias in node.names for part in alias.name.split(".")]
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".") + [alias.name for alias in node.names]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    return []
+
+
+def test_the_package_draws_no_random_numbers():
+    # every result is a function of the inputs alone: no module imports
+    # random or numpy.random, or reads a .random attribute such as np.random
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert "random" not in imported_or_reached_names(node), (path.name, node.lineno)

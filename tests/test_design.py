@@ -435,40 +435,71 @@ def test_error_field_degenerate_is_linear(fx1, designs1):
 
 
 def test_equilibrium_search_empty_for_certified_design(fx1, designs1):
-    _, cubic = designs1
-    roots = co.search_nonzero_equilibria(fx1.system, cubic, n_starts=40, seed=0)
-    assert roots == []
+    # M = -gamma c f^{-1} p^{-1} c^T theta for a synthesized gain, and the
+    # Lyapunov equation makes f^{-1} p^{-1} negative definite in the
+    # symmetric sense, so no eigenvalue of M is real and negative
+    assert co.search_nonzero_equilibria(fx1.system, designs1[1]) == []
+    for n in (2, 4, 8, 16, 32):
+        # no one-output plant of random_design's passes the observability test at n = 32
+        for n_y in (1, 2, 4) if n < 32 else (2, 4):
+            system, design = random_design("synthesized", 100 * n + n_y, n, n_y, 1.0)
+            assert co.search_nonzero_equilibria(system, design) == []
+        system, design = scaling_design(n, n)
+        assert co.search_nonzero_equilibria(system, design) == []
+        linear = co.degenerate_linear(system, design.gain_lc, design.lyapunov_q)
+        assert co.search_nonzero_equilibria(system, linear) == []
 
 
-def test_equilibrium_search_finds_roots_of_flipped_design(fx1, designs1):
-    _, cubic = designs1
-    flipped = co.explicit_cubic_design(
-        fx1.system,
-        fx1.gain_lc,
-        -cubic.gain_nc,
-        cubic.theta,
-        q=fx1.q,
-        gamma=cubic.gamma,
-    )
-    roots = co.search_nonzero_equilibria(fx1.system, flipped, n_starts=40, seed=0)
-    assert roots
-    rhs = co.error_field(fx1.system, flipped)
-    for root in roots:
-        assert np.linalg.norm(root) > 1e-6
-        assert np.linalg.norm(rhs(root)) < 1e-6
-    # deterministic: the same seed reproduces the same root list
-    again = co.search_nonzero_equilibria(fx1.system, flipped, n_starts=40, seed=0)
-    assert len(again) == len(roots)
-    for a, b in zip(roots, again):
-        assert np.array_equal(a, b)
+def test_equilibrium_search_finds_roots_of_flipped_design():
+    # each flipped example has one pair of roots, example 2's far beyond
+    # the radii a seeded search starts from
+    for number, norm in ((1, 0.548558), (2, 8744.44), (3, 0.0469581)):
+        fx = co.get_example(number)
+        cubic = co.build_designs(fx)[1]
+        flipped = flipped_design(fx.system, cubic)
+        roots = co.search_nonzero_equilibria(fx.system, flipped)
+        assert len(roots) == 2
+        assert np.array_equal(roots[1], -roots[0])
+        for root in roots:
+            assert np.linalg.norm(root) == pytest.approx(norm, rel=1e-5)
+            assert root_rule_holds(fx.system, flipped, root)
+        again = co.search_nonzero_equilibria(fx.system, flipped)
+        assert all(np.array_equal(a, b) for a, b in zip(again, roots))
+        # with one output M is the number m, and roots exist iff m theta < 0,
+        # which is where the paper's uniqueness test fails
+        for design in (cubic, flipped):
+            dyn = design_mod.ErrorDynamics(fx.system, design)
+            m = (fx.system.c @ np.linalg.solve(dyn.f, design.gain_nc)).item()
+            found = len(co.search_nonzero_equilibria(fx.system, design))
+            assert found == (2 if m * design.theta.item() < 0.0 else 0)
+            assert co.certify_stability(fx.system, design).uniqueness_ok == (found == 0)
+
+
+def test_batched_search_matches_the_reference_on_the_flipped_example(fx1, designs1):
+    # the Newton reference finds the same two roots on example 1, from any seed
+    flipped = flipped_design(fx1.system, designs1[1])
+    roots = co.search_nonzero_equilibria(fx1.system, flipped)
+    assert len(roots) == 2
+    for seed in range(5):
+        refs = sequential_search(fx1.system, flipped, seed=seed)
+        assert len(refs) == 2
+        for ref in refs:
+            assert min(np.linalg.norm(root - ref) for root in roots) <= 1e-9
 
 
 def test_certify_with_equilibrium_search_records_margin(fx1, designs1):
-    _, cubic = designs1
-    cert = co.certify_stability(
-        fx1.system, cubic, equilibrium_search=True, n_starts=20, seed=0
-    )
+    cert = co.certify_stability(fx1.system, designs1[1], equilibrium_search=True)
     assert cert.margins["nonzero_equilibria_found"] == 0.0
+    assert "nonzero_equilibria_continuum" not in cert.margins
+
+
+def test_error_field_rows_match_single_points(fx1, designs1):
+    rhs = co.error_field(fx1.system, designs1[1])
+    points = np.array([[0.3, -1.2], [2.0, 0.5], [-4.0, 1.0]])
+    stacked = rhs(points)
+    assert stacked.shape == points.shape
+    for point, row in zip(points, stacked):
+        assert np.array_equal(rhs(point), row)
 
 
 def flipped_design(system, design):
@@ -554,199 +585,120 @@ def scaling_design(seed, n):
         return system, design
 
 
-def assert_same_roots(roots, ref):
-    """Equal counts, and every root within 1e-9 relative of a reference root.
-
-    Not in order: a damped-Newton path that wanders near a singular Jacobian
-    amplifies last-bit differences, so now and then one start reaches
-    another root of the same set than it does in the reference.
-    """
-    assert len(roots) == len(ref)
-    for root in roots:
-        assert min(np.linalg.norm(root - want) / np.linalg.norm(want) for want in ref) <= 1e-9
-
-
-@settings(max_examples=20)
-@given(
-    seed=st.integers(0, 2**16),
-    n=st.integers(2, 6),
-    flipped=st.booleans(),
-    k=st.integers(1, 99),
-)
-def test_batched_search_matches_the_sequential_reference(seed, n, flipped, k):
-    system, design = scaling_design(seed, n)
-    if flipped:
-        design = flipped_design(system, design)
-    roots = co.search_nonzero_equilibria(system, design, seed=seed)
-    assert_same_roots(roots, sequential_search(system, design, seed=seed))
-    # a start's root does not depend on how many other starts share its batch
-    fewer = co.search_nonzero_equilibria(system, design, n_starts=k, seed=seed)
-    assert len(fewer) <= len(roots)
-    for root, want in zip(fewer, roots):
-        assert np.array_equal(root, want)
-    again = co.search_nonzero_equilibria(system, design, seed=seed)
-    assert len(again) == len(roots)
-    assert all(np.array_equal(a, b) for a, b in zip(again, roots))
-
-
-def test_batched_search_matches_the_reference_on_the_flipped_example(fx1, designs1):
-    flipped = flipped_design(fx1.system, designs1[1])
-    for seed in range(5):
-        roots = co.search_nonzero_equilibria(fx1.system, flipped, seed=seed)
-        assert len(roots) == 2
-        assert_same_roots(roots, sequential_search(fx1.system, flipped, seed=seed))
-
-
-def full_jacobian(sys, design, e):
-    """J(e) = f + nc c e (2 s e)^T + (e^T s e) nc c at one point, built densely."""
-    dyn = design_mod.ErrorDynamics(sys, design)
-    f, s = dyn.f, dyn.s
-    nc, c = design.gain_nc, sys.c
-    return f + np.outer(nc @ (c @ e), 2.0 * (s @ e)) + float(e @ s @ e) * (nc @ c)
+def root_rule_holds(system, design, root):
+    """search_nonzero_equilibria's root rule: the field at root is at most
+    EQUILIBRIUM_TOL max(|f| |e|)."""
+    f = design_mod.ErrorDynamics(system, design).f
+    value = co.error_field(system, design)(root)
+    return np.abs(value).max() <= design_mod.EQUILIBRIUM_TOL * (np.abs(f) @ np.abs(root)).max()
 
 
 @settings(max_examples=40, deadline=None)
 @given(
+    kind=st.sampled_from(["explicit", "flipped"]),
     seed=st.integers(0, 2**16),
     n=st.integers(2, 8),
-    flipped=st.booleans(),
-    row_seed=st.integers(0, 2**16),
+    n_y=st.integers(1, 4),
+    gamma=st.floats(0.05, 20.0),
 )
-def test_low_rank_newton_step_matches_the_full_jacobian_solve(seed, n, flipped, row_seed):
-    # where cond(J) <= 1e6 the Woodbury step agrees with the LU solve of the
-    # dense Jacobian to 1e-8 relative (worst seen on 24000 rows: 1.3e-10)
-    system, design = scaling_design(seed, n)
-    if flipped:
-        design = flipped_design(system, design)
-    dyn = design_mod.ErrorDynamics(system, design)
-    f, s = dyn.f, dyn.s
-    nc, c = design.gain_nc, system.c
-    rng = np.random.default_rng(row_seed)
-    e = 10.0 ** rng.uniform(-1.0, 1.0, (8, 1)) * rng.standard_normal((8, n))
-    value = design_mod._error_rows(f, s, nc, c, e)
-    step, ok = design_mod._low_rank_newton(f, s, nc, c)(e, value)
-    assert step.shape == e.shape
-    for row, v, got, good in zip(e, value, step, ok):
-        jac = full_jacobian(system, design, row)
-        if np.linalg.cond(jac) > 1e6:
-            continue
-        assert good
-        want = np.linalg.solve(jac, -v)
-        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+def test_the_exact_set_holds_every_root_the_newton_reference_finds(kind, seed, n, n_y, gamma):
+    system, design = random_design(kind, seed, n, n_y, gamma)
+    roots = co.search_nonzero_equilibria(system, design)
+    for ref in sequential_search(system, design, seed=seed):
+        gap = min((np.linalg.norm(root - ref) for root in roots), default=np.inf)
+        assert gap <= 1e-6 * np.linalg.norm(ref)
+    radius = exclusion_radius(system, design)
+    for root in roots:
+        assert root_rule_holds(system, design, root)
+        assert np.linalg.norm(root) >= radius
 
 
-def test_low_rank_newton_step_flags_a_singular_jacobian():
-    # scalar field -3 e + e^3: J(e) = -3 + 3 e^2 is singular at e = 1, where
-    # I_p + m g = 1 + 3 e^2 (-1/3) rounds to exactly 0 as well
-    f, s, nc, c = -3.0 * np.eye(1), np.eye(1), np.eye(1), np.eye(1)
-    e = np.array([[1.0], [2.0]])
-    value = design_mod._error_rows(f, s, nc, c, e)
-    step, ok = design_mod._low_rank_newton(f, s, nc, c)(e, value)
-    assert ok.tolist() == [False, True]
-    # at e = 2: value 2, J = 9
-    assert step[1, 0] == pytest.approx(-2.0 / 9.0, rel=1e-15)
+def m_design(m, theta=1.0):
+    """An explicit design whose M = c f^{-1} nc is the square matrix m: the
+    plant a = -I with c = I, and lc = 0, so f = -I and nc = -m."""
+    n = len(m)
+    system = co.LinearSystem(a=-np.eye(n), b=np.zeros((n, 1)), c=np.eye(n))
+    return system, co.explicit_cubic_design(system, np.zeros((n, n)), -np.asarray(m), theta)
 
 
-def test_low_rank_newton_refuses_a_singular_linear_part():
-    with pytest.raises(co.NumericalError):
-        design_mod._low_rank_newton(np.zeros((2, 2)), np.eye(2), np.ones((2, 1)), np.ones((1, 2)))
+def equilibria_margins(system, design):
+    cert = co.certify_stability(system, design, equilibrium_search=True)
+    return {k: v for k, v in cert.margins.items() if k.startswith("nonzero")}
 
 
-def full_jacobian_steps(jacobian):
-    """The Newton-step callable _damped_newton takes, from a builder of
-    (S, n, n) Jacobians, by the stacked full solve."""
-    return lambda e, value: design_mod._newton_steps(jacobian(e), value)
+@pytest.mark.parametrize(
+    "b, found",
+    # M = [[-1, -b], [b, -1]] has the eigenvalues -1 +- i b: a complex pair
+    # gives no root, one within EQUILIBRIUM_TOL of the real axis counts as
+    # the real -1, whose eigenspace is then the whole plane
+    [(0.5, 0), (1e-5, 0), (1e-7, 2), (0.0, 4)],
+)
+def test_an_eigenvalue_of_m_counts_as_real_within_the_tolerance(b, found):
+    system, design = m_design([[-1.0, -b], [b, -1.0]])
+    roots = co.search_nonzero_equilibria(system, design)
+    assert len(roots) == found
+    want = {"nonzero_equilibria_found": float(found)}
+    if found:
+        want["nonzero_equilibria_continuum"] = 2.0
+    assert equilibria_margins(system, design) == want
+    for root in roots:
+        assert root_rule_holds(system, design, root)
+        assert np.linalg.norm(root) == pytest.approx(1.0, rel=1e-6)
 
 
-def test_damped_newton_stops_only_the_row_with_a_singular_jacobian():
-    # e_i^2 = 1 per entry; the Jacobian diag(2 e) is singular at e_0 = 0
-    def rhs(e):
-        return e * e - 1.0
-
-    def jacobian(e):
-        return 2.0 * e[:, :, None] * np.eye(e.shape[1])
-
-    step = full_jacobian_steps(jacobian)
-    starts = np.array([[2.0, 3.0], [0.0, 0.5], [-0.5, 0.7]])
-    e, value = design_mod._damped_newton(rhs, step, starts, 1e-12)
-    assert np.array_equal(e[1], starts[1])
-    assert np.array_equal(value[1], rhs(starts[1]))
-    assert np.allclose(e[[0, 2]], [[1.0, 1.0], [-1.0, 1.0]], rtol=0, atol=1e-12)
-    alone, _ = design_mod._damped_newton(rhs, step, starts[[0, 2]], 1e-12)
-    assert np.array_equal(e[[0, 2]], alone)
-
-
-def test_damped_newton_step_and_halving_limits():
-    # residual e - 1 with a Jacobian scaled down by 2**k: the Newton step
-    # overshoots by 2**k, so only the k-th halving (alpha = 2**-k) reduces
-    # the residual, landing exactly on the root; 40 trials reach k = 39
-    def rhs(e):
-        return e - 1.0
-
-    for k, reached in ((39, True), (40, False)):
-        def jacobian(e):
-            return np.full((len(e), 1, 1), 2.0 ** -k)
-
-        step = full_jacobian_steps(jacobian)
-        e, _ = design_mod._damped_newton(rhs, step, np.array([[0.0]]), 1e-12)
-        assert e[0, 0] == (1.0 if reached else 0.0)
-
-    # residual e with the Jacobian 2 I: each accepted step halves e, and a
-    # zero threshold is never met, so e ends after exactly 60 steps
-    def halving_jacobian(e):
-        return np.full((len(e), 1, 1), 2.0)
-
-    step = full_jacobian_steps(halving_jacobian)
-    e, _ = design_mod._damped_newton(lambda e: e, step, np.array([[3.0]]), 0.0)
-    assert e[0, 0] == 3.0 * 2.0 ** -60
+def test_a_repeated_eigenvalue_is_a_continuum_only_when_its_eigenspace_is():
+    # M = -I: every e with |e| = 1 is an equilibrium; eig's two eigenvectors
+    # give the representatives
+    system, design = m_design(-np.eye(2))
+    assert len(co.search_nonzero_equilibria(system, design)) == 4
+    rhs = co.error_field(system, design)
+    assert np.abs(rhs([np.cos(0.3), np.sin(0.3)])).max() < 1e-15
+    assert equilibria_margins(system, design) == {
+        "nonzero_equilibria_found": 4.0,
+        "nonzero_equilibria_continuum": 2.0,
+    }
+    # theta vanishing on one eigenvector: that one gives no representative,
+    # but the lines e_0 = +-1 are equilibria and the eigenspace is still 2-D
+    system, design = m_design(-np.eye(2), np.diag([1.0, 0.0]))
+    assert np.abs(co.error_field(system, design)([1.0, 7.0])).max() == 0.0
+    assert equilibria_margins(system, design) == {
+        "nonzero_equilibria_found": 2.0,
+        "nonzero_equilibria_continuum": 2.0,
+    }
+    # a 2-D eigenspace of a rotated M next to a simple eigenvalue
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+    system, design = m_design(q @ np.diag([-1.0, -1.0, -4.0]) @ q.T)
+    assert equilibria_margins(system, design) == {
+        "nonzero_equilibria_found": 6.0,
+        "nonzero_equilibria_continuum": 2.0,
+    }
+    # a defective -1 has one eigenvector, so one pair and no continuum: eig's
+    # second eigenvector is the first to rounding, and gives the same pair
+    system, design = m_design([[-1.0, 1.0], [0.0, -1.0]])
+    roots = co.search_nonzero_equilibria(system, design)
+    assert len(roots) == 2
+    assert np.allclose(roots[0], [1.0, 0.0], rtol=0.0, atol=1e-15)
+    assert equilibria_margins(system, design) == {"nonzero_equilibria_found": 2.0}
+    # distinct eigenvalues: one pair each, no continuum
+    system, design = m_design(np.diag([-1.0, -4.0]))
+    assert equilibria_margins(system, design) == {"nonzero_equilibria_found": 4.0}
 
 
-def test_error_field_rows_match_single_points(fx1, designs1):
-    rhs = co.error_field(fx1.system, designs1[1])
-    points = np.array([[0.3, -1.2], [2.0, 0.5], [-4.0, 1.0]])
-    stacked = rhs(points)
-    assert stacked.shape == points.shape
-    for point, row in zip(points, stacked):
-        assert np.array_equal(rhs(point), row)
-
-
-@pytest.mark.parametrize("n_starts", [0, -3, 2.7, 20.0, True, "20", None])
-def test_n_starts_must_be_a_positive_integer(fx1, designs1, n_starts):
-    _, cubic = designs1
-    with pytest.raises(co.ContractError, match="n_starts"):
-        co.search_nonzero_equilibria(fx1.system, cubic, n_starts=n_starts)
-    with pytest.raises(co.ContractError, match="n_starts"):
-        co.certify_stability(
-            fx1.system, cubic, equilibrium_search=True, n_starts=n_starts
-        )
-    with pytest.raises(co.ContractError, match="n_starts"):
-        co.feedback_certificate(
-            fx1.system, cubic, [[1.0, 2.0]], equilibrium_search=True, n_starts=n_starts
-        )
-
-
-@pytest.mark.parametrize("seed", [-1, 1.5, 3.0, True, None, "0"])
-def test_seed_must_be_a_nonnegative_integer(fx1, designs1, seed):
-    _, cubic = designs1
-    with pytest.raises(co.ContractError, match="seed"):
-        co.search_nonzero_equilibria(fx1.system, cubic, seed=seed)
-    with pytest.raises(co.ContractError, match="seed"):
-        co.certify_stability(fx1.system, cubic, equilibrium_search=True, seed=seed)
-    with pytest.raises(co.ContractError, match="seed"):
-        co.feedback_certificate(
-            fx1.system, cubic, [[1.0, 2.0]], equilibrium_search=True, seed=seed
-        )
-
-
-def test_feedback_certificate_passes_n_starts_to_the_search(fx1, designs1):
-    # from seed 0 the first start alone finds one of the flipped design's two roots
-    flipped = flipped_design(fx1.system, designs1[1])
-    k = [[1.0, 2.0]]
-    for n_starts, want in ((1, 1.0), (100, 2.0)):
-        cert = co.feedback_certificate(
-            fx1.system, flipped, k, equilibrium_search=True, n_starts=n_starts, seed=0
-        )
-        assert cert.margins["nonzero_equilibria_found"] == want
+def test_the_search_refuses_a_singular_linear_part():
+    # lc = 0 leaves f = a, the singular double integrator
+    plant = double_integrator()
+    design = co.CubicObserverDesign(
+        np.zeros((2, 1)), np.ones((2, 1)), [[1.0]], 1.0, np.eye(2), np.eye(2)
+    )
+    with pytest.raises(co.NumericalError, match="singular"):
+        co.search_nonzero_equilibria(plant, design)
+    # nearly singular: LAPACK returns an infinite f^{-1} nc without raising
+    plant = co.LinearSystem(a=[[1e-300, 0.0], [1.0, -1.0]], b=[[0.0], [1.0]], c=[[1.0, 1.0]])
+    design = co.CubicObserverDesign(
+        np.zeros((2, 1)), [[1e300], [0.0]], [[1.0]], 1.0, np.eye(2), np.eye(2)
+    )
+    with pytest.raises(co.NumericalError, match="^equilibrium search overflows$"):
+        co.search_nonzero_equilibria(plant, design)
 
 
 # ---------------------------------------------------------------------------
@@ -806,7 +758,7 @@ def test_no_equilibrium_lies_inside_the_exclusion_radius(kind, seed, n, n_y, gam
     system, design = random_design(kind, seed, n, n_y, gamma)
     radius = exclusion_radius(system, design)
     assert radius > 0.0
-    for root in co.search_nonzero_equilibria(system, design, seed=seed):
+    for root in co.search_nonzero_equilibria(system, design):
         assert np.linalg.norm(root) >= radius
     if not np.isfinite(radius):
         return
@@ -833,9 +785,9 @@ def search_calls(monkeypatch):
     calls = []
     search = design_mod.search_nonzero_equilibria
 
-    def counting(sys, design, **kwargs):
+    def counting(sys, design):
         calls.append(design)
-        return search(sys, design, **kwargs)
+        return search(sys, design)
 
     monkeypatch.setattr(design_mod, "search_nonzero_equilibria", counting)
     return calls
@@ -871,17 +823,21 @@ def test_explicit_and_flipped_designs_are_still_searched(
     flipped2 = flipped_design(fx2.system, designs2[1])
     cert = co.certify_stability(fx2.system, flipped2, equilibrium_search=True)
     assert cert.margins["equilibrium_exclusion_radius"] < 2.0
+    # the pair at |e| = 8744 that a search from radii 0.1 to 10 missed
+    assert cert.margins["nonzero_equilibria_found"] == 2.0
     assert search_calls == [flipped2]
 
     flipped = flipped_design(fx1.system, designs1[1])
-    for n_starts, want in ((100, 2.0), (1, 1.0)):
-        search_calls.clear()
-        cert = co.certify_stability(
-            fx1.system, flipped, equilibrium_search=True, n_starts=n_starts
-        )
-        assert cert.margins["nonzero_equilibria_found"] == want
-        assert search_calls == [flipped]
     search_calls.clear()
+    cert = co.certify_stability(fx1.system, flipped, equilibrium_search=True)
+    assert cert.margins["nonzero_equilibria_found"] == 2.0
+    assert search_calls == [flipped]
+
+
+def test_feedback_certificate_passes_n_starts_to_the_search(fx1, designs1, search_calls):
+    # the search has no starts any more: the certificate hands it the design
+    # alone, and it reports both of the flipped design's roots
+    flipped = flipped_design(fx1.system, designs1[1])
     cert = co.feedback_certificate(fx1.system, flipped, [[1.0, 2.0]], equilibrium_search=True)
     assert cert.margins["nonzero_equilibria_found"] == 2.0
     assert search_calls == [flipped]
@@ -935,6 +891,7 @@ def test_certifying_an_explicit_design_whose_forms_overflow_is_refused():
             (lambda: co.certify_stability(plant, design), "certificate"),
             (lambda: co.feedback_certificate(plant, design, [[1.0, 2.0]]), "certificate"),
             (lambda: co.lyapunov_derivative_at(plant, design, [1.0, 1.0]), "Lyapunov derivative"),
+            (lambda: co.search_nonzero_equilibria(plant, design), "equilibrium search"),
         ):
             with pytest.raises(co.NumericalError, match=f"^{what} overflows$"):
                 call()

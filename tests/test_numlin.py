@@ -398,7 +398,6 @@ def test_refusing_overflow_turns_each_raised_flag_into_one_numerical_error():
 # each under a comment that says why it is ignored, not raised.
 ERRSTATE_SITES = [
     ("design", "_exclusion_radius"),
-    ("design", "search_nonzero_equilibria"),
     ("numlin", "refusing_overflow"),
     ("numlin", "symmetrize"),
     ("sim", "_rk4"),

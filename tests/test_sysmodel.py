@@ -82,8 +82,11 @@ def test_observability_matrix_stacks_n_blocks():
 def test_zero_input():
     sig = ZeroInput(dimension=3)
     assert np.array_equal(sig.sample(1.7), np.zeros(3))
-    with pytest.raises(ContractError):
-        ZeroInput(dimension=0)
+    assert ZeroInput(np.int64(2)).dimension == 2
+    assert type(ZeroInput(np.int64(2)).dimension) is int
+    for bad in (0, -1, 2.7, 2.0, True, "x", "2", None):
+        with pytest.raises(ContractError, match="^input dimension must be an integer of at least 1"):
+            ZeroInput(dimension=bad)
 
 
 def test_sinusoid_input_values():
