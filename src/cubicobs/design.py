@@ -41,9 +41,11 @@ an ErrorDynamics, which forms a - lc c, c^T theta c and the two Lyapunov
 forms and takes each of their spectra once. A CubicObserverDesign checks
 its parts against gain_lc, and check_pairing gain_lc against the plant.
 
-Asked for an equilibrium search, certify_stability first bounds the
-equilibria away in closed form. With w = f^T p + p f, s = e^T c^T theta c e
-and E = p nc c + c^T nc^T p + 2 gamma c^T theta c,
+Asked for an equilibrium search, certify_stability counts the nonzero
+equilibria, which search_nonzero_equilibria computes exactly as the real
+eigenpairs of the n_y x n_y matrix c (a - lc c)^{-1} nc, scaled, and bounds
+them away in closed form. With w = f^T p + p f, s = e^T c^T theta c e and
+E = p nc c + c^T nc^T p + 2 gamma c^T theta c,
 
     e^T p g(e) <= 1/2 lambda_max(w) |e|^2 + |E|_2^2 |e|^4 / (16 gamma)
 
@@ -51,10 +53,7 @@ along the error dynamics g, so no nonzero equilibrium lies within
 R = sqrt(8 gamma (-lambda_max(w))) / |E|_2. For a synthesized gain E is the
 rounding residual of the defining identity, evaluated in np.longdouble
 with an a-priori rounding allowance (_exclusion_radius), and R is
-astronomically large. Only when R < STATE_NORM_LIMIT (1e12) does
-search_nonzero_equilibria compute the nonzero equilibria, which it does
-exactly: they are the real eigenpairs of the n_y x n_y matrix
-c (a - lc c)^{-1} nc, scaled. The certificate reports
+astronomically large. The certificate reports
 equilibrium_exclusion_radius = min(R, 1e12) next to the root count.
 """
 
@@ -75,7 +74,7 @@ PLACEMENT_TOL = 1e-8
 # scaling grid searched by feedback_certificate
 FEEDBACK_BETA_GRID = tuple(10.0 ** k for k in range(9))
 # state norm beyond which a simulated trajectory counts as diverged, and
-# the exclusion radius beyond which the equilibrium search is not run
+# the cap on the reported equilibrium exclusion radius
 STATE_NORM_LIMIT = 1e12
 # the equilibrium set's relative tolerance: which eigenvalue of M is real,
 # which candidate is a root, and when two roots or two eigenvalues are one
@@ -346,8 +345,8 @@ class ErrorDynamics:
     Built with f = a - lc c, s = c^T theta c, the quadratic Lyapunov form
     w = f^T p + p f and the damping form d = p nc c + c^T nc^T p, all
     read-only, after check_pairing. w_spectrum and d_spectrum, the ascending
-    eigenvalues of the symmetric parts of w and d, and abscissa, the
-    spectral abscissa of f, are computed on first use and kept.
+    eigenvalues of the symmetric parts of w and d, abscissa, the spectral
+    abscissa of f, and g = f^{-1} nc are computed on first use and kept.
     """
 
     sys: sysmodel.LinearSystem
@@ -366,9 +365,9 @@ class ErrorDynamics:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
-    def rows(self, e):
-        """The error field at the rows of e, (S, n); see _error_rows."""
-        return _error_rows(self.f, self.s, self.design.gain_nc, self.sys.c, e)
+    def field(self, e):
+        """The error field f e + (e^T s e) nc c e at one point e, (n,)."""
+        return self.f @ e + float(e @ self.s @ e) * (self.design.gain_nc @ (self.sys.c @ e))
 
     @cached_property
     def w_spectrum(self):
@@ -381,6 +380,17 @@ class ErrorDynamics:
     @cached_property
     def abscissa(self):
         return numlin.spectral_abscissa(self.f)
+
+    @cached_property
+    def g(self):
+        """G = f^{-1} nc: NumericalError when f is singular or G overflows."""
+        try:
+            g = np.linalg.solve(self.f, self.design.gain_nc)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"a - gain_lc c is singular, equilibrium search impossible: {exc}"
+            ) from exc
+        return numlin.finite(g, "equilibrium search")  # solve returns inf without raising
 
 
 def _rounding(k, eps):
@@ -469,9 +479,8 @@ def certify_stability(sys, design, strict_damping=None, equilibrium_search=False
     equilibrium_search=True the margins gain equilibrium_exclusion_radius,
     min(R, STATE_NORM_LIMIT) for the closed-form radius R of
     _exclusion_radius, inside which the origin is the only equilibrium, and
-    nonzero_equilibria_found. Where R < STATE_NORM_LIMIT (1e12) that count
-    is the length of search_nonzero_equilibria's exact set; otherwise it is
-    0 without a search. Where that set represents a continuum, the margins
+    nonzero_equilibria_found, the length of search_nonzero_equilibria's
+    exact set. Where that set represents a continuum, the margins
     also gain nonzero_equilibria_continuum, the dimension of the largest
     eigenspace that holds one (see _continuum). The certificate carries the
     design's robustness radius, robustness_bound(design), as
@@ -486,7 +495,7 @@ def certify_stability(sys, design, strict_damping=None, equilibrium_search=False
     damping_semi = numlin.is_positive_spectrum(minus_d, semidefinite=True)
 
     if strict_damping is None:
-        full_rank_s = _rank_of_sym(dyn.s) == sys.n
+        full_rank_s = numlin.rank(dyn.s, 1e-12) == sys.n
         mode = "strict" if (not design.synthesized or full_rank_s) else "semidefinite"
     else:
         mode = "strict" if strict_damping else "semidefinite"
@@ -512,15 +521,12 @@ def certify_stability(sys, design, strict_damping=None, equilibrium_search=False
     margins["uniqueness_min_eig"] = float(m_spectrum[0])
 
     if equilibrium_search:
-        radius = _exclusion_radius(dyn)
-        roots = []
-        if radius < STATE_NORM_LIMIT:
-            roots = search_nonzero_equilibria(sys, design)
+        roots = search_nonzero_equilibria(sys, design)
         margins["nonzero_equilibria_found"] = float(len(roots))
         dimension = _continuum(dyn, roots) if roots else 0
         if dimension > 1:
             margins["nonzero_equilibria_continuum"] = float(dimension)
-        margins["equilibrium_exclusion_radius"] = min(radius, STATE_NORM_LIMIT)
+        margins["equilibrium_exclusion_radius"] = min(_exclusion_radius(dyn), STATE_NORM_LIMIT)
 
     return Certificate(
         hurwitz_ok=hurwitz_ok,
@@ -531,13 +537,6 @@ def certify_stability(sys, design, strict_damping=None, equilibrium_search=False
         margins=margins,
         robustness_eps_max=robustness_bound(design),
     )
-
-
-def _rank_of_sym(s):
-    w = np.abs(numlin.sym_spectrum(s))
-    if w.size == 0 or w[-1] == 0.0:
-        return 0
-    return int(np.count_nonzero(w > 1e-12 * w[-1]))
 
 
 def robustness_bound(design):
@@ -628,27 +627,15 @@ def feedback_certificate(sys, design, k, strict_damping=None, equilibrium_search
 def error_field(sys, design):
     """Right-hand side of the estimation-error dynamics as a callable f(e).
 
-    f takes one point, shape (n,), or a stack of points as rows, shape
-    (S, n), finite (numlin checks), and returns an array of that shape. Each
-    row is evaluated with fixed-order einsum reductions, not a BLAS product
-    over the stack, so a row's bits do not depend on the rows around it.
+    f takes one finite point e of shape (n,), checked by numlin.as_vector,
+    and returns f e + (e^T c^T theta c e) nc c e, shape (n,).
     """
     dyn = ErrorDynamics(sys, design)
 
     def rhs(e):
-        e = numlin.as_array(e, "e")
-        if e.ndim == 2:
-            return dyn.rows(numlin.as_matrix(e, "e", (None, sys.n)))
-        return dyn.rows(numlin.as_vector(e, "e", sys.n)[None])[0]
+        return dyn.field(numlin.as_vector(e, "e", sys.n))
 
     return rhs
-
-
-def _error_rows(f, s, nc, c, e):
-    """Error field f e + (e^T s e) nc c e at the rows of e, (S, n)."""
-    ese = np.einsum("si,si->s", e, np.einsum("ij,sj->si", s, e))
-    ncce = np.einsum("ij,sj->si", nc, np.einsum("ij,sj->si", c, e))
-    return np.einsum("ij,sj->si", f, e) + ese[:, None] * ncce
 
 
 @numlin.refusing_overflow("Lyapunov derivative")
@@ -702,26 +689,21 @@ def search_nonzero_equilibria(sys, design):
     as pairs e, -e.
     """
     dyn = ErrorDynamics(sys, design)
-    try:
-        g = np.linalg.solve(dyn.f, design.gain_nc)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"a - gain_lc c is singular, equilibrium search impossible: {exc}"
-        ) from exc
-    g = numlin.finite(g, "equilibrium search")  # solve returns inf without raising
-    eigenvalues, eigenvectors = np.linalg.eig(sys.c @ g)
+    eigenvalues, eigenvectors = np.linalg.eig(sys.c @ dyn.g)
     roots = []
     for lam, v in zip(eigenvalues, eigenvectors.T.real):
         k = lam.real * float(v @ design.theta @ v)
         if abs(lam.imag) > EQUILIBRIUM_TOL * abs(lam) or not k < 0.0:
             continue
-        e = np.sqrt(-1.0 / k) * (g @ v) / lam.real
+        e = np.sqrt(-1.0 / k) * (dyn.g @ v) / lam.real
+        # the field is odd bit for bit, as negation is exact through every
+        # product and sum, so -e passes the root rule exactly when e does
         scale = EQUILIBRIUM_TOL * numlin.max_abs(np.abs(dyn.f) @ np.abs(e))
-        for root, value in zip((e, -e), dyn.rows(np.array([e, -e]))):
-            if numlin.max_abs(value) <= scale and not any(
-                numlin.max_abs(root - kept) <= EQUILIBRIUM_TOL * numlin.max_abs(root)
-                for kept in roots
-            ):
+        if not numlin.max_abs(dyn.field(e)) <= scale:
+            continue
+        for root in (e, -e):
+            same = EQUILIBRIUM_TOL * numlin.max_abs(root)
+            if not any(numlin.max_abs(root - kept) <= same for kept in roots):
                 roots.append(root)
     return roots
 
@@ -734,7 +716,7 @@ def _continuum(dyn, roots):
     there represent a continuum of equilibria.
     """
     c, theta = dyn.sys.c, dyn.design.theta
-    m = c @ np.linalg.solve(dyn.f, dyn.design.gain_nc)
+    m = c @ dyn.g
     dimension = 0
     for r in np.array(roots) @ c.T:
         singular = np.linalg.svd(m + np.eye(len(m)) / float(r @ theta @ r), compute_uv=False)

@@ -21,6 +21,7 @@ makes (which design constructor, open or closed loop, which certificate),
 for the bundles, the gamma sweep and the command line alike.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,10 +145,11 @@ _EXAMPLES = {1: example_1, 2: example_2, 3: example_3}
 
 
 def get_example(number):
-    try:
-        return _EXAMPLES[int(number)]()
-    except (KeyError, ValueError):
+    """The fixture of example 1, 2 or 3; a bool or a non-integer is refused."""
+    integer = isinstance(number, numbers.Integral) and not isinstance(number, bool)
+    if not (integer and number in _EXAMPLES):
         raise ContractError(f"no example numbered {number!r}; choose 1, 2, or 3")
+    return _EXAMPLES[number]()
 
 
 def build_design(sys, gain_lc, q, theta, gamma, gain_nc=None):
@@ -234,7 +236,7 @@ def compute_bundle(number):
     metrics_cubic = compute_metrics(trace_cubic, lqr_weights=fx.lqr_weights)
 
     bundle = {
-        "number": int(number),
+        "number": int(number),  # get_example took only an integer; the writer needs an int
         "fixture": fx,
         "linear_design": linear,
         "cubic_design": cubic,

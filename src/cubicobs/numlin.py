@@ -139,6 +139,15 @@ def max_abs(m):
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
+def rank(m, rtol):
+    """Numerical rank of m: how many of its singular values exceed rtol
+    times the largest; 0 for an empty or zero m."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(sv > rtol * sv[0]))
+
+
 def symmetrize(s, name="matrix", shape=None):
     """Return the symmetric part of s after checking s is symmetric (and of
     the given square shape, as as_matrix checks it).

@@ -34,13 +34,6 @@ def _observability_blocks(a, c):
     return np.vstack(blocks)
 
 
-def _rank(m, rtol=OBSERVABILITY_RTOL):
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > rtol * sv[0]))
-
-
 @dataclass(frozen=True)
 class LinearSystem:
     """Observable LTI plant (a, b, c); arrays are copied and made read-only."""
@@ -54,7 +47,7 @@ class LinearSystem:
         n = a.shape[0]
         b = numlin.as_matrix(self.b, "b", (n, None))
         c = numlin.as_matrix(self.c, "c", (None, n))
-        rank = _rank(_observability_blocks(a, c))
+        rank = numlin.rank(_observability_blocks(a, c), OBSERVABILITY_RTOL)
         if rank < n:
             raise ContractError(
                 f"(a, c) pair is not observable: rank {rank} < {n}"

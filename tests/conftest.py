@@ -53,6 +53,25 @@ def bundle3():
     return co.compute_bundle(3)
 
 
+# how many refused draws redraw_until_accepted allows before it fails
+DRAW_ATTEMPTS = 100
+
+
+def redraw_until_accepted(draw):
+    """draw(), called again while the package refuses what it drew.
+
+    draw takes its numbers from a generator it closes over, so each retry
+    continues that generator's stream. After DRAW_ATTEMPTS refusals the
+    test fails with the last refusal's text instead of retrying forever.
+    """
+    for _ in range(DRAW_ATTEMPTS):
+        try:
+            return draw()
+        except co.ObserverToolkitError as exc:
+            refusal = exc
+    pytest.fail(f"no draw accepted in {DRAW_ATTEMPTS} attempts; the last was refused: {refusal}")
+
+
 def random_observable_system(rng, n=None):
     """Draw a well-conditioned observable single-output system.
 
@@ -62,16 +81,16 @@ def random_observable_system(rng, n=None):
     """
     if n is None:
         n = int(rng.integers(2, 6))
-    while True:
+
+    def draw():
         a = rng.normal(size=(n, n))
         radius = max(np.abs(np.linalg.eigvals(a)))
         if radius > 1e-6:
             a = a / radius
         c = rng.normal(size=(1, n))
-        try:
-            return co.LinearSystem(a=a, b=np.zeros((n, 1)), c=c)
-        except co.ContractError:
-            continue
+        return co.LinearSystem(a=a, b=np.zeros((n, 1)), c=c)
+
+    return redraw_until_accepted(draw)
 
 
 def separated_stable_poles(rng, n, lo=0.6, hi=3.5, min_sep=0.3):

@@ -11,8 +11,11 @@ before it fails the benchmark.
 
 import ast
 import inspect
+import json
 import os
 import sys
+
+import numpy as np
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
 sys.path.insert(0, BENCH_DIR)
@@ -20,7 +23,7 @@ sys.path.insert(0, BENCH_DIR)
 import layers  # noqa: E402
 import workloads  # noqa: E402
 
-from cubicobs import cli  # noqa: E402
+from cubicobs import cli, design  # noqa: E402
 
 # spans whose hook reads the run config from the last positional argument
 SIMULATE_SPAN = "sim.simulate"
@@ -56,6 +59,25 @@ def test_simulate_spans_take_the_config_last():
         if span == SIMULATE_SPAN:
             params = list(inspect.signature(getattr(module, attr)).parameters)
             assert params[-1] == "cfg", f"{module.__name__}.{attr}{params}"
+
+
+def test_the_benchmark_times_one_search_per_searched_design(tmp_path):
+    # a certified design of the design_scaling kind, whose closed-form
+    # exclusion radius already rules equilibria out: the search still runs,
+    # once per design command, where the design.search_nonzero_equilibria
+    # span can time it
+    cfg, _ = workloads.draw_design(np.random.default_rng(0), 8, feedback=False)
+    path, out = tmp_path / "design.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg))
+    runs = 3
+    with layers.Tracer().installed() as tracer:
+        for _ in range(runs):
+            argv = ["design", str(path), "--equilibrium-search", "--out", str(out)]
+            assert cli.main(argv) == 0
+    certificate = json.loads(out.read_text())["certificate"]
+    assert certificate["all_ok"] is True
+    assert certificate["margins"]["equilibrium_exclusion_radius"] == design.STATE_NORM_LIMIT
+    assert tracer.calls["design.search_nonzero_equilibria"] == runs
 
 
 def test_bundles_match_the_benchmark_digests(bundle1, bundle2, bundle3, tmp_path):

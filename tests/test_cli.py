@@ -21,8 +21,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cubicobs import cli
+from cubicobs import cli, examples
 from cubicobs.design import place_poles_single_output
+from cubicobs.errors import ContractError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((REPO_ROOT / "docs" / "schema.json").read_text())
@@ -1419,6 +1420,18 @@ def test_example_bundle_layout_and_report(capsys, tmp_path):
     assert header.endswith("V,V_cz")
     cum_header = (out_dir / "cumulative_cubic.csv").read_text().splitlines()[0]
     assert cum_header == "t,J1,J2,J"
+
+
+@pytest.mark.parametrize("number", [2.7, True, "3", 0, 4, None])
+def test_get_example_refuses_anything_but_an_example_number(number):
+    # the command line parses the number with int before it gets here
+    with pytest.raises(ContractError) as info:
+        examples.get_example(number)
+    assert str(info.value) == f"no example numbered {number!r}; choose 1, 2, or 3"
+
+
+def test_get_example_takes_a_numpy_integer():
+    assert examples.get_example(np.int64(2)).name == "example2"
 
 
 def test_shipped_example_config_is_valid_and_runs(capsys):

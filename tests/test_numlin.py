@@ -81,6 +81,14 @@ def test_max_abs():
     assert numlin.max_abs(np.zeros((0, 0))) == 0.0
 
 
+def test_rank_counts_singular_values_above_the_relative_threshold():
+    assert numlin.rank(np.diag([1.0, 1e-10, 1e-13]), 1e-12) == 2
+    assert numlin.rank(np.diag([1.0, 1e-10, 1e-13]), 1e-9) == 1
+    assert numlin.rank(np.ones((3, 2)), 1e-12) == 1
+    assert numlin.rank(np.zeros((2, 2)), 1e-12) == 0
+    assert numlin.rank(np.zeros((0, 2)), 1e-12) == 0
+
+
 def test_symmetrize_accepts_roundoff_asymmetry():
     s = np.array([[2.0, 1.0], [1.0 + 1e-13, 3.0]])
     out = numlin.symmetrize(s)

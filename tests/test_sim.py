@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import cubicobs as co
 from cubicobs import sim
+from conftest import redraw_until_accepted
 
 
 def double_integrator():
@@ -480,20 +481,17 @@ def joint_runs(draw):
     unstable, shift = draw(st.booleans()), draw(st.sampled_from([40.0, 9.0]))
     cubic, tiny_weight = draw(st.booleans()), draw(st.booleans())
     weight, fortran = draw(st.sampled_from([-0.0, -1e-300])), draw(st.booleans())
-    while True:
+
+    def plant():
         a = rng.standard_normal((n, n))
         if unstable:
             # e^(40 t) passes 1e12 before t = 0.7, in the first block of
             # steps; e^(9 t) near t = 3, a few blocks on
             a += shift * np.eye(n)
         c = with_zeros(rng, rng.standard_normal((n_outputs, n)), 0.2)
-        try:
-            system = co.LinearSystem(
-                a, with_zeros(rng, rng.standard_normal((n, n_inputs)), 0.2), c
-            )
-            break
-        except co.ContractError:
-            continue
+        return co.LinearSystem(a, with_zeros(rng, rng.standard_normal((n, n_inputs)), 0.2), c)
+
+    system = redraw_until_accepted(plant)
     gain_nc = np.zeros((n, n_outputs))
     theta = np.zeros((n_outputs, n_outputs))
     if cubic:
