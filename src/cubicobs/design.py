@@ -30,9 +30,9 @@ certify_stability evaluates three conditions against a candidate design:
                  semidefiniteness of c^T theta c (a - lc c)^{-1} nc c in the
                  symmetrized quadratic-form sense
 
-For synthesized gains with fewer outputs than states the damping matrix is
--2 gamma c^T theta c, which is rank deficient, so only the semidefinite
-verdict can hold; the strict verdict is reported alongside. Every boolean in
+For synthesized gains the damping matrix is -2 gamma c^T theta c, rank
+deficient with fewer outputs than states, so by default the semidefinite
+verdict decides where the strict one fails; both are reported. Every boolean in
 a certificate is backed by a named numerical margin, and each verdict is
 read off the spectrum its margin reports: numlin.sym_spectrum decomposes
 each form once, and numlin.is_positive_spectrum or is_negative_spectrum
@@ -419,8 +419,8 @@ def _exclusion_radius(dyn):
     E = H c + c^T H^T with H = p nc + gamma c^T theta, the residual of the
     constructive-gain identity, so |E|_2 <= 2 |H|_2 |c|_2: for a
     synthesized gain H is rounding-sized and R huge, for an explicit gain
-    R is of order one. gain_nc = 0 gives D = 0 and R = inf; w_max >= 0, or
-    gamma <= 0 with a nonzero gain, gives R = 0.
+    R is of order one. gain_nc = 0 gives D = 0 and R = inf; w_max >= 0 gives
+    R = 0.
 
     The bound is rigorous for the float64 data of the design. H is
     evaluated in np.longdouble and enlarged by the rounding allowance
@@ -444,8 +444,6 @@ def _exclusion_radius(dyn):
         return 0.0
     if not np.any(nc):
         return np.inf
-    if gamma <= 0.0:
-        return 0.0
     ld = np.longdouble
     h = p.astype(ld) @ nc.astype(ld) + ld(gamma) * (c.T.astype(ld) @ theta.astype(ld))
     h_err = _rounding(n + n_y + 2, np.finfo(ld).eps) * (
@@ -473,9 +471,9 @@ def certify_stability(sys, design, strict_damping=None, equilibrium_search=False
     """Evaluate the stability conditions for a cubic observer design.
 
     strict_damping selects the damping verdict mode: True forces the strict
-    negative-definite test, False the semidefinite one, and None (default)
-    picks strict exactly when the design was not synthesized by the
-    constructive rule or c^T theta c has full rank. With
+    negative-definite test, False the semidefinite one. None (default) holds
+    a synthesized design to the strict test when it passes it and to the
+    semidefinite one otherwise, and any other design to the strict test. With
     equilibrium_search=True the margins gain equilibrium_exclusion_radius,
     min(R, STATE_NORM_LIMIT) for the closed-form radius R of
     _exclusion_radius, inside which the origin is the only equilibrium, and
@@ -495,11 +493,9 @@ def certify_stability(sys, design, strict_damping=None, equilibrium_search=False
     damping_semi = numlin.is_positive_spectrum(minus_d, semidefinite=True)
 
     if strict_damping is None:
-        full_rank_s = numlin.rank(dyn.s, 1e-12) == sys.n
-        mode = "strict" if (not design.synthesized or full_rank_s) else "semidefinite"
-    else:
-        mode = "strict" if strict_damping else "semidefinite"
-    damping_ok = damping_strict if mode == "strict" else damping_semi
+        strict_damping = damping_strict or not design.synthesized
+    mode = "strict" if strict_damping else "semidefinite"
+    damping_ok = damping_strict if strict_damping else damping_semi
 
     margins = {
         "q_min_eig": float(design.q_spectrum[0]),

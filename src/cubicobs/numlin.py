@@ -15,7 +15,8 @@ Matrices are plain float64 ndarrays in row-major semantic order; vectors
 are 1-D arrays. Every definiteness verdict is read off one spectrum:
 sym_spectrum(m) decomposes the symmetric part of m once, and
 is_positive_spectrum and is_negative_spectrum apply a threshold relative to
-that spectrum's scale, so they behave the same for Q and 1000*Q.
+that spectrum's largest magnitude, with no floor, so they give the same
+verdict for Q, 1000*Q and 1e-12*Q.
 
 The package's one floating-point policy is refusing_overflow(what): around
 a named site or a public entry point, a numpy overflow, invalid or divide
@@ -212,23 +213,20 @@ def is_positive_spectrum(w, semidefinite=False):
     """The definiteness verdict of a symmetric matrix from its eigenvalues w,
     in ascending order: w[0] > DEFINITENESS_TOL * scale, or
     w[0] >= -DEFINITENESS_TOL * scale when semidefinite, with
-    scale = max(1, max|w|). Scaling the matrix by a positive constant does
-    not change the verdict (up to the max(1, .) floor).
+    scale = max|w|. The threshold has no floor, so scaling the matrix by a
+    positive constant does not change the verdict; a zero matrix is
+    semidefinite and not definite.
     """
-    scale = max(1.0, abs(float(w[0])), abs(float(w[-1])))
+    scale = max(abs(float(w[0])), abs(float(w[-1])))
     if semidefinite:
         return bool(w[0] >= -DEFINITENESS_TOL * scale)
     return bool(w[0] > DEFINITENESS_TOL * scale)
 
 
 def is_negative_spectrum(w):
-    """True when x^T m x < 0 for all nonzero x, from w = sym_spectrum(m).
-
-    The verdict is the positive-definite one on the spectrum of -(m + m^T),
-    which is w scaled by -2 and reversed: an exact scaling, so the floor of
-    the threshold's scale applies to -(m + m^T), not to its half.
-    """
-    return is_positive_spectrum(-2.0 * w[::-1])
+    """True when x^T m x < 0 for all nonzero x, from w = sym_spectrum(m):
+    the positive-definite verdict on -w reversed, the spectrum of -m."""
+    return is_positive_spectrum(-w[::-1])
 
 
 def solve_lyapunov(f, q):

@@ -114,6 +114,16 @@ def test_design_writes_file_with_out_flag(write_config, capsys, tmp_path):
     validate(doc, "design_document")
 
 
+def test_design_out_under_a_file_is_an_io_error(write_config, capsys, tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    code, out, err = run_cli(
+        capsys, "design", write_config(base_config()), "--out", str(blocker / "design.json")
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("io error: ")
+
+
 def test_design_flat_csv_format(write_config, capsys):
     code, out, _ = run_cli(
         capsys, "design", write_config(base_config()), "--format", "csv"
@@ -124,6 +134,13 @@ def test_design_flat_csv_format(write_config, capsys):
     keys = {line.split(",", 1)[0] for line in lines[1:]}
     assert "design.gamma" in keys
     assert "certificate.all_ok" in keys
+    # a - b k unstable: the feedback certificate fails, with no beta
+    cfg = base_config()
+    cfg["feedback"] = {"k": [[-1.0, -1.0]]}
+    code, out, _ = run_cli(capsys, "design", write_config(cfg), "--format", "csv")
+    assert code == 1
+    assert "certificate.feedback_beta," in out.splitlines()
+    assert "certificate.feedback_ok,false" in out.splitlines()
 
 
 def test_design_gamma_defaults_to_one(write_config, capsys):
@@ -511,6 +528,10 @@ def at_path(doc, path):
     return doc
 
 
+# The example config's observer without its poles, to be given a gain_lc.
+GAIN_OBSERVER = {"type": "cubic", "q": 10.0, "theta": 10.0, "gamma": 2.0}
+
+
 # Each file is malformed in one section; every subcommand that reads a config
 # parses all sections, so each gives the same verdict and the same line.
 @pytest.mark.parametrize(
@@ -575,6 +596,13 @@ def at_path(doc, path):
             "sim.input: angular_frequency must be finite, got inf",
         ),
         ({"sim.input.phase": float("nan")}, "sim.input: phase must be finite, got nan"),
+        (
+            {"observer": {**GAIN_OBSERVER, "gain_lc": [1, 2, 3]}},
+            "observer.gain_lc: expected shape (2, 1), got (3, 1)",
+        ),
+        ({"observer": {**GAIN_OBSERVER, "gain_lc": 5}}, "observer.gain_lc: expected an array"),
+        ({"observer.poles": 5}, "observer.poles: expected an array of poles"),
+        ({"sim.x0": 5}, "sim.x0: expected a nonempty array of numbers"),
     ],
     ids=[
         "without-feedback",
@@ -599,6 +627,10 @@ def at_path(doc, path):
         "sampled-times-decreasing",
         "sinusoid-frequency-infinite",
         "sinusoid-phase-nan",
+        "gain-lc-shape",
+        "gain-lc-not-an-array",
+        "poles-not-an-array",
+        "sim-x0-not-an-array",
     ],
 )
 @pytest.mark.parametrize(
@@ -1338,6 +1370,9 @@ def test_sweep_gamma_rejects_bad_values(write_config, capsys):
     )
     assert code == 2
     assert "nonnegative" in err
+    fx = examples.get_example(1)
+    with pytest.raises(ContractError, match="^gamma values must be nonnegative, got -1.0$"):
+        examples.gamma_sweep(fx.system, fx.gain_lc, fx.q, fx.theta, [1.0, -1.0], fx.sim)
     code, _, err = run_cli(
         capsys, "sweep-gamma", write_config(base_config()), "--gammas", "a,b"
     )

@@ -188,6 +188,15 @@ def test_explicit_design_validation(fx1):
             lyapunov_p=np.eye(2),
             lyapunov_q=np.eye(2),
         )
+    # replace runs the same checks on the new parts
+    design = co.explicit_cubic_design(sys, fx1.gain_lc, [[1.0], [2.0]], [[1.0]])
+    for change, message in [
+        ({"gamma": -1.0}, "^gamma must be a nonnegative real, got -1.0$"),
+        ({"lyapunov_p": -np.eye(2)}, "^lyapunov_p must be positive definite$"),
+        ({"lyapunov_q": -np.eye(2)}, "^lyapunov_q must be positive definite$"),
+    ]:
+        with pytest.raises(co.ContractError, match=message):
+            design_mod.replace(design, **change)
 
 
 def test_design_parts_of_the_wrong_shape_are_refused_in_numlins_words(fx1):
@@ -302,6 +311,21 @@ def test_certificate_strict_mode_fails_rank_deficient_damping(fx1, designs1):
     assert cert.damping_mode == "strict"
     assert not cert.damping_ok
     assert not cert.stability_ok
+
+
+@pytest.mark.parametrize("digits, mode", [(5, "strict"), (5.5, "semidefinite"), (6, "semidefinite")])
+def test_a_synthesized_design_takes_the_strict_test_when_it_passes_it(digits, mode):
+    # c = diag(1, 10^-digits): the damping form -2 c^T c, of full rank, has
+    # the eigenvalue ratio 10^(-2 digits), below DEFINITENESS_TOL = 1e-10
+    # past 5 digits
+    system = co.LinearSystem(
+        a=[[0.0, 1.0], [-1.0, -0.5]], b=[[0.0], [1.0]], c=np.diag([1.0, 10.0**-digits])
+    )
+    design = co.synthesize_cubic_gain(system, [[1.0, 0.0], [0.0, 0.0]], np.eye(2), np.eye(2))
+    cert = co.certify_stability(system, design)
+    assert cert.damping_mode == mode
+    assert cert.damping_strict == (mode == "strict")
+    assert cert.all_ok
 
 
 def test_certificate_on_degenerate_design(fx1, designs1):
@@ -468,8 +492,8 @@ def test_equilibrium_search_empty_for_certified_design(fx1, designs1):
 
 
 def test_equilibrium_search_finds_roots_of_flipped_design():
-    # each flipped example has one pair of roots, example 2's far beyond
-    # the radii a seeded search starts from
+    # each flipped example has one pair of roots, example 2's far from the
+    # origin, at |e| = 8744
     for number, norm in ((1, 0.548558), (2, 8744.44), (3, 0.0469581)):
         fx = co.get_example(number)
         cubic = co.build_designs(fx)[1]
@@ -492,7 +516,7 @@ def test_equilibrium_search_finds_roots_of_flipped_design():
             assert co.certify_stability(fx.system, design).uniqueness_ok == (found == 0)
 
 
-def test_batched_search_matches_the_reference_on_the_flipped_example(fx1, designs1):
+def test_the_exact_set_matches_the_newton_reference_on_the_flipped_example(fx1, designs1):
     # the Newton reference finds the same two roots on example 1, from any seed
     flipped = flipped_design(fx1.system, designs1[1])
     roots = co.search_nonzero_equilibria(fx1.system, flipped)
@@ -628,6 +652,14 @@ def m_design(m, theta=1.0):
     return system, co.explicit_cubic_design(system, np.zeros((n, n)), -np.asarray(m), theta)
 
 
+@pytest.mark.parametrize("m", [-1.0, -1e-6, -1e-12, 1e-12, 1.0])
+def test_a_one_output_certificate_holds_exactly_when_no_root_exists(m):
+    # M = m: roots exist iff m < 0, at |e| = 1 / sqrt(-m), however small m is
+    system, design = m_design([[m]])
+    cert = co.certify_stability(system, design, strict_damping=False, equilibrium_search=True)
+    assert cert.uniqueness_ok == cert.all_ok == (cert.margins["nonzero_equilibria_found"] == 0)
+
+
 def equilibria_margins(system, design):
     cert = co.certify_stability(system, design, equilibrium_search=True)
     return {k: v for k, v in cert.margins.items() if k.startswith("nonzero")}
@@ -699,6 +731,8 @@ def test_the_search_refuses_a_singular_linear_part():
     )
     with pytest.raises(co.NumericalError, match="singular"):
         co.search_nonzero_equilibria(plant, design)
+    with pytest.raises(co.NumericalError, match="singular, uniqueness test impossible"):
+        co.certify_stability(plant, design)
     # nearly singular: LAPACK returns an infinite f^{-1} nc without raising
     plant = co.LinearSystem(a=[[1e-300, 0.0], [1.0, -1.0]], b=[[0.0], [1.0]], c=[[1.0, 1.0]])
     design = co.CubicObserverDesign(
@@ -849,9 +883,9 @@ def test_explicit_and_flipped_designs_are_still_searched(
     assert search_calls == [flipped]
 
 
-def test_feedback_certificate_passes_n_starts_to_the_search(fx1, designs1, search_calls):
-    # the search has no starts any more: the certificate hands it the design
-    # alone, and it reports both of the flipped design's roots
+def test_feedback_certificate_hands_the_design_to_the_search(fx1, designs1, search_calls):
+    # the certificate hands the search the design alone, and it reports both
+    # of the flipped design's roots
     flipped = flipped_design(fx1.system, designs1[1])
     cert = co.feedback_certificate(fx1.system, flipped, [[1.0, 2.0]], equilibrium_search=True)
     assert cert.margins["nonzero_equilibria_found"] == 2.0
@@ -981,8 +1015,8 @@ def feedback_scaling_design(seed=0, n=32):
 
 @pytest.fixture
 def eigen_calls(monkeypatch):
-    """Copies of every matrix handed to np.linalg.eigvalsh and eigvals."""
-    calls = {"eigvalsh": [], "eigvals": []}
+    """Copies of every matrix handed to np.linalg.eigvalsh, eigvals and svd."""
+    calls = {"eigvalsh": [], "eigvals": [], "svd": []}
     for name, seen in calls.items():
         original = getattr(np.linalg, name)
 
@@ -1019,10 +1053,10 @@ def test_each_certificate_spectrum_is_computed_once(eigen_calls):
     for form in observer_forms:
         assert times_decomposed(eigen_calls["eigvalsh"], form) == 1
     assert times_decomposed(eigen_calls["eigvals"], dyn.f) == 1
-    # c^T theta c, whose rank picks the damping mode, goes to numlin.rank's
-    # SVD, not to an eigensolver
+    # nothing else is decomposed: the damping mode reads the strict verdict
     assert len(eigen_calls["eigvalsh"]) == 3
     assert len(eigen_calls["eigvals"]) == 1
+    assert eigen_calls["svd"] == []
 
     for calls in eigen_calls.values():
         calls.clear()
@@ -1055,8 +1089,7 @@ def design_config(system, design, k):
 
 
 # eigvalsh and eigvals calls of one design command: theta is decomposed
-# once, by CubicObserverDesign, and the rank of c^T theta c is read from an
-# SVD, not an eigensolve
+# once, by CubicObserverDesign
 DESIGN_COMMAND_EIGEN_CALLS = {"feedback": (14, 4), "search": (8, 3)}
 
 

@@ -203,7 +203,7 @@ def test_definiteness_matches_sylvester_criterion(n, seed):
     s = rng.uniform(-3.0, 3.0, size=(n, n))
     s = 0.5 * (s + s.T)
     w = np.linalg.eigvalsh(s)
-    scale = max(1.0, float(np.max(np.abs(w))))
+    scale = float(np.max(np.abs(w)))
     # stay away from the verdict boundary where tolerance policy decides
     assume(float(np.min(np.abs(w))) > 1e-6 * scale)
     assert positive_definite(s) == _leading_minors_positive(s)
@@ -211,9 +211,13 @@ def test_definiteness_matches_sylvester_criterion(n, seed):
 
 def test_definiteness_scale_invariance():
     s = np.array([[2.0, 1.0], [1.0, 2.0]])
-    for factor in (1.0, 1e-3, 1e3, 1e6):
+    for factor in (1.0, 1e-3, 1e3, 1e6, 1e-12, 2.0**-1000, 2.0**1000):
         assert positive_definite(factor * s)
         assert not positive_definite(-factor * s)
+        assert numlin.is_negative_spectrum(numlin.sym_spectrum(-factor * s))
+    # scale 0 gives threshold 0: a zero matrix is semidefinite, not definite
+    assert positive_definite(np.zeros((2, 2)), semidefinite=True)
+    assert not positive_definite(np.zeros((2, 2)))
 
 
 def test_semidefinite_accepts_rank_deficiency():

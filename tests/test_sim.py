@@ -480,7 +480,7 @@ def joint_runs(draw):
     # choices: Hypothesis rejects a mutated case that needs more than its parent
     unstable, shift = draw(st.booleans()), draw(st.sampled_from([40.0, 9.0]))
     cubic, tiny_weight = draw(st.booleans()), draw(st.booleans())
-    weight, fortran = draw(st.sampled_from([-0.0, -1e-300])), draw(st.booleans())
+    weight, fortran = draw(st.sampled_from([-0.0, 1e-300])), draw(st.booleans())
 
     def plant():
         a = rng.standard_normal((n, n))
@@ -500,8 +500,8 @@ def joint_runs(draw):
         g = rng.standard_normal((n_outputs, n_outputs))
         theta = g @ g.T
         if n_outputs == 1 and tiny_weight:
-            # a zero or tiny negative weight, which the semidefinite
-            # tolerance admits: r' theta r is -0.0 or may underflow to it
+            # a signed zero or tiny weight: r' theta r is -0.0, or may
+            # underflow to +0.0
             theta = np.array([[weight]])
         if fortran:
             gain_nc = np.asfortranarray(gain_nc)  # as a caller may pass it
@@ -580,13 +580,13 @@ PINNED_STARTS = {"zero": (0.0, 0.0), "signed_zero": (-0.0, -0.0), "one": (1.0, -
 
 
 @pytest.mark.parametrize("start", sorted(PINNED_STARTS))
-@pytest.mark.parametrize("theta", [-0.0, -1e-300])
+@pytest.mark.parametrize("theta", [-0.0, 1e-300])
 @pytest.mark.parametrize("loop", ["open", "closed"])
 def test_one_state_zero_sign_cases_are_bit_identical_to_the_reference(loop, theta, start):
     # n = 1 with one output and one input: gain_nc r and k xhat are bare
     # products whose zeros keep their sign where @ gives +0.0, and the one-
-    # output weight r0 theta r0 is -0.0 (or underflows to it) where @ gives
-    # +0.0; none of these zeros may reach a state
+    # output weight r0 theta r0 is -0.0 at theta = -0.0 where @ gives +0.0,
+    # or underflows at theta = 1e-300; none of these zeros may reach a state
     system = co.LinearSystem(a=[[-1.0]], b=[[0.5]], c=[[1.0]])
     design = co.CubicObserverDesign(
         gain_lc=np.array([[2.0]]),
