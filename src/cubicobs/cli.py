@@ -98,8 +98,7 @@ class Config:
 
     def certificate(self, design, equilibrium_search=False):
         """The configured run's certificate, with the equilibrium set if asked."""
-        strict = self.observer["strict_damping"]
-        return certify(self.system, design, self.feedback_k, strict, equilibrium_search)
+        return certify(self.system, design, self.feedback_k, equilibrium_search)
 
 
 def _load_config(args, run=False):
@@ -186,7 +185,9 @@ def _repeated(value, path, n):
     return [_as_finite(value, path)] * n
 
 
-def _as_matrix(value, path):
+def _as_matrix(value, path, shape=None):
+    """An array of row arrays, of shape (rows, cols) when one is given; a
+    None dimension of shape is free."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected an array of row arrays")
     rows = []
@@ -198,28 +199,25 @@ def _as_matrix(value, path):
         elif len(entries) != width:
             raise ConfigError(f"{path}: rows have inconsistent lengths")
         rows.append(entries)
-    return np.array(rows, dtype=float)
+    m = np.array(rows, dtype=float)
+    if shape is not None and any(w not in (None, g) for w, g in zip(shape, m.shape)):
+        wanted = ", ".join("any" if w is None else str(w) for w in shape)
+        raise ConfigError(f"{path}: expected shape ({wanted}), got {m.shape}")
+    return m
 
 
 def _as_gain(value, path, n, n_y):
     """A gain column: flat array of n numbers, or n rows of n_y numbers."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected an array")
-    if isinstance(value[0], list):
-        gain = _as_matrix(value, path)
-    else:
-        gain = np.array(_as_number_list(value, path), dtype=float)[:, None]
-    if gain.shape != (n, n_y):
-        raise ConfigError(f"{path}: expected shape ({n}, {n_y}), got {gain.shape}")
-    return gain
+    if not isinstance(value[0], list):  # a flat array is one column
+        value = [[v] for v in _as_number_list(value, path)]
+    return _as_matrix(value, path, (n, n_y))
 
 
 def _scalar_or_matrix(value, path, size):
     if isinstance(value, list):
-        m = _as_matrix(value, path)
-        if m.shape != (size, size):
-            raise ConfigError(f"{path}: expected a {size}x{size} matrix")
-        return m
+        return _as_matrix(value, path, (size, size))
     return _as_finite(value, path) * np.eye(size)
 
 
@@ -266,7 +264,7 @@ def build_system(cfg):
         raise ConfigError(f"system: {exc}")
 
 
-_CUBIC_FIELDS = ("type", "gain_lc", "poles", "q", "theta", "gamma", "damping_mode")
+_CUBIC_FIELDS = ("type", "gain_lc", "poles", "q", "theta", "gamma")
 _OBSERVER_FIELDS = {
     "linear": ("type", "gain_l", "poles", "q"),
     "cubic": _CUBIC_FIELDS,
@@ -316,13 +314,6 @@ def parse_observer(cfg, system):
             "sets the cubic term; the zero-gain observer is type linear"
         )
     parsed["gamma"] = gamma
-
-    mode = doc.get("damping_mode")
-    if mode is not None and mode not in ("strict", "semidefinite"):
-        raise ConfigError(
-            f"observer.damping_mode: expected strict or semidefinite, got {mode!r}"
-        )
-    parsed["strict_damping"] = None if mode is None else (mode == "strict")
     return parsed
 
 
@@ -436,13 +427,7 @@ def parse_feedback(cfg, system):
     _reject_unknown(doc, ("k",), "feedback")
     if "k" not in doc:
         raise ConfigError("feedback.k: required")
-    k = _as_matrix(doc["k"], "feedback.k")
-    if k.shape != (system.n_inputs, system.n):
-        raise ConfigError(
-            f"feedback.k: expected shape ({system.n_inputs}, {system.n}), "
-            f"got {k.shape}"
-        )
-    return k
+    return _as_matrix(doc["k"], "feedback.k", (system.n_inputs, system.n))
 
 
 def parse_lqr(cfg, system):

@@ -30,9 +30,11 @@ certify_stability evaluates three conditions against a candidate design:
                  semidefiniteness of c^T theta c (a - lc c)^{-1} nc c in the
                  symmetrized quadratic-form sense
 
-For synthesized gains the damping matrix is -2 gamma c^T theta c, rank
-deficient with fewer outputs than states, so by default the semidefinite
-verdict decides where the strict one fails; both are reported. Every boolean in
+The damping mode is decided by the design, not chosen: the constructive
+identity makes a synthesized gain's damping matrix -2 gamma c^T theta c,
+rank deficient with fewer outputs than states, so a synthesized design takes
+the semidefinite verdict where the strict one fails, and any other design,
+whose nc nothing ties to p, the strict one; both are reported. Every boolean in
 a certificate is backed by a named numerical margin, and each verdict is
 read off the spectrum its margin reports: numlin.sym_spectrum decomposes
 each form once, and numlin.is_positive_spectrum or is_negative_spectrum
@@ -87,8 +89,8 @@ class CubicObserverDesign:
 
     gamma > 0 unless the design is the degenerate linear case (gain_nc = 0,
     gamma = 0), which is only produced by degenerate_linear(). synthesized
-    records whether gain_nc came from the constructive rule, which controls
-    the default strictness of the damping verdict.
+    records whether gain_nc came from the constructive rule, which decides
+    the damping verdict's mode.
     """
 
     gain_lc: np.ndarray
@@ -145,8 +147,9 @@ class CubicObserverDesign:
 class Certificate:
     """Stability verdicts with the numerical margins that back them.
 
-    damping_ok reflects the mode actually used ("strict" or "semidefinite");
-    damping_strict reports whether the strict verdict holds regardless.
+    damping_ok is the verdict of damping_mode, "strict" or "semidefinite",
+    which the design decides (see certify_stability); damping_strict
+    reports whether the strict verdict holds regardless.
     certify_stability sets robustness_eps_max to robustness_bound(design).
     The feedback fields stay None unless feedback_certificate filled them.
     """
@@ -323,7 +326,7 @@ def explicit_cubic_design(sys, gain_lc, gain_nc, theta, q=None, gamma=1.0):
     p is solved from the Lyapunov equation with the given q (identity by
     default) so certificates and energy traces are available. No identity
     ties nc to p here, so certify_stability holds such designs to the
-    strict damping test unless told otherwise.
+    strict damping test.
     """
     q = np.eye(sys.n) if q is None else q
     return _build(sys, gain_lc, gain_nc, theta, gamma, q, synthesized=False)
@@ -467,13 +470,12 @@ def _frob(m):
 
 
 @numlin.refusing_overflow("certificate")
-def certify_stability(sys, design, strict_damping=None, equilibrium_search=False):
+def certify_stability(sys, design, equilibrium_search=False):
     """Evaluate the stability conditions for a cubic observer design.
 
-    strict_damping selects the damping verdict mode: True forces the strict
-    negative-definite test, False the semidefinite one. None (default) holds
-    a synthesized design to the strict test when it passes it and to the
-    semidefinite one otherwise, and any other design to the strict test. With
+    The design decides the damping mode: a synthesized design takes the
+    strict negative-definite test when it passes it and the semidefinite
+    one otherwise, and any other design the strict test. With
     equilibrium_search=True the margins gain equilibrium_exclusion_radius,
     min(R, STATE_NORM_LIMIT) for the closed-form radius R of
     _exclusion_radius, inside which the origin is the only equilibrium, and
@@ -490,12 +492,10 @@ def certify_stability(sys, design, strict_damping=None, equilibrium_search=False
     # the spectrum of -d, which the damping tests read
     minus_d = -d_spectrum[::-1]
     damping_strict = numlin.is_positive_spectrum(minus_d)
-    damping_semi = numlin.is_positive_spectrum(minus_d, semidefinite=True)
-
-    if strict_damping is None:
-        strict_damping = damping_strict or not design.synthesized
-    mode = "strict" if strict_damping else "semidefinite"
-    damping_ok = damping_strict if strict_damping else damping_semi
+    if damping_strict or not design.synthesized:
+        mode, damping_ok = "strict", damping_strict
+    else:
+        mode, damping_ok = "semidefinite", numlin.is_positive_spectrum(minus_d, semidefinite=True)
 
     margins = {
         "q_min_eig": float(design.q_spectrum[0]),
@@ -546,7 +546,7 @@ def robustness_bound(design):
 
 
 @numlin.refusing_overflow("feedback certificate")
-def feedback_certificate(sys, design, k, strict_damping=None, equilibrium_search=False):
+def feedback_certificate(sys, design, k, equilibrium_search=False):
     """Certify observer-based state feedback u = -k xhat around the design.
 
     Builds the composite quadratic form for the stacked (x, e) dynamics,
@@ -561,11 +561,11 @@ def feedback_certificate(sys, design, k, strict_damping=None, equilibrium_search
     same test expressed through the block-triangular composite matrix of
     the linear-observer loop. A False here only means this particular
     composite Lyapunov candidate failed, not that the loop is unstable.
-    strict_damping and equilibrium_search go to the observer certificate
-    from certify_stability.
+    The observer certificate, its damping mode included, is
+    certify_stability's, which equilibrium_search goes to.
     """
     k = numlin.as_matrix(k, "k", (sys.n_inputs, sys.n))
-    base = certify_stability(sys, design, strict_damping, equilibrium_search)
+    base = certify_stability(sys, design, equilibrium_search)
     margins = dict(base.margins)
 
     acl = sys.a - sys.b @ k

@@ -180,14 +180,14 @@ def simulate(sys, design, cfg, feedback_k=None):
     return simulate_closed_loop(sys, design, feedback_k, cfg)
 
 
-def certify(sys, design, feedback_k=None, strict_damping=None, equilibrium_search=False):
+def certify(sys, design, feedback_k=None, equilibrium_search=False):
     """The loop certificate when feedback_k is set, else the observer's.
 
-    strict_damping and equilibrium_search go to either.
+    equilibrium_search goes to either; the design decides the damping mode.
     """
     if feedback_k is None:
-        return certify_stability(sys, design, strict_damping, equilibrium_search)
-    return feedback_certificate(sys, design, feedback_k, strict_damping, equilibrium_search)
+        return certify_stability(sys, design, equilibrium_search)
+    return feedback_certificate(sys, design, feedback_k, equilibrium_search)
 
 
 def gamma_sweep(sys, gain_lc, q, theta, gammas, cfg, feedback_k=None):

@@ -233,14 +233,15 @@ def solve_lyapunov(f, q):
     """Solve f^T P + P f = -q for symmetric positive definite P.
 
     Preconditions: f Hurwitz (checked up front, DesignError otherwise) and
-    q symmetric positive definite (ContractError otherwise). For n up to
+    q symmetric positive definite with a normal smallest eigenvalue
+    (ContractError otherwise). For n up to
     LYAPUNOV_DIRECT_MAX_N the vectorized n^2 x n^2 linear system is solved
     directly; above it the scaled Newton sign iteration runs (see
     _lyapunov_by_sign), which costs O(n^3) per iteration instead of O(n^6)
     in all. Either way the residual and definiteness of P are verified
     before returning, and P is exactly symmetric. NumericalError reports a
     singular system or iterate, an iteration that did not converge, or a
-    P that fails a check.
+    P that fails a check, a subnormal smallest eigenvalue included.
     """
     f = require_square(f, "f")
     q = symmetrize(q, "q", f.shape)
@@ -250,8 +251,7 @@ def solve_lyapunov(f, q):
             "Lyapunov premise violated: f is not Hurwitz "
             f"(spectral abscissa {abscissa:.6g})"
         )
-    if not is_positive_spectrum(sym_spectrum(q)):
-        raise ContractError("q must be symmetric positive definite")
+    _require_definite(sym_spectrum(q), ContractError, "q must be symmetric positive definite")
 
     if f.shape[0] <= LYAPUNOV_DIRECT_MAX_N:
         p = _lyapunov_by_kronecker(f, q)
@@ -263,9 +263,21 @@ def solve_lyapunov(f, q):
             f"Lyapunov residual {residual:.3e} exceeds "
             f"{LYAPUNOV_RESIDUAL_RTOL:.1e} * ||q||"
         )
-    if not is_positive_spectrum(sym_spectrum(p)):
-        raise NumericalError("Lyapunov solution is not positive definite")
+    _require_definite(
+        sym_spectrum(p), NumericalError, "Lyapunov solution is not positive definite"
+    )
     return p
+
+
+def _require_definite(w, error, message):
+    """error(message) unless w, an ascending spectrum, is positive definite
+    with a smallest eigenvalue no smaller than the least normal float: the
+    verdict is scale-free, but a subnormal spectrum carries too few digits
+    for the solve and its residual check to mean anything."""
+    if not is_positive_spectrum(w):
+        raise error(message)
+    if w[0] < np.finfo(float).tiny:
+        raise error(f"{message}: its smallest eigenvalue {w[0]:.3e} is subnormal")
 
 
 def _lyapunov_by_kronecker(f, q):

@@ -343,6 +343,8 @@ def test_extreme_values_give_one_error_line(write_config, capsys, tmp_path, case
 EXTREME_BUT_VALID = {
     "c 1e-300": {"system": {"c": [[1e-300, 0.0]]}},
     "q 1e300": {"observer": {"q": 1e300}},
+    "q 1e-300": {"observer": {"q": 1e-300}},
+    "q 1e-11": {"observer": {"q": 1e-11}},
     "linear, c 1e200": {
         "observer": {"type": "linear", "poles": [-2.0, -5.0]},
         "system": {"c": [[1e200, 0.0]]},
@@ -368,6 +370,20 @@ def test_extreme_but_valid_designs_exit_zero_without_a_warning(write_config, cap
     assert (code, err) == (0, "")
     margins = json.loads(out, parse_constant=reject_constant)["certificate"]["margins"]
     assert 0.0 <= margins["equilibrium_exclusion_radius"] <= 1e12
+
+
+@pytest.mark.parametrize("q", [1e-310, 1e-320])
+def test_a_subnormal_q_is_refused_in_one_line(write_config, capsys, q):
+    # the definiteness verdict is scale-free; the solver refuses what lies
+    # below the least normal float, before it overflows or underflows
+    cfg = base_config()
+    cfg["observer"]["q"] = q
+    code, out, err = run_cli(capsys, "design", write_config(cfg))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: q must be symmetric positive definite: its smallest eigenvalue {q:.3e} "
+        "is subnormal\n"
+    )
 
 
 def test_a_diverged_run_whose_certificate_fails_prints_one_line(write_config, capsys):
@@ -575,7 +591,13 @@ GAIN_OBSERVER = {"type": "cubic", "q": 10.0, "theta": 10.0, "gamma": 2.0}
         ),
         (
             {"observer.damping_mode": "loose"},
-            "observer.damping_mode: expected strict or semidefinite, got 'loose'",
+            "observer: unknown field(s) damping_mode; "
+            "allowed: gain_lc, gamma, poles, q, theta, type",
+        ),
+        (
+            {"observer.damping_mode": "semidefinite"},
+            "observer: unknown field(s) damping_mode; "
+            "allowed: gain_lc, gamma, poles, q, theta, type",
         ),
         (
             {"sim.input": {"kind": "constant"}},
@@ -585,7 +607,7 @@ GAIN_OBSERVER = {"type": "cubic", "q": 10.0, "theta": 10.0, "gamma": 2.0}
         ({"feedback": {"k": [[1.0]]}}, "feedback.k: expected shape (1, 2), got (1, 1)"),
         ({"system.c": 5}, "system.c: expected an array of row arrays"),
         ({"observer.poles": [-2.0]}, "observer.poles: expected 2 poles, got 1"),
-        ({"observer.q": [[1.0]]}, "observer.q: expected a 2x2 matrix"),
+        ({"observer.q": [[1.0]]}, "observer.q: expected shape (2, 2), got (1, 1)"),
         ({"sim.input.amplitude": "x"}, "sim.input.amplitude: expected a number"),
         (
             {"sim.input": {"kind": "sampled", "times": [1.0, 0.0], "values": [[1.0], [2.0]]}},
@@ -617,6 +639,7 @@ GAIN_OBSERVER = {"type": "cubic", "q": 10.0, "theta": 10.0, "gamma": 2.0}
         "malformed-complex-pole",
         "explicit-without-gain-nc",
         "bad-damping-mode",
+        "damping-mode-semidefinite",
         "constant-without-level",
         "feedback-without-k",
         "feedback-k-shape",
@@ -655,6 +678,57 @@ def test_bad_lqr_section_exits_two_in_every_subcommand(
     assert code == 2
     assert out == ""
     assert err == f"config error: {message}\n"
+
+
+CONFIG_SCHEMA = SCHEMA["$defs"]["config"]
+INPUT_SCHEMAS = {
+    kind["properties"]["kind"]["const"]: kind for kind in SCHEMA["$defs"]["input_signal"]["oneOf"]
+}
+
+
+def accepted_fields(capsys, write_config, path, doc=None):
+    """The field names the parser accepts in the config object at path
+    (replaced by doc when given), read from the allowed list of the
+    unknown-field error that a field zz there draws."""
+    cfg = copy.deepcopy(EXAMPLE_CONFIG)
+    cfg.update(feedback={"k": [[1.0, 2.0]]}, lqr={})
+    if doc is not None:
+        at_path(cfg, path[:-1])[path[-1]] = doc
+    at_path(cfg, path)["zz"] = 1
+    code, _, err = run_cli(capsys, "design", write_config(cfg))
+    assert code == 2
+    prefix = f"config error: {'.'.join(path) or 'config'}: unknown field(s) zz; allowed: "
+    assert err.startswith(prefix)
+    return set(err[len(prefix) :].rstrip("\n").split(", "))
+
+
+# every config object the schema describes but observer: where the test
+# puts its unknown field, the object put there first (None keeps the
+# example config's), and the object's schema
+SCHEMA_OBJECTS = {
+    "config": ((), None, CONFIG_SCHEMA),
+    **{
+        name: ((name,), None, CONFIG_SCHEMA["properties"][name])
+        for name in ("system", "sim", "feedback", "lqr")
+    },
+    **{
+        f"input-{kind}": (("sim", "input"), {"kind": kind}, schema)
+        for kind, schema in INPUT_SCHEMAS.items()
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_OBJECTS))
+def test_the_schema_lists_the_fields_the_parser_accepts(write_config, capsys, case):
+    path, doc, schema = SCHEMA_OBJECTS[case]
+    assert accepted_fields(capsys, write_config, path, doc) == set(schema["properties"])
+
+
+def test_the_schema_lists_the_observer_fields_the_parser_accepts(write_config, capsys):
+    accepted = set()
+    for kind in CONFIG_SCHEMA["properties"]["observer"]["properties"]["type"]["enum"]:
+        accepted |= accepted_fields(capsys, write_config, ("observer",), {"type": kind})
+    assert accepted == set(CONFIG_SCHEMA["properties"]["observer"]["properties"])
 
 
 def config_paths(doc, path=()):

@@ -1,5 +1,6 @@
 """Unit tests for gain synthesis and the stability certificates."""
 
+import inspect
 import json
 import warnings
 from pathlib import Path
@@ -305,12 +306,47 @@ def test_certificate_flags_for_synthesized_design(fx1, designs1):
     assert cert.margins["spectral_abscissa"] < 0.0
 
 
-def test_certificate_strict_mode_fails_rank_deficient_damping(fx1, designs1):
+def test_a_rank_deficient_synthesized_damping_certifies_in_semidefinite_mode(fx1, designs1):
+    # the damping matrix -2 gamma c^T theta c of example 1 has rank one, so
+    # the strict verdict fails, and the design decides the semidefinite test
     _, cubic = designs1
-    cert = co.certify_stability(fx1.system, cubic, strict_damping=True)
-    assert cert.damping_mode == "strict"
-    assert not cert.damping_ok
-    assert not cert.stability_ok
+    cert = co.certify_stability(fx1.system, cubic)
+    assert cert.damping_strict is False
+    assert cert.damping_mode == "semidefinite"
+    assert cert.stability_ok
+
+
+@pytest.mark.parametrize(
+    "entry", [co.certify_stability, co.feedback_certificate, co.examples.certify]
+)
+def test_no_certificate_takes_a_damping_argument(entry):
+    assert not any("damping" in name for name in inspect.signature(entry).parameters)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["synthesized", "explicit", "flipped", "zero-gain"]),
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 6),
+    n_y=st.integers(1, 3),
+    gamma=st.floats(0.05, 20.0),
+)
+def test_the_design_decides_the_damping_mode(kind, seed, n, n_y, gamma):
+    if kind == "zero-gain":
+        system, design = random_design("explicit", seed, n, n_y, gamma)
+        design = design_mod.replace(design, gain_nc=np.zeros_like(design.gain_nc))
+    else:
+        system, design = random_design(kind, seed, n, n_y, gamma)
+    cert = co.certify_stability(system, design)
+    strict = cert.damping_strict or not design.synthesized
+    assert cert.damping_mode == ("strict" if strict else "semidefinite")
+    d = design_mod.ErrorDynamics(system, design).d
+    reference = np.linalg.eigvalsh(-0.5 * (d + d.T))
+    assert cert.damping_strict == numlin.is_positive_spectrum(reference)
+    assert cert.damping_ok == numlin.is_positive_spectrum(reference, semidefinite=not strict)
+    # random_design's plants have b = 0, so k = 0 leaves the Hurwitz a - b k = a
+    loop = co.feedback_certificate(system, design, np.zeros((1, n)))
+    assert (loop.damping_mode, loop.damping_ok) == (cert.damping_mode, cert.damping_ok)
 
 
 @pytest.mark.parametrize("digits, mode", [(5, "strict"), (5.5, "semidefinite"), (6, "semidefinite")])
@@ -654,9 +690,13 @@ def m_design(m, theta=1.0):
 
 @pytest.mark.parametrize("m", [-1.0, -1e-6, -1e-12, 1e-12, 1.0])
 def test_a_one_output_certificate_holds_exactly_when_no_root_exists(m):
-    # M = m: roots exist iff m < 0, at |e| = 1 / sqrt(-m), however small m is
+    # M = m: roots exist iff m < 0, at |e| = 1 / sqrt(-m), however small m is.
+    # The explicit design takes the strict damping test, which D = -2 p m,
+    # with p = 1/2, passes for every m > 0
     system, design = m_design([[m]])
-    cert = co.certify_stability(system, design, strict_damping=False, equilibrium_search=True)
+    cert = co.certify_stability(system, design, equilibrium_search=True)
+    assert cert.damping_mode == "strict"
+    assert cert.damping_ok == (m > 0)
     assert cert.uniqueness_ok == cert.all_ok == (cert.margins["nonzero_equilibria_found"] == 0)
 
 

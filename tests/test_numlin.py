@@ -260,6 +260,19 @@ def test_solve_lyapunov_rejects_bad_premises():
         numlin.solve_lyapunov(-np.eye(2), np.eye(3))
 
 
+def test_a_subnormal_lyapunov_solution_is_refused():
+    # q is normal, but p = q / 2e10 is not
+    with pytest.raises(
+        NumericalError,
+        match=r"^Lyapunov solution is not positive definite: "
+        r"its smallest eigenvalue 5\.000e-311 is subnormal$",
+    ):
+        numlin.solve_lyapunov(-1e10 * np.eye(2), 1e-300 * np.eye(2))
+    # and the least normal eigenvalue passes
+    tiny = np.finfo(float).tiny
+    assert numlin.solve_lyapunov(-0.5 * np.eye(2), tiny * np.eye(2))[0, 0] == tiny
+
+
 def test_lyapunov_q_of_the_wrong_shape_is_refused_in_numlins_words():
     with pytest.raises(DimensionError, match=r"^q must have shape \(2, 2\), got \(3, 3\)$"):
         numlin.solve_lyapunov(-np.eye(2), np.eye(3))
