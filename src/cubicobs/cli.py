@@ -17,7 +17,10 @@ poles), "sim" (horizon, dt, initial conditions, input signal), "feedback"
 (the artifacts simulate writes). Every subcommand that reads a config
 parses and checks all six, so a malformed section gets the same exit 2
 from each; only a missing sim.horizon is left to the subcommands that run
-a simulation. See docs/schema.json for the full shape and
+a simulation. Every number in a config, scalar or array entry, goes
+through one reader, _numbers: it must be a finite JSON number in an array
+of the field's shape, or the config error names its path, such as
+system.a[1][0]. See docs/schema.json for the full shape and
 docs/example_config.json for a worked file.
 
 Exit codes: 0 success, 1 domain failure (failed certificate, infeasible
@@ -29,6 +32,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys as _sys
 
@@ -143,82 +147,55 @@ def _as_dict(value, path):
     return value
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# the types json gives a number; bool, a subclass of int, is not one
+_NUMBER_TYPES = {int, float}
 
 
-def _as_number(value, path):
-    if not _is_number(value):
-        raise ConfigError(f"{path}: expected a number")
-    try:
-        return float(value)
-    except OverflowError:  # a JSON integer beyond the float range
-        raise ConfigError(f"{path}: number too large for a float") from None
+def _numbers(value, path, shape):
+    """The config value at path as float64 numbers of the given shape: () for
+    one number, returned as a float, (k,) for an array of numbers and (r, c)
+    for an array of row arrays, each returned as an ndarray. A None
+    dimension of shape is free.
 
-
-def _as_finite(value, path):
-    number = _as_number(value, path)
-    if not np.isfinite(number):  # json reads NaN, Infinity and 1e999
-        raise ConfigError(f"{path}: expected a finite number")
-    return number
-
-
-def _as_number_list(value, path):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a nonempty array of numbers")
-    if all(map(_is_number, value)):
-        try:
-            floats = [float(v) for v in value]
-            if np.isfinite(sum(floats)):  # a float sum is finite only if every term is
-                return floats
-        except OverflowError:
-            pass
-    # raises, naming the first bad entry (its path is built only here, since
-    # matrices hold many), or returns finite floats whose sum overflowed
-    return [_as_finite(v, f"{path}[{i}]") for i, v in enumerate(value)]
-
-
-def _repeated(value, path, n):
-    """A nonempty array of finite numbers, or one repeated n times."""
-    if isinstance(value, list):
-        return _as_number_list(value, path)
-    return [_as_finite(value, path)] * n
-
-
-def _as_matrix(value, path, shape=None):
-    """An array of row arrays, of shape (rows, cols) when one is given; a
-    None dimension of shape is free."""
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected an array of row arrays")
-    rows = []
-    width = None
-    for i, row in enumerate(value):
-        entries = _as_number_list(row, f"{path}[{i}]")
-        if width is None:
-            width = len(entries)
-        elif len(entries) != width:
+    The value must nest as deep as shape, hold no empty array and have rows
+    of one length. Each entry must be a JSON number, not a boolean, with a
+    finite float value; the first that is not is named by its full path,
+    such as system.a[1][0]. Last, the dimensions must match shape.
+    """
+    got, inner = [], value
+    while isinstance(inner, list):  # the dimensions along the first entries
+        got.append(len(inner))
+        inner = inner[0] if inner else None
+    got = tuple(got)
+    if len(got) == len(shape):
+        if 0 in got:
+            raise ConfigError(f"{path}: expected a nonempty array")
+        rows = value if len(shape) == 2 else [value] if shape else [[value]]
+        if any(not isinstance(row, list) or len(row) != len(rows[0]) for row in rows):
             raise ConfigError(f"{path}: rows have inconsistent lengths")
-        rows.append(entries)
-    m = np.array(rows, dtype=float)
-    if shape is not None and any(w not in (None, g) for w, g in zip(shape, m.shape)):
-        wanted = ", ".join("any" if w is None else str(w) for w in shape)
-        raise ConfigError(f"{path}: expected shape ({wanted}), got {m.shape}")
-    return m
-
-
-def _as_gain(value, path, n, n_y):
-    """A gain column: flat array of n numbers, or n rows of n_y numbers."""
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected an array")
-    if not isinstance(value[0], list):  # a flat array is one column
-        value = [[v] for v in _as_number_list(value, path)]
-    return _as_matrix(value, path, (n, n_y))
-
-
-def _scalar_or_matrix(value, path, size):
-    if isinstance(value, list):
-        return _as_matrix(value, path, (size, size))
-    return _as_finite(value, path) * np.eye(size)
+        numbers = None
+        if all(_NUMBER_TYPES.issuperset(map(type, row)) for row in rows):
+            try:
+                numbers = np.array(value, dtype=float)
+            except OverflowError:  # a JSON integer beyond the float range
+                pass
+        if numbers is None or not np.isfinite(numbers).all():
+            # walked only to name the first bad entry, which is then certain
+            for i, row in enumerate(rows):
+                for j, entry in enumerate(row):
+                    where = path + "".join(f"[{k}]" for k in (i, j)[2 - len(shape) :])
+                    if type(entry) not in _NUMBER_TYPES:
+                        raise ConfigError(f"{where}: expected a number")
+                    try:
+                        finite = math.isfinite(entry)
+                    except OverflowError:
+                        raise ConfigError(f"{where}: number too large for a float") from None
+                    if not finite:  # json reads NaN, Infinity and 1e999
+                        raise ConfigError(f"{where}: expected a finite number")
+    if len(got) != len(shape) or any(w not in (None, g) for w, g in zip(shape, got)):
+        wanted = str(tuple("any" if w is None else w for w in shape)).replace("'", "")
+        raise ConfigError(f"{path}: expected shape {wanted}, got {got}")
+    return numbers if shape else float(numbers)
 
 
 def _parse_poles(value, path, n):
@@ -227,15 +204,11 @@ def _parse_poles(value, path, n):
         raise ConfigError(f"{path}: expected an array of poles")
     poles = []
     for i, entry in enumerate(value):
-        where = f"{path}[{i}]"
         if isinstance(entry, list):
-            if len(entry) != 2:
-                raise ConfigError(f"{where}: complex pole must be a [re, im] pair")
-            re = _as_finite(entry[0], f"{where}[0]")
-            im = _as_finite(entry[1], f"{where}[1]")
-            poles.append(complex(re, im))
+            re, im = _numbers(entry, f"{path}[{i}]", (2,))
         else:
-            poles.append(complex(_as_finite(entry, where), 0.0))
+            re, im = _numbers(entry, f"{path}[{i}]", ()), 0.0
+        poles.append(complex(re, im))
     if len(poles) != n:
         raise ConfigError(f"{path}: expected {n} poles, got {len(poles)}")
     return poles
@@ -255,9 +228,8 @@ def build_system(cfg):
     _reject_unknown(doc, ("a", "b", "c"), "system")
     if "a" not in doc or "c" not in doc:
         raise ConfigError("system: fields a and c are required")
-    a = _as_matrix(doc["a"], "system.a")
-    c = _as_matrix(doc["c"], "system.c")
-    b = _as_matrix(doc["b"], "system.b") if "b" in doc else np.zeros((len(a), 1))
+    a, c = (_numbers(doc[key], f"system.{key}", (None, None)) for key in ("a", "c"))
+    b = _numbers(doc["b"], "system.b", (None, None)) if "b" in doc else np.zeros((len(a), 1))
     try:
         return LinearSystem(a=a, b=b, c=c)
     except ObserverToolkitError as exc:
@@ -292,22 +264,27 @@ def parse_observer(cfg, system):
         )
 
     parsed = {"type": kind, "poles": None, "gain_lc": None, "gain_nc": None}
-    if has_gain:
-        parsed["gain_lc"] = _as_gain(doc[gain_key], f"observer.{gain_key}", n, n_y)
-    else:
+    if has_poles:
         parsed["poles"] = _parse_poles(doc["poles"], "observer.poles", n)
+    for key, name in ((gain_key, "gain_lc"), ("gain_nc", "gain_nc")):
+        if key in doc:  # n rows of n_y numbers; a flat array is one column
+            value = doc[key]
+            flat = isinstance(value, list) and not (value and isinstance(value[0], list))
+            gain = _numbers(value, f"observer.{key}", (n,) if flat and n_y == 1 else (n, n_y))
+            parsed[name] = gain.reshape(n, n_y)
+    if kind == "cubic_explicit" and "gain_nc" not in doc:
+        raise ConfigError("observer.gain_nc: required for cubic_explicit")
 
-    if kind == "cubic_explicit":
-        if "gain_nc" not in doc:
-            raise ConfigError("observer.gain_nc: required for cubic_explicit")
-        parsed["gain_nc"] = _as_gain(doc["gain_nc"], "observer.gain_nc", n, n_y)
-
-    parsed["q"] = _scalar_or_matrix(doc.get("q", 1.0), "observer.q", n)
-    parsed["theta"] = _scalar_or_matrix(doc.get("theta", 1.0), "observer.theta", n_y)
+    for key, size in (("q", n), ("theta", n_y)):
+        value = doc.get(key, 1.0)
+        if isinstance(value, list):
+            parsed[key] = _numbers(value, f"observer.{key}", (size, size))
+        else:  # a number is that multiple of the identity
+            parsed[key] = _numbers(value, f"observer.{key}", ()) * np.eye(size)
     default_gamma = 0.0 if kind == "linear" else 1.0  # linear: no cubic term
-    gamma = _as_number(doc.get("gamma", default_gamma), "observer.gamma")
-    if not np.isfinite(gamma) or gamma < 0.0:
-        raise ConfigError("observer.gamma: must be a finite nonnegative number")
+    gamma = _numbers(doc.get("gamma", default_gamma), "observer.gamma", ())
+    if gamma < 0.0:
+        raise ConfigError(f"observer.gamma: must be nonnegative, got {gamma}")
     if kind == "cubic_explicit" and gamma == 0.0:
         raise ConfigError(
             "observer.gamma: must be positive for cubic_explicit, whose gain_nc "
@@ -330,24 +307,32 @@ def _build_signal(doc, path, n_u):
             _reject_unknown(
                 doc, ("kind", "amplitude", "angular_frequency", "phase"), path
             )
-            amp = doc.get("amplitude", 1.0)
+            amplitude = doc.get("amplitude", 1.0)
+            if isinstance(amplitude, list):
+                amplitude = _numbers(amplitude, f"{path}.amplitude", (None,))
+            else:  # a number is the amplitude of every input
+                amplitude = [_numbers(amplitude, f"{path}.amplitude", ())] * n_u
             return SinusoidInput(
-                amplitude=_repeated(amp, f"{path}.amplitude", n_u),
-                angular_frequency=_as_number(
-                    doc.get("angular_frequency", 1.0), f"{path}.angular_frequency"
+                amplitude=amplitude,
+                angular_frequency=_numbers(
+                    doc.get("angular_frequency", 1.0), f"{path}.angular_frequency", ()
                 ),
-                phase=_as_number(doc.get("phase", 0.0), f"{path}.phase"),
+                phase=_numbers(doc.get("phase", 0.0), f"{path}.phase", ()),
             )
         if kind == "constant":
             _reject_unknown(doc, ("kind", "level"), path)
             level = doc.get("level")
             if level is None:
                 raise ConfigError(f"{path}.level: required for constant input")
-            return ConstantInput(level=_repeated(level, f"{path}.level", n_u))
+            if isinstance(level, list):
+                level = _numbers(level, f"{path}.level", (None,))
+            else:  # a number is the level of every input
+                level = [_numbers(level, f"{path}.level", ())] * n_u
+            return ConstantInput(level=level)
         if kind == "sampled":
             _reject_unknown(doc, ("kind", "times", "values"), path)
-            times = _as_number_list(doc.get("times"), f"{path}.times")
-            values = _as_matrix(doc.get("values"), f"{path}.values")
+            times = _numbers(doc.get("times"), f"{path}.times", (None,))
+            values = _numbers(doc.get("values"), f"{path}.values", (None, None))
             return SampledInput(times=times, values=values)
     except ConfigError:  # already names its field
         raise
@@ -358,25 +343,9 @@ def _build_signal(doc, path, n_u):
     )
 
 
-def _initial_state(doc, key, n):
-    value = doc.get(key)
-    if value is None:
-        return None
-    value = _as_number_list(value, f"sim.{key}")
-    if len(value) != n:
-        raise ConfigError(f"sim.{key}: expected {n} entries, got {len(value)}")
-    return value
-
-
 def _sim_number(doc, key, override, default=None):
-    """The override when given, else the file's value. The file's is checked,
-    and refused here if the override hides it and it is not finite."""
-    if key not in doc:
-        value = default
-    elif override is None:
-        value = _as_number(doc[key], f"sim.{key}")
-    else:
-        value = _as_finite(doc[key], f"sim.{key}")
+    """The override when given, else the file's value, which is read all the same."""
+    value = _numbers(doc[key], f"sim.{key}", ()) if key in doc else default
     return value if override is None else override
 
 
@@ -393,8 +362,10 @@ def build_sim_config(cfg, system, dt=None, horizon=None, eps=None, run=True):
     horizon = _sim_number(doc, "horizon", horizon)
     dt = _sim_number(doc, "dt", dt, 1e-3)
     eps = _sim_number(doc, "eps", eps)
-    x0 = _initial_state(doc, "x0", system.n)
-    xhat0 = _initial_state(doc, "xhat0", system.n)
+    x0, xhat0 = (
+        _numbers(doc[key], f"sim.{key}", (system.n,)) if doc.get(key) is not None else None
+        for key in ("x0", "xhat0")
+    )
     signal = _build_signal(doc.get("input"), "sim.input", system.n_inputs)
     if signal is not None and signal.dimension != system.n_inputs:
         raise ConfigError(
@@ -427,7 +398,7 @@ def parse_feedback(cfg, system):
     _reject_unknown(doc, ("k",), "feedback")
     if "k" not in doc:
         raise ConfigError("feedback.k: required")
-    return _as_matrix(doc["k"], "feedback.k", (system.n_inputs, system.n))
+    return _numbers(doc["k"], "feedback.k", (system.n_inputs, system.n))
 
 
 def parse_lqr(cfg, system):
@@ -437,9 +408,14 @@ def parse_lqr(cfg, system):
         raise ConfigError("lqr: needs a feedback section, which supplies the control")
     doc = _as_dict(cfg["lqr"], "lqr")
     _reject_unknown(doc, ("q", "r"), "lqr")
-    q = _scalar_or_matrix(doc.get("q", 1.0), "lqr.q", system.n)
-    r = _scalar_or_matrix(doc.get("r", 1.0), "lqr.r", system.n_inputs)
-    return (q, r)
+    weights = []
+    for key, size in (("q", system.n), ("r", system.n_inputs)):
+        value = doc.get(key, 1.0)
+        if isinstance(value, list):
+            weights.append(_numbers(value, f"lqr.{key}", (size, size)))
+        else:  # a number is that multiple of the identity
+            weights.append(_numbers(value, f"lqr.{key}", ()) * np.eye(size))
+    return tuple(weights)
 
 
 def parse_outputs(cfg):

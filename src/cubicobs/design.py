@@ -119,11 +119,9 @@ class CubicObserverDesign:
         p = numlin.symmetrize(self.lyapunov_p, "lyapunov_p", (n, n))
         q = numlin.symmetrize(self.lyapunov_q, "lyapunov_q", (n, n))
         p_spectrum = numlin.sym_spectrum(p)
-        if not numlin.is_positive_spectrum(p_spectrum):
-            raise ContractError("lyapunov_p must be positive definite")
+        numlin.require_definite(p_spectrum, ContractError, "lyapunov_p must be positive definite")
         q_spectrum = numlin.sym_spectrum(q)
-        if not numlin.is_positive_spectrum(q_spectrum):
-            raise ContractError("lyapunov_q must be positive definite")
+        numlin.require_definite(q_spectrum, ContractError, "lyapunov_q must be positive definite")
         for name, arr in (
             ("gain_lc", lc),
             ("gain_nc", nc),

@@ -16,7 +16,9 @@ are 1-D arrays. Every definiteness verdict is read off one spectrum:
 sym_spectrum(m) decomposes the symmetric part of m once, and
 is_positive_spectrum and is_negative_spectrum apply a threshold relative to
 that spectrum's largest magnitude, with no floor, so they give the same
-verdict for Q, 1000*Q and 1e-12*Q.
+verdict for Q, 1000*Q and 1e-12*Q. require_definite adds, where a
+spectrum must carry a solve or a margin, that its smallest eigenvalue is
+not subnormal.
 
 The package's one floating-point policy is refusing_overflow(what): around
 a named site or a public entry point, a numpy overflow, invalid or divide
@@ -26,10 +28,13 @@ finite(values, what), which raises the same error on an inf or NaN. The
 trace's V = e'Pe is such an einsum: p > 0 makes its NaN inf - inf, read as
 +inf, refused on a row within the divergence limit and kept only on the
 unchecked first row of a start beyond it. Each deliberate np.errstate
-ignore says why. Shape checks are written only here too: as_matrix and
-as_vector take a shape (None for a free dimension) or size, and read input
-through as_array, one ContractError for ragged or non-numeric input. A
-count, such as a signal's dimension, is checked by as_count.
+ignore says why. Shape checks of the arrays the API is given are written
+only here too: as_matrix and as_vector take a shape (None for a free
+dimension) or size, and read input through as_array, one ContractError for
+ragged or non-numeric input. A count, such as a signal's dimension, is
+checked by as_count. A config file's numbers are not read here: the command
+line's one reader checks each against the config path it sits at, so that
+its refusal names that path.
 """
 
 import numbers
@@ -229,6 +234,18 @@ def is_negative_spectrum(w):
     return is_positive_spectrum(-w[::-1])
 
 
+def require_definite(w, error, message):
+    """error(message) unless w, an ascending spectrum, is positive definite
+    with a smallest eigenvalue no smaller than the least normal float: the
+    verdict is scale-free, but a subnormal spectrum carries too few digits
+    for a Lyapunov solve, its residual check or a certificate margin to mean
+    anything."""
+    if not is_positive_spectrum(w):
+        raise error(message)
+    if w[0] < np.finfo(float).tiny:
+        raise error(f"{message}: its smallest eigenvalue {w[0]:.3e} is subnormal")
+
+
 def solve_lyapunov(f, q):
     """Solve f^T P + P f = -q for symmetric positive definite P.
 
@@ -251,7 +268,7 @@ def solve_lyapunov(f, q):
             "Lyapunov premise violated: f is not Hurwitz "
             f"(spectral abscissa {abscissa:.6g})"
         )
-    _require_definite(sym_spectrum(q), ContractError, "q must be symmetric positive definite")
+    require_definite(sym_spectrum(q), ContractError, "q must be symmetric positive definite")
 
     if f.shape[0] <= LYAPUNOV_DIRECT_MAX_N:
         p = _lyapunov_by_kronecker(f, q)
@@ -263,21 +280,10 @@ def solve_lyapunov(f, q):
             f"Lyapunov residual {residual:.3e} exceeds "
             f"{LYAPUNOV_RESIDUAL_RTOL:.1e} * ||q||"
         )
-    _require_definite(
+    require_definite(
         sym_spectrum(p), NumericalError, "Lyapunov solution is not positive definite"
     )
     return p
-
-
-def _require_definite(w, error, message):
-    """error(message) unless w, an ascending spectrum, is positive definite
-    with a smallest eigenvalue no smaller than the least normal float: the
-    verdict is scale-free, but a subnormal spectrum carries too few digits
-    for the solve and its residual check to mean anything."""
-    if not is_positive_spectrum(w):
-        raise error(message)
-    if w[0] < np.finfo(float).tiny:
-        raise error(f"{message}: its smallest eigenvalue {w[0]:.3e} is subnormal")
 
 
 def _lyapunov_by_kronecker(f, q):

@@ -544,6 +544,11 @@ def at_path(doc, path):
     return doc
 
 
+def dotted(path):
+    """A config position as the parser names it, such as system.a[1][0]."""
+    return path[0] + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path[1:])
+
+
 # The example config's observer without its poles, to be given a gain_lc.
 GAIN_OBSERVER = {"type": "cubic", "q": 10.0, "theta": 10.0, "gamma": 2.0}
 
@@ -561,7 +566,7 @@ GAIN_OBSERVER = {"type": "cubic", "q": 10.0, "theta": 10.0, "gamma": 2.0}
             {"lqr": {"bogus": 1}, "feedback": {"k": [[1.0, 2.0]]}},
             "lqr: unknown field(s) bogus; allowed: q, r",
         ),
-        ({"sim.x0": [1.0]}, "sim.x0: expected 2 entries, got 1"),
+        ({"sim.x0": [1.0]}, "sim.x0: expected shape (2,), got (1,)"),
         (
             {"sim.bogus": 1},
             "sim: unknown field(s) bogus; allowed: dt, eps, horizon, input, x0, xhat0",
@@ -583,7 +588,7 @@ GAIN_OBSERVER = {"type": "cubic", "q": 10.0, "theta": 10.0, "gamma": 2.0}
         ),
         (
             {"observer.poles": [[-2.0, 1.0, 0.0], -5.0]},
-            "observer.poles[0]: complex pole must be a [re, im] pair",
+            "observer.poles[0]: expected shape (2,), got (3,)",
         ),
         (
             {"observer.type": "cubic_explicit"},
@@ -605,7 +610,7 @@ GAIN_OBSERVER = {"type": "cubic", "q": 10.0, "theta": 10.0, "gamma": 2.0}
         ),
         ({"feedback": {}}, "feedback.k: required"),
         ({"feedback": {"k": [[1.0]]}}, "feedback.k: expected shape (1, 2), got (1, 1)"),
-        ({"system.c": 5}, "system.c: expected an array of row arrays"),
+        ({"system.c": 5}, "system.c: expected shape (any, any), got ()"),
         ({"observer.poles": [-2.0]}, "observer.poles: expected 2 poles, got 1"),
         ({"observer.q": [[1.0]]}, "observer.q: expected shape (2, 2), got (1, 1)"),
         ({"sim.input.amplitude": "x"}, "sim.input.amplitude: expected a number"),
@@ -615,16 +620,19 @@ GAIN_OBSERVER = {"type": "cubic", "q": 10.0, "theta": 10.0, "gamma": 2.0}
         ),
         (
             {"sim.input.angular_frequency": float("inf")},
-            "sim.input: angular_frequency must be finite, got inf",
+            "sim.input.angular_frequency: expected a finite number",
         ),
-        ({"sim.input.phase": float("nan")}, "sim.input: phase must be finite, got nan"),
+        ({"sim.input.phase": float("nan")}, "sim.input.phase: expected a finite number"),
         (
             {"observer": {**GAIN_OBSERVER, "gain_lc": [1, 2, 3]}},
-            "observer.gain_lc: expected shape (2, 1), got (3, 1)",
+            "observer.gain_lc: expected shape (2,), got (3,)",
         ),
-        ({"observer": {**GAIN_OBSERVER, "gain_lc": 5}}, "observer.gain_lc: expected an array"),
+        (
+            {"observer": {**GAIN_OBSERVER, "gain_lc": 5}},
+            "observer.gain_lc: expected shape (2, 1), got ()",
+        ),
         ({"observer.poles": 5}, "observer.poles: expected an array of poles"),
-        ({"sim.x0": 5}, "sim.x0: expected a nonempty array of numbers"),
+        ({"sim.x0": 5}, "sim.x0: expected shape (2,), got ()"),
     ],
     ids=[
         "without-feedback",
@@ -898,54 +906,120 @@ def test_an_integer_too_large_for_a_float_is_a_config_error(
     *parents, last = bad
     cfg = base_config()
     at_path(cfg, parents)[last] = 10**400
-    where = parents[0] + "".join(
-        f"[{key}]" if isinstance(key, int) else f".{key}" for key in (*parents[1:], last)
-    )
     path = write_config(cfg)
     for argv in (["design"], ["simulate"], ["sweep-gamma", "--gammas", "1"]):
         code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
         assert (code, out) == (2, ""), argv
-        assert err == f"config error: {where}: number too large for a float\n"
+        assert err == f"config error: {dotted(bad)}: number too large for a float\n"
 
 
-# Python's json reads NaN, Infinity and -Infinity. Every number of the shipped
-# config, with a feedback and an lqr section, is refused at parse time when it
-# is one of them; the scalars below keep the refusals their checks write.
+# Python's json reads NaN, Infinity and -Infinity. Each config below is valid,
+# and together they hold a number at every position the config schema gives
+# one (test_the_table_reaches_every_number_of_the_schema): the shipped config
+# with every optional number set, then each other form of a field.
 NON_FINITE_CONFIG = {
-    **copy.deepcopy(EXAMPLE_CONFIG), "feedback": {"k": [[1.0, 2.0]]}, "lqr": {"q": 1.0, "r": 1.0}
+    **copy.deepcopy(EXAMPLE_CONFIG),
+    "feedback": {"k": [[1.0, 2.0]]},
+    "lqr": {"q": 1.0, "r": 1.0},
 }
-NON_FINITE_PINNED = {
-    ("sim", "horizon"): "sim: horizon must cover at least one step: horizon={}, dt=0.001",
-    ("sim", "dt"): "sim: dt must be a positive real, got {}",
-    ("sim", "input", "angular_frequency"): "sim.input: angular_frequency must be finite, got {}",
-    ("observer", "gamma"): "observer.gamma: must be a finite nonnegative number",
-}
+NON_FINITE_CONFIG["sim"].update(xhat0=[0.5, 0.5], eps=0.0)
+NON_FINITE_CONFIG["sim"]["input"]["phase"] = 0.0
+NON_FINITE_SIM = NON_FINITE_CONFIG["sim"]
+NON_FINITE_CONFIGS = [
+    NON_FINITE_CONFIG,
+    {
+        **NON_FINITE_CONFIG,
+        "observer": {
+            "type": "cubic_explicit",
+            "gain_lc": [[7.0], [10.0]],
+            "gain_nc": [1.0, 1.0],
+            "q": [[10.0, 0.0], [0.0, 10.0]],
+            "theta": [[10.0]],
+        },
+        "sim": {
+            **NON_FINITE_SIM,
+            "input": {"kind": "sampled", "times": [0.0, 1.0], "values": [[0.0], [1.0]]},
+        },
+        "lqr": {"q": [[1.0, 0.0], [0.0, 1.0]], "r": [[1.0]]},
+    },
+    {
+        **NON_FINITE_CONFIG,
+        "observer": {"type": "cubic_explicit", "gain_lc": [7.0, 10.0], "gain_nc": [[1.0], [1.0]]},
+        "sim": {**NON_FINITE_SIM, "input": {"kind": "constant", "level": [1.0]}},
+    },
+    {
+        **NON_FINITE_CONFIG,
+        "observer": {"type": "linear", "gain_l": [[7.0], [10.0]]},
+        "sim": {**NON_FINITE_SIM, "input": {"kind": "constant", "level": 1.0}},
+    },
+    {
+        **NON_FINITE_CONFIG,
+        "observer": {"type": "linear", "gain_l": [7.0, 10.0]},
+        "sim": {**NON_FINITE_SIM, "input": {"kind": "sinusoid", "amplitude": 1.0}},
+    },
+    {**NON_FINITE_CONFIG, "observer": {"type": "cubic", "poles": [[-2.0, 1.0], [-2.0, -1.0]]}},
+]
+# each numeric position of the table, with the first config that has it
+NON_FINITE_POSITIONS = {}
+for _cfg in NON_FINITE_CONFIGS:
+    for _path in config_paths(_cfg)[1]:
+        NON_FINITE_POSITIONS.setdefault(_path, _cfg)
 
 
-@pytest.mark.parametrize("token", [float("nan"), float("inf"), float("-inf")], ids=str)
-@pytest.mark.parametrize(
-    "bad", config_paths(NON_FINITE_CONFIG)[1], ids=lambda path: ".".join(map(str, path))
-)
+def schema_number_paths(schema, path=()):
+    """The positions at which a part of docs/schema.json admits a number,
+    each array entry written []."""
+    if "$ref" in schema:
+        return schema_number_paths(SCHEMA["$defs"][schema["$ref"].rpartition("/")[2]], path)
+    found = {path} if schema.get("type") == "number" else set()
+    for part in schema.get("oneOf", []):
+        found |= schema_number_paths(part, path)
+    for key, part in schema.get("properties", {}).items():
+        found |= schema_number_paths(part, path + (key,))
+    if "items" in schema:
+        found |= schema_number_paths(schema["items"], path + ("[]",))
+    return found
+
+
+def test_the_table_reaches_every_number_of_the_schema():
+    reached = {
+        tuple("[]" if isinstance(key, int) else key for key in path)
+        for path in NON_FINITE_POSITIONS
+    }
+    assert schema_number_paths(CONFIG_SCHEMA) - reached == set()
+
+
+@pytest.mark.parametrize("index", range(len(NON_FINITE_CONFIGS)))
+def test_every_config_of_the_table_is_valid(write_config, capsys, monkeypatch, tmp_path, index):
+    # so that the one fault of each case below is the token it puts in
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
+    path = write_config(NON_FINITE_CONFIGS[index])
+    for argv in (["design"], ["simulate", "--horizon", "0.01"]):
+        code, _, err = run_cli(capsys, argv[0], path, *argv[1:])
+        assert code in (0, 1), (argv, err)
+
+
+# a non-finite number, or a value that is not a number at all, at any
+# position: each command that reads a config exits 2 with one line naming
+# the position, before printing anything
+@pytest.mark.parametrize("token", [float("nan"), float("inf"), float("-inf"), True, "1"], ids=str)
+@pytest.mark.parametrize("bad", NON_FINITE_POSITIONS, ids=lambda path: ".".join(map(str, path)))
 def test_a_non_finite_config_number_is_a_config_error(
     write_config, capsys, monkeypatch, tmp_path, bad, token
 ):
     monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
     *parents, last = bad
-    cfg = copy.deepcopy(NON_FINITE_CONFIG)
+    cfg = copy.deepcopy(NON_FINITE_POSITIONS[bad])
     at_path(cfg, parents)[last] = token
-    where = parents[0] + "".join(
-        f"[{key}]" if isinstance(key, int) else f".{key}" for key in (*parents[1:], last)
-    )
-    pinned = NON_FINITE_PINNED.get(tuple(bad), "{where}: expected a finite number")
-    message = pinned.format(token, where=where)
+    words = "expected a finite number" if isinstance(token, float) else "expected a number"
     path = write_config(cfg)
     for argv in (["design"], ["simulate"], ["sweep-gamma", "--gammas", "1"]):
         code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
-        assert (code, out, err) == (2, "", f"config error: {message}\n"), argv
+        assert (code, out, err) == (2, "", f"config error: {dotted(bad)}: {words}\n"), argv
 
 
 # The command-line value overrides the file's, and a non-finite file value
-# is refused all the same; without the override the pinned texts above stand.
+# is refused all the same.
 SIM_OVERRIDES = {"horizon": "0.01", "dt": "0.001", "eps": "0"}
 
 
@@ -963,6 +1037,23 @@ def test_a_non_finite_sim_number_is_refused_under_its_override(
     path = write_config(cfg)
     code, out, err = run_cli(capsys, argv[0], path, *argv[1:], f"--{key}", SIM_OVERRIDES[key])
     assert (code, out, err) == (2, "", f"config error: sim.{key}: expected a finite number\n")
+
+
+def test_one_reader_spells_every_refusal_of_a_config_number():
+    # a second reader with a policy of its own would spell these again
+    source = Path(cli.__file__).read_text()
+    (reader,) = [
+        ast.get_source_segment(source, node)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_numbers"
+    ]
+    for words in (
+        "expected a number",
+        "number too large for a float",
+        "expected a finite number",
+        "expected shape",
+    ):
+        assert source.count(words) == 1 and words in reader, words
 
 
 def test_an_integer_past_the_digit_limit_is_a_config_error(write_config, capsys, tmp_path):

@@ -200,6 +200,21 @@ def test_explicit_design_validation(fx1):
             design_mod.replace(design, **change)
 
 
+@pytest.mark.parametrize("name", ["lyapunov_p", "lyapunov_q"])
+def test_a_subnormal_lyapunov_pair_is_refused_by_the_design(fx1, name):
+    # definite by the scale-free verdict, but without the digits for a
+    # margin: P = 1e-310 I would certify robustness to any eps
+    cubic = co.build_designs(fx1)[1]
+    with pytest.raises(
+        co.ContractError,
+        match=rf"^{name} must be positive definite: its smallest eigenvalue "
+        r"1\.000e-310 is subnormal$",
+    ):
+        design_mod.replace(cubic, **{name: 1e-310 * np.eye(2)})
+    # the least normal float is still a spectrum
+    design_mod.replace(cubic, **{name: np.finfo(float).tiny * np.eye(2)})
+
+
 def test_design_parts_of_the_wrong_shape_are_refused_in_numlins_words(fx1):
     with pytest.raises(co.DimensionError, match=r"^theta must have shape \(1, 1\), got \(2, 2\)$"):
         co.synthesize_cubic_gain(fx1.system, fx1.gain_lc, fx1.q, theta=np.eye(2))
