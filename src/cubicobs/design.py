@@ -45,18 +45,10 @@ its parts against gain_lc, and check_pairing gain_lc against the plant.
 
 Asked for an equilibrium search, certify_stability counts the nonzero
 equilibria, which search_nonzero_equilibria computes exactly as the real
-eigenpairs of the n_y x n_y matrix c (a - lc c)^{-1} nc, scaled, and bounds
-them away in closed form. With w = f^T p + p f, s = e^T c^T theta c e and
-E = p nc c + c^T nc^T p + 2 gamma c^T theta c,
-
-    e^T p g(e) <= 1/2 lambda_max(w) |e|^2 + |E|_2^2 |e|^4 / (16 gamma)
-
-along the error dynamics g, so no nonzero equilibrium lies within
-R = sqrt(8 gamma (-lambda_max(w))) / |E|_2. For a synthesized gain E is the
-rounding residual of the defining identity, evaluated in np.longdouble
-with an a-priori rounding allowance (_exclusion_radius), and R is
-astronomically large. The certificate reports
-equilibrium_exclusion_radius = min(R, 1e12) next to the root count.
+eigenpairs of the n_y x n_y matrix c (a - lc c)^{-1} nc, scaled, and
+reports equilibrium_exclusion_radius = min(R, 1e12) next to the count: no
+nonzero equilibrium lies within the closed-form radius R of
+_exclusion_radius, astronomically large for a synthesized gain.
 """
 
 from dataclasses import dataclass, field, replace
@@ -73,7 +65,7 @@ POLE_CONJUGACY_TOL = 1e-9
 GAIN_IDENTITY_RTOL = 1e-10
 # accepted eigenvalue error after pole placement
 PLACEMENT_TOL = 1e-8
-# scaling grid searched by feedback_certificate
+# the powers of ten feedback_certificate reports beta on
 FEEDBACK_BETA_GRID = tuple(10.0 ** k for k in range(9))
 # state norm beyond which a simulated trajectory counts as diverged, and
 # the cap on the reported equilibrium exclusion radius
@@ -150,6 +142,9 @@ class Certificate:
     reports whether the strict verdict holds regardless.
     certify_stability sets robustness_eps_max to robustness_bound(design).
     The feedback fields stay None unless feedback_certificate filled them.
+    feedback_ok certifies the loop's composite quadratic form, which reads
+    the observer through w = f^T p + p f only; all_ok alone certifies the
+    cubic loop (example 3 has feedback_ok and not stability_ok).
     """
 
     hurwitz_ok: bool
@@ -174,15 +169,13 @@ class Certificate:
         return self.feedback_ok is not False
 
 
-def _check_conjugate_closed(poles):
-    by_key = sorted(poles, key=lambda z: (z.real, z.imag))
-    conj = sorted(np.conj(poles), key=lambda z: (z.real, z.imag))
-    for a, b in zip(by_key, conj):
-        if abs(a - b) > POLE_CONJUGACY_TOL * max(1.0, abs(a)):
-            raise ContractError(
-                "desired pole set must be closed under conjugation "
-                f"(unmatched pole {a:g})"
-            )
+def _pairing_gaps(poles, targets):
+    """|z - t| for each z of poles, in order, and the nearest t of targets no
+    earlier z took: unlike sorting, this pairs poles that differ by rounding."""
+    left = list(targets)
+    return np.array(
+        [abs(z - left.pop(int(np.argmin(np.abs(np.subtract(left, z)))))) for z in poles]
+    )
 
 
 def place_poles_single_output(sys, desired):
@@ -208,7 +201,12 @@ def place_poles_single_output(sys, desired):
         raise DimensionError(f"need exactly {sys.n} desired poles, got {desired.size}")
     if not np.all(np.isfinite(desired)):
         raise ContractError("desired poles must be finite")
-    _check_conjugate_closed(desired)
+    gaps = _pairing_gaps(desired, np.conj(desired))
+    unmatched = desired[gaps > POLE_CONJUGACY_TOL * np.maximum(1.0, np.abs(desired))]
+    if unmatched.size:
+        raise ContractError(
+            f"desired pole set must be closed under conjugation (unmatched pole {unmatched[0]:g})"
+        )
 
     coeffs = numlin.finite(np.poly(desired), "desired polynomial")
     if numlin.max_abs(coeffs.imag) > POLE_CONJUGACY_TOL * max(
@@ -234,11 +232,8 @@ def place_poles_single_output(sys, desired):
         # solve returns inf without raising
         closed = numlin.finite(a - l.reshape(n, 1) @ sys.c, "pole placement")
 
-    achieved = numlin.eigenvalues(closed)
-    target = np.sort_complex(desired)
-    scale = max(1.0, float(np.max(np.abs(target))))
-    err = float(np.max(np.abs(np.sort_complex(achieved) - target)))
-    if err > PLACEMENT_TOL * scale:
+    err = float(np.max(_pairing_gaps(desired, numlin.eigenvalues(closed))))
+    if err > PLACEMENT_TOL * max(1.0, float(np.max(np.abs(desired)))):
         raise NumericalError(
             f"pole placement achieved eigenvalues off by {err:.3e}; "
             "the observability matrix is probably too ill-conditioned"
@@ -543,78 +538,83 @@ def robustness_bound(design):
     return float(design.q_spectrum[0]) / (2.0 * float(design.p_spectrum[-1]))
 
 
+def _feedback_beta(t, off, w):
+    """The power of FEEDBACK_BETA_GRID at which feedback_certificate
+    decomposes psi(beta) = [[t, off], [off^T, beta w]]: the first above
+    beta_min, or the last. The verdict lambda_max(psi) < -tol |psi|_2,
+    tol = DEFINITENESS_TOL, needs psi(beta) + sigma I < 0 with
+    sigma = tol max diag(-t), as |psi|_2 >= max diag(-t); sigma is raised by
+    0.1% so that a tie, which rounding decides, takes the larger power. By
+    the Schur complement that holds exactly when the Cholesky factors
+    -t - sigma I = M M^T and -w = L L^T of the symmetric parts exist and
+    beta > beta_min = lambda_max(y y^T) with y = L^-1 [(M^-1 off)^T,
+    sqrt(sigma) I]; without them no beta passes, and beta is 1.
+    """
+    sigma = 1.001 * numlin.DEFINITENESS_TOL * np.max(-np.diag(t))
+    try:
+        m = np.linalg.cholesky(-0.5 * (t + t.T) - sigma * np.eye(len(t)))
+        l = np.linalg.cholesky(-0.5 * (w + w.T))
+        z = np.hstack([np.linalg.solve(m, off).T, np.sqrt(sigma) * np.eye(len(w))])
+        y = np.linalg.solve(l, z)
+    except np.linalg.LinAlgError:
+        return FEEDBACK_BETA_GRID[0]
+    # ignored, not raised: a y y^T that overflows puts beta_min past the grid
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = y @ y.T
+    beta_min = np.linalg.eigvalsh(gram)[-1] if np.isfinite(gram).all() else np.inf
+    return next((b for b in FEEDBACK_BETA_GRID if b > beta_min), FEEDBACK_BETA_GRID[-1])
+
+
 @numlin.refusing_overflow("feedback certificate")
 def feedback_certificate(sys, design, k, equilibrium_search=False):
     """Certify observer-based state feedback u = -k xhat around the design.
 
-    Builds the composite quadratic form for the stacked (x, e) dynamics,
+    Builds the composite quadratic form of the stacked (x, e) dynamics,
 
-        [ (a-bk)^T p1 + p1 (a-bk)    p1 b k                       ]
-        [ (b k)^T p1                 beta ((a-lc c)^T p + p (a-lc c)) ]
+        psi(beta) = [ t      off    ]   t = (a-bk)^T p1 + p1 (a-bk),  off = p1 b k,
+                    [ off^T  beta w ]   w = (a-lc c)^T p + p (a-lc c),
 
-    with p1 solving (a-bk)^T p1 + p1 (a-bk) = -I and the observer block
-    scaled by beta swept over {1, 10, ..., 1e8}; the first beta making the
-    form negative definite certifies the loop (feedback_ok, feedback_beta).
-    feedback_unscaled_ok records the unscaled (beta = 1) verdict, i.e. the
-    same test expressed through the block-triangular composite matrix of
-    the linear-observer loop. A False here only means this particular
-    composite Lyapunov candidate failed, not that the loop is unstable.
-    The observer certificate, its damping mode included, is
-    certify_stability's, which equilibrium_search goes to.
+    with p1 solving (a-bk)^T p1 + p1 (a-bk) = -I, and decomposes it once, at
+    the beta of FEEDBACK_BETA_GRID that _feedback_beta takes in closed form
+    from the Schur complement. That spectrum gives the verdict feedback_ok,
+    feedback_beta = beta where it holds, and feedback_psi_max_eig. The
+    observer enters psi through w alone, so feedback_ok certifies this
+    composite form and not the cubic loop, which all_ok does (Certificate).
+    feedback_unscaled_ok is the verdict of G, the block-triangular composite
+    matrix of the linear-observer loop and psi(1) by block algebra. A False
+    means only that this Lyapunov candidate failed; the observer certificate
+    is certify_stability's, which equilibrium_search goes to.
     """
     k = numlin.as_matrix(k, "k", (sys.n_inputs, sys.n))
     base = certify_stability(sys, design, equilibrium_search)
     margins = dict(base.margins)
 
     acl = sys.a - sys.b @ k
-    abscissa = numlin.spectral_abscissa(acl)
-    margins["feedback_spectral_abscissa"] = abscissa
-    if abscissa >= 0.0:
-        return replace(
-            base,
-            margins=margins,
-            feedback_ok=False,
-            feedback_beta=None,
-            feedback_unscaled_ok=False,
-        )
+    margins["feedback_spectral_abscissa"] = numlin.spectral_abscissa(acl)
+    if margins["feedback_spectral_abscissa"] >= 0.0:
+        return replace(base, margins=margins, feedback_ok=False, feedback_unscaled_ok=False)
 
     n = sys.n
     p1 = numlin.solve_lyapunov(acl, np.eye(n))
     top_left = acl.T @ p1 + p1 @ acl
     off = p1 @ sys.b @ k
     dyn = ErrorDynamics(sys, design)
-
-    feedback_ok = False
-    feedback_beta = None
-    best_max_eig = np.inf
-    for beta in FEEDBACK_BETA_GRID:
-        psi = np.block([[top_left, off], [off.T, beta * dyn.w]])
-        psi_spectrum = numlin.sym_spectrum(psi)
-        psi_max = float(psi_spectrum[-1])
-        best_max_eig = min(best_max_eig, psi_max)
-        if numlin.is_negative_spectrum(psi_spectrum):
-            feedback_ok = True
-            feedback_beta = beta
-            margins["feedback_psi_max_eig"] = psi_max
-            break
-    if not feedback_ok:
-        margins["feedback_psi_max_eig"] = best_max_eig
+    beta = _feedback_beta(top_left, off, dyn.w)
+    psi_spectrum = numlin.sym_spectrum(np.block([[top_left, off], [off.T, beta * dyn.w]]))
+    feedback_ok = numlin.is_negative_spectrum(psi_spectrum)
+    margins["feedback_psi_max_eig"] = float(psi_spectrum[-1])
 
     aa = np.block([[acl, sys.b @ k], [np.zeros((n, n)), dyn.f]])
-    pa = np.block(
-        [[p1, np.zeros((n, n))], [np.zeros((n, n)), design.lyapunov_p]]
-    )
-    g = aa.T @ pa + pa @ aa
-    g_spectrum = numlin.sym_spectrum(g)
+    pa = np.block([[p1, np.zeros((n, n))], [np.zeros((n, n)), design.lyapunov_p]])
+    g_spectrum = numlin.sym_spectrum(aa.T @ pa + pa @ aa)
     margins["feedback_unscaled_max_eig"] = float(g_spectrum[-1])
-    unscaled_ok = numlin.is_negative_spectrum(g_spectrum)
 
     return replace(
         base,
         margins=margins,
         feedback_ok=feedback_ok,
-        feedback_beta=feedback_beta,
-        feedback_unscaled_ok=unscaled_ok,
+        feedback_beta=beta if feedback_ok else None,
+        feedback_unscaled_ok=numlin.is_negative_spectrum(g_spectrum),
     )
 
 

@@ -82,6 +82,31 @@ def test_placement_rejects_bad_pole_sets():
         co.place_poles_single_output(sys, [-1.0, np.inf])
 
 
+ONE_ULP_APART = (-0.3333333333333333, -0.33333333333333337)
+
+
+@pytest.mark.parametrize("upper, lower", [ONE_ULP_APART, ONE_ULP_APART[::-1]])
+def test_placement_pairs_a_conjugate_pair_one_ulp_apart_in_either_order(upper, lower):
+    # the pair's real parts differ in the last bit, so pairing by sort order
+    # matches each pole with the wrong conjugate, or, when the real part of
+    # +1.2j is the smaller, the achieved -1.2j with the desired +1.2j
+    pair = [complex(upper, 1.2), complex(lower, -1.2)]
+    sys = co.LinearSystem(
+        a=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -2.0, -3.0]],
+        b=[[0.0], [0.0], [1.0]],
+        c=[[1.0, 0.0, 0.0]],
+    )
+    l = co.place_poles_single_output(sys, pair + [-3.0])
+    # (s + 3)(s^2 + 2/3 s + 1/9 + 1.44), compared in coefficient space
+    assert np.allclose(np.poly(sys.a - l @ sys.c), np.poly(pair + [-3.0]).real)
+
+
+def test_placement_refuses_a_pole_set_that_is_not_closed_under_conjugation():
+    sys = co.LinearSystem(a=np.diag([-1.0, -2.0, -3.0]), b=np.zeros((3, 1)), c=[[1.0, 1.0, 1.0]])
+    with pytest.raises(co.ContractError, match=r"conjugation \(unmatched pole -1\+2j\)$"):
+        co.place_poles_single_output(sys, [complex(-1, 2), complex(-1, 3), -3.0])
+
+
 def test_placement_rejects_multi_output():
     sys = co.LinearSystem(a=-np.eye(2), b=np.zeros((2, 1)), c=np.eye(2))
     with pytest.raises(co.ContractError, match="single-output"):
@@ -456,10 +481,20 @@ def test_feedback_certificate_destabilizing_gain_fails(fx1, designs1):
     assert cert.margins["feedback_spectral_abscissa"] >= 0.0
 
 
+def psi_forms(system, design, k, betas):
+    """psi(beta) = [[t, off], [off^T, beta w]] of feedback_certificate at
+    each beta of betas, built by its expressions."""
+    acl = system.a - system.b @ k
+    p1 = numlin.solve_lyapunov(acl, np.eye(system.n))
+    off = p1 @ system.b @ k
+    w = design_mod.ErrorDynamics(system, design).w
+    return [np.block([[acl.T @ p1 + p1 @ acl, off], [off.T, beta * w]]) for beta in betas]
+
+
 def test_feedback_certificate_fails_when_no_beta_of_the_grid_certifies(fx1, designs1):
     # a tiny q makes the observer block beta * w tiny, so the smallest
     # certifying beta, lambda_max((-w)^-1 off' off), lies past 1e8; the
-    # margin is then the least lambda_max(psi(beta)) over the grid
+    # margin is then psi(1e8)'s, the last power of the grid
     _, cubic = designs1
     sys, k = fx1.system, np.array([[1.0, 2.0]])
     design = co.synthesize_cubic_gain(
@@ -470,17 +505,36 @@ def test_feedback_certificate_fails_when_no_beta_of_the_grid_certifies(fx1, desi
     assert cert.feedback_ok is False
     assert cert.feedback_beta is None
     assert not cert.all_ok
-    acl = sys.a - sys.b @ k
-    p1 = numlin.solve_lyapunov(acl, np.eye(2))
-    off = p1 @ sys.b @ k
-    f = sys.a - design.gain_lc @ sys.c
-    w = f.T @ design.lyapunov_p + design.lyapunov_p @ f
-    grid_max = [
-        numlin.sym_spectrum(np.block([[acl.T @ p1 + p1 @ acl, off], [off.T, beta * w]]))[-1]
-        for beta in design_mod.FEEDBACK_BETA_GRID
-    ]
-    assert min(grid_max) > 0.0
-    assert cert.margins["feedback_psi_max_eig"] == min(grid_max)
+    (psi,) = psi_forms(sys, design, k, [design_mod.FEEDBACK_BETA_GRID[-1]])
+    assert cert.margins["feedback_psi_max_eig"] == numlin.sym_spectrum(psi)[-1] > 0.0
+
+
+def test_feedback_certificate_without_a_cholesky_factor_reports_psi_at_beta_one(fx1, designs1):
+    # p = diag(1, 1e4) leaves w = f^T p + p f indefinite: -w has no Cholesky
+    # factor, no beta certifies, and the margin is psi(1)'s
+    _, cubic = designs1
+    sys, k = fx1.system, np.array([[1.0, 2.0]])
+    design = design_mod.replace(cubic, lyapunov_p=np.diag([1.0, 1e4]))
+    assert not co.certify_stability(sys, design).hurwitz_ok
+    cert = co.feedback_certificate(sys, design, k)
+    assert cert.feedback_ok is False
+    assert cert.feedback_beta is None
+    assert cert.margins["feedback_psi_max_eig"] == 99992.00024750312
+    (psi,) = psi_forms(sys, design, k, [1.0])
+    assert cert.margins["feedback_psi_max_eig"] == numlin.sym_spectrum(psi)[-1]
+
+
+def test_a_beta_min_past_the_float_range_takes_the_last_power(fx1, designs1):
+    # q = 1e-305 I and a large k make y y^T overflow, which stands for
+    # beta_min = inf: no beta passes, and the margin is psi(1e8)'s
+    _, cubic = designs1
+    sys, k = fx1.system, np.array([[1e8, 1e4]])
+    design = co.synthesize_cubic_gain(
+        sys, cubic.gain_lc, 1e-305 * np.eye(2), cubic.theta, cubic.gamma
+    )
+    cert = co.feedback_certificate(sys, design, k)
+    got = (cert.feedback_ok, cert.feedback_beta, cert.margins["feedback_psi_max_eig"])
+    assert got == grid_search_feedback(sys, design, k) == (False, None, 4999.500124999999)
 
 
 def test_feedback_certificate_rejects_wrong_k_shape(fx1, designs1):
@@ -1116,15 +1170,14 @@ def test_each_certificate_spectrum_is_computed_once(eigen_calls):
     for calls in eigen_calls.values():
         calls.clear()
     cert = co.feedback_certificate(system, design, k)
-    assert cert.feedback_ok
-    betas = design_mod.FEEDBACK_BETA_GRID
-    tried = betas[: betas.index(cert.feedback_beta) + 1]
-    psis = [np.block([[top_left, off], [off.T, beta * dyn.w]]) for beta in tried]
-    loop_forms = [sym(psi) for psi in psis] + [sym(aa.T @ pa + pa @ aa)]
+    assert cert.feedback_ok and cert.feedback_beta > 1.0
+    # psi(beta) at the closed-form beta alone, whatever beta is, and G
+    psi = np.block([[top_left, off], [off.T, cert.feedback_beta * dyn.w]])
+    loop_forms = [sym(psi), sym(aa.T @ pa + pa @ aa)]
     for form in observer_forms + loop_forms:
         assert times_decomposed(eigen_calls["eigvalsh"], form) == 1
     assert times_decomposed(eigen_calls["eigvals"], dyn.f) == 1
-    assert sum(m.shape == (64, 64) for m in eigen_calls["eigvalsh"]) == len(loop_forms)
+    assert sum(m.shape == (64, 64) for m in eigen_calls["eigvalsh"]) == 2
 
 
 def design_config(system, design, k):
@@ -1144,8 +1197,9 @@ def design_config(system, design, k):
 
 
 # eigvalsh and eigvals calls of one design command: theta is decomposed
-# once, by CubicObserverDesign
-DESIGN_COMMAND_EIGEN_CALLS = {"feedback": (14, 4), "search": (8, 3)}
+# once, by CubicObserverDesign, and the feedback certificate takes psi(beta),
+# G and the n x n Gram matrix of its closed-form beta_min
+DESIGN_COMMAND_EIGEN_CALLS = {"feedback": (13, 4), "search": (8, 3)}
 
 
 @pytest.mark.parametrize("case", ["feedback", "search"])
@@ -1175,6 +1229,60 @@ def stabilized_loop(kind, seed, n, n_y, n_u, gain):
     return co.LinearSystem(a=system.a, b=b, c=system.c), design, gain * b.T
 
 
+def grid_search_feedback(system, design, k):
+    """(feedback_ok, feedback_beta, feedback_psi_max_eig) by the grid search
+    the closed form replaced: psi(beta) decomposed at each power of
+    FEEDBACK_BETA_GRID in turn until one is negative definite, the margin
+    being that spectrum's largest eigenvalue, or the least over the grid
+    when none is."""
+    best = np.inf
+    betas = design_mod.FEEDBACK_BETA_GRID
+    for beta, psi in zip(betas, psi_forms(system, design, k, betas)):
+        spectrum = numlin.sym_spectrum(psi)
+        best = min(best, float(spectrum[-1]))
+        if numlin.is_negative_spectrum(spectrum):
+            return True, beta, float(spectrum[-1])
+    return False, None, best
+
+
+@settings(max_examples=40)
+@given(
+    kind=st.sampled_from(["synthesized", "explicit"]),
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 8),
+    n_y=st.integers(1, 2),
+    n_u=st.integers(1, 2),
+    gain=st.floats(0.0, 2.0),
+    q_exponent=st.floats(-14.0, 2.0),
+)
+def test_the_closed_form_beta_matches_the_grid_search(kind, seed, n, n_y, n_u, gain, q_exponent):
+    # q = 10^q_exponent I scales w down until beta_min lies past 1e8, and
+    # below about 1e-10 until w is too small beside t for the relative
+    # verdict at beta_min, which the closed form's threshold accounts for
+    system, design, k = stabilized_loop(kind, seed, n, n_y, n_u, gain)
+    q = 10.0**q_exponent * np.eye(n)
+    if kind == "synthesized":
+        design = co.synthesize_cubic_gain(system, design.gain_lc, q, design.theta, design.gamma)
+    else:
+        design = co.explicit_cubic_design(
+            system, design.gain_lc, design.gain_nc, design.theta, q=q, gamma=design.gamma
+        )
+    cert = co.feedback_certificate(system, design, k)
+    got = (cert.feedback_ok, cert.feedback_beta, cert.margins["feedback_psi_max_eig"])
+    ok, beta, margin = grid_search_feedback(system, design, k)
+    if ok:
+        (psi,) = psi_forms(system, design, k, [beta])
+        if -margin <= 1.002 * numlin.DEFINITENESS_TOL * np.abs(numlin.sym_spectrum(psi)).max():
+            # a tie: the grid's verdict passed within the 0.1% by which the
+            # closed form raises its threshold, which may take the next power
+            assert cert.feedback_ok and cert.feedback_beta in (beta, 10.0 * beta)
+            return
+    assert got == (ok, beta, margin)
+    if ok and beta > 1.0:
+        (below,) = psi_forms(system, design, k, [beta / 10.0])
+        assert not numlin.is_negative_spectrum(numlin.sym_spectrum(below))
+
+
 @settings(max_examples=40)
 @given(
     kind=st.sampled_from(["synthesized", "explicit"]),
@@ -1189,11 +1297,7 @@ def test_the_unscaled_feedback_form_is_psi_at_beta_one(kind, seed, n, n_y, n_u, 
     # largest eigenvalue are psi(1)'s up to rounding
     system, design, k = stabilized_loop(kind, seed, n, n_y, n_u, gain)
     cert = co.feedback_certificate(system, design, k)
-    acl = system.a - system.b @ k
-    p1 = numlin.solve_lyapunov(acl, np.eye(n))
-    off = p1 @ system.b @ k
-    w = design_mod.ErrorDynamics(system, design).w
-    psi = np.block([[acl.T @ p1 + p1 @ acl, off], [off.T, w]])
+    (psi,) = psi_forms(system, design, k, [1.0])
     spectrum = numlin.sym_spectrum(psi)
     assert cert.feedback_unscaled_ok == numlin.is_negative_spectrum(spectrum)
     gap = abs(cert.margins["feedback_unscaled_max_eig"] - spectrum[-1])
