@@ -198,6 +198,20 @@ def _numbers(value, path, shape):
     return numbers if shape else float(numbers)
 
 
+def _per_input(value, path, n_u):
+    """An array of numbers, or a number meaning that value for every input."""
+    if isinstance(value, list):
+        return _numbers(value, path, (None,))
+    return [_numbers(value, path, ())] * n_u
+
+
+def _square(value, path, size):
+    """A size x size matrix, or a number meaning that multiple of the identity."""
+    if isinstance(value, list):
+        return _numbers(value, path, (size, size))
+    return _numbers(value, path, ()) * np.eye(size)
+
+
 def _parse_poles(value, path, n):
     """Pole entries are numbers or [re, im] pairs; must count n in total."""
     if not isinstance(value, list) or not value:
@@ -276,11 +290,7 @@ def parse_observer(cfg, system):
         raise ConfigError("observer.gain_nc: required for cubic_explicit")
 
     for key, size in (("q", n), ("theta", n_y)):
-        value = doc.get(key, 1.0)
-        if isinstance(value, list):
-            parsed[key] = _numbers(value, f"observer.{key}", (size, size))
-        else:  # a number is that multiple of the identity
-            parsed[key] = _numbers(value, f"observer.{key}", ()) * np.eye(size)
+        parsed[key] = _square(doc.get(key, 1.0), f"observer.{key}", size)
     default_gamma = 0.0 if kind == "linear" else 1.0  # linear: no cubic term
     gamma = _numbers(doc.get("gamma", default_gamma), "observer.gamma", ())
     if gamma < 0.0:
@@ -299,6 +309,12 @@ def _build_signal(doc, path, n_u):
         return None
     doc = _as_dict(doc, path)
     kind = doc.get("kind")
+
+    def required(key):
+        if doc.get(key) is None:
+            raise ConfigError(f"{path}.{key}: required for {kind} input")
+        return doc[key]
+
     try:
         if kind == "zero":
             _reject_unknown(doc, ("kind",), path)
@@ -307,13 +323,8 @@ def _build_signal(doc, path, n_u):
             _reject_unknown(
                 doc, ("kind", "amplitude", "angular_frequency", "phase"), path
             )
-            amplitude = doc.get("amplitude", 1.0)
-            if isinstance(amplitude, list):
-                amplitude = _numbers(amplitude, f"{path}.amplitude", (None,))
-            else:  # a number is the amplitude of every input
-                amplitude = [_numbers(amplitude, f"{path}.amplitude", ())] * n_u
             return SinusoidInput(
-                amplitude=amplitude,
+                amplitude=_per_input(doc.get("amplitude", 1.0), f"{path}.amplitude", n_u),
                 angular_frequency=_numbers(
                     doc.get("angular_frequency", 1.0), f"{path}.angular_frequency", ()
                 ),
@@ -321,18 +332,11 @@ def _build_signal(doc, path, n_u):
             )
         if kind == "constant":
             _reject_unknown(doc, ("kind", "level"), path)
-            level = doc.get("level")
-            if level is None:
-                raise ConfigError(f"{path}.level: required for constant input")
-            if isinstance(level, list):
-                level = _numbers(level, f"{path}.level", (None,))
-            else:  # a number is the level of every input
-                level = [_numbers(level, f"{path}.level", ())] * n_u
-            return ConstantInput(level=level)
+            return ConstantInput(level=_per_input(required("level"), f"{path}.level", n_u))
         if kind == "sampled":
             _reject_unknown(doc, ("kind", "times", "values"), path)
-            times = _numbers(doc.get("times"), f"{path}.times", (None,))
-            values = _numbers(doc.get("values"), f"{path}.values", (None, None))
+            times = _numbers(required("times"), f"{path}.times", (None,))
+            values = _numbers(required("values"), f"{path}.values", (None, None))
             return SampledInput(times=times, values=values)
     except ConfigError:  # already names its field
         raise
@@ -408,14 +412,10 @@ def parse_lqr(cfg, system):
         raise ConfigError("lqr: needs a feedback section, which supplies the control")
     doc = _as_dict(cfg["lqr"], "lqr")
     _reject_unknown(doc, ("q", "r"), "lqr")
-    weights = []
-    for key, size in (("q", system.n), ("r", system.n_inputs)):
-        value = doc.get(key, 1.0)
-        if isinstance(value, list):
-            weights.append(_numbers(value, f"lqr.{key}", (size, size)))
-        else:  # a number is that multiple of the identity
-            weights.append(_numbers(value, f"lqr.{key}", ()) * np.eye(size))
-    return tuple(weights)
+    return tuple(
+        _square(doc.get(key, 1.0), f"lqr.{key}", size)
+        for key, size in (("q", system.n), ("r", system.n_inputs))
+    )
 
 
 def parse_outputs(cfg):

@@ -35,7 +35,8 @@ class SimConfig:
     """Grid and initial data for a simulation run.
 
     x0 is the plant initial state; xhat0 defaults to zero. input defaults to the
-    zero signal of the plant's input dimension. A signal has a dimension and a
+    zero signal of the plant's input dimension, which like any zero or constant
+    input is a SampledInput with one sample at t = 0. A signal has a dimension and a
     sample(t) that takes a float, giving shape (dimension,), or a 1-D array of
     times, giving one such row per time: runs sample a block of stage times per
     call. eps, when set, shifts the dynamics matrix to a + eps*I for both the
@@ -98,14 +99,6 @@ class Trace:
     @property
     def n(self):
         return self.plant_states.shape[1]
-
-    @property
-    def n_outputs(self):
-        return self.outputs.shape[1]
-
-    @property
-    def n_inputs(self):
-        return self.inputs.shape[1]
 
 
 @dataclass

@@ -7,9 +7,11 @@ A LinearSystem is the continuous-time triple (a, b, c) of
 Construction checks shapes through numlin (b has n rows, c n columns) and
 rejects unobservable (a, c) pairs, since every design routine downstream
 assumes observability. Model uncertainty of the form a + eps*I is not a
-plant of its own: SimConfig.eps applies it inside the simulator. Input
-signals are small frozen dataclasses with a common sample(t) method: t is
-a float, giving the input of shape (dimension,), or a 1-D array of times,
+plant of its own: SimConfig.eps applies it inside the simulator. An input
+signal is a SinusoidInput or a zero-order hold, SampledInput; a zero or
+constant input is a SampledInput with one sample at t = 0, which
+ZeroInput and ConstantInput build. Each has a sample(t) method: t is a
+float, giving the input of shape (dimension,), or a 1-D array of times,
 giving one row per time, shape (len(t), dimension), with the same bits as
 sampling each time alone.
 """
@@ -75,20 +77,6 @@ def observability_matrix(sys):
 
 
 @dataclass(frozen=True)
-class ZeroInput:
-    """u(t) = 0 with a fixed dimension: fresh zeros, one row per time."""
-
-    dimension: int = 1
-
-    def __post_init__(self):
-        dimension = numlin.as_count(self.dimension, "input dimension", 1)
-        object.__setattr__(self, "dimension", dimension)
-
-    def sample(self, t):
-        return np.zeros(np.shape(t) + (self.dimension,))
-
-
-@dataclass(frozen=True)
 class SinusoidInput:
     """u(t) = amplitude * sin(angular_frequency * t + phase), componentwise.
 
@@ -120,25 +108,6 @@ class SinusoidInput:
 
 
 @dataclass(frozen=True)
-class ConstantInput:
-    """u(t) = level for all t, as a fresh copy per sample."""
-
-    level: np.ndarray
-
-    def __post_init__(self):
-        level = numlin.as_vector(self.level, "level")
-        level.setflags(write=False)
-        object.__setattr__(self, "level", level)
-
-    @property
-    def dimension(self):
-        return self.level.size
-
-    def sample(self, t):
-        return np.broadcast_to(self.level, np.shape(t) + self.level.shape).copy()
-
-
-@dataclass(frozen=True)
 class SampledInput:
     """Zero-order hold over samples (times[k], values[k]).
 
@@ -165,8 +134,19 @@ class SampledInput:
         return self.values.shape[1]
 
     def sample(self, t):
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        return self.values.take(np.clip(idx, 0, self.times.size - 1), axis=0)
+        idx = np.searchsorted(self.times, t, side="right") - 1  # never above n - 1
+        return self.values.take(np.maximum(idx, 0), axis=0)
+
+
+def ZeroInput(dimension=1):
+    """u(t) = 0 with a fixed dimension: one sample of zeros at t = 0."""
+    dimension = numlin.as_count(dimension, "input dimension", 1)
+    return SampledInput(times=[0.0], values=np.zeros((1, dimension)))
+
+
+def ConstantInput(level):
+    """u(t) = level for all t: one sample of level at t = 0."""
+    return SampledInput(times=[0.0], values=[numlin.as_vector(level, "level")])
 
 
 def evaluate_input(signal, t):

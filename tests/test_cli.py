@@ -608,6 +608,14 @@ GAIN_OBSERVER = {"type": "cubic", "q": 10.0, "theta": 10.0, "gamma": 2.0}
             {"sim.input": {"kind": "constant"}},
             "sim.input.level: required for constant input",
         ),
+        (
+            {"sim.input": {"kind": "sampled", "values": [[1.0]]}},
+            "sim.input.times: required for sampled input",
+        ),
+        (
+            {"sim.input": {"kind": "sampled", "times": [0.0]}},
+            "sim.input.values: required for sampled input",
+        ),
         ({"feedback": {}}, "feedback.k: required"),
         ({"feedback": {"k": [[1.0]]}}, "feedback.k: expected shape (1, 2), got (1, 1)"),
         ({"system.c": 5}, "system.c: expected shape (any, any), got ()"),
@@ -649,6 +657,8 @@ GAIN_OBSERVER = {"type": "cubic", "q": 10.0, "theta": 10.0, "gamma": 2.0}
         "bad-damping-mode",
         "damping-mode-semidefinite",
         "constant-without-level",
+        "sampled-without-times",
+        "sampled-without-values",
         "feedback-without-k",
         "feedback-k-shape",
         "system-c-not-a-matrix",

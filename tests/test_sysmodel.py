@@ -82,6 +82,7 @@ def test_observability_matrix_stacks_n_blocks():
 def test_zero_input():
     sig = ZeroInput(dimension=3)
     assert np.array_equal(sig.sample(1.7), np.zeros(3))
+    assert ZeroInput().dimension == 1
     assert ZeroInput(np.int64(2)).dimension == 2
     assert type(ZeroInput(np.int64(2)).dimension) is int
     for bad in (0, -1, 2.7, 2.0, True, "x", "2", None):
@@ -100,6 +101,10 @@ def test_constant_input():
     sig = ConstantInput(level=[1.0, -2.0])
     assert np.array_equal(sig.sample(0.0), [1.0, -2.0])
     assert np.array_equal(sig.sample(5.0), [1.0, -2.0])
+    with pytest.raises(ContractError, match="^level contains non-finite entries$"):
+        ConstantInput([1.0, np.inf])
+    with pytest.raises(DimensionError, match="^level must be non-empty$"):
+        ConstantInput([])
 
 
 def test_sampled_input_zero_order_hold():
@@ -160,6 +165,31 @@ SIGNALS = {
         times=[0.5, 1.0, 2.5], values=[[1.0, -0.0], [0.0, -2.0], [3.0, 4.0]]
     ),
 }
+
+
+# a held input's value at every time: fresh zeros, or a copy of the level
+HELD = {"zero": np.zeros(2), "constant": np.array([-0.0, 2.0])}
+
+
+@pytest.mark.parametrize("kind", sorted(HELD))
+def test_held_inputs_are_one_sample_records(kind):
+    # a zero or constant input is a zero-order hold with one sample at t = 0,
+    # so a rule for SampledInput sample times covers every held input
+    sig, want = SIGNALS[kind], HELD[kind]
+    assert type(sig) is SampledInput
+    assert np.array_equal(sig.times, [0.0])
+    times = np.array([-3.0, 0.0, 0.3, 7.0, 1e9])
+    for t, expected in (
+        (0.3, want),
+        (-2.5, want),
+        (times, np.tile(want, (times.size, 1))),
+    ):
+        got = sig.sample(t)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+    sig.sample(0.3)[:] = 7.0  # each sample is a fresh array
+    assert np.array_equal(sig.sample(0.3), want)
 
 
 @pytest.mark.parametrize("kind", sorted(SIGNALS))
