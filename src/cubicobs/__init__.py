@@ -17,6 +17,7 @@ benchmark studies, and a CLI that emits plot-ready CSV traces.
 from .design import (
     Certificate,
     CubicObserverDesign,
+    ErrorDynamics,
     certify_stability,
     degenerate_linear,
     error_field,
@@ -75,6 +76,7 @@ __all__ = [
     "DesignError",
     "DimensionError",
     "DivergenceError",
+    "ErrorDynamics",
     "LinearSystem",
     "Metrics",
     "NumericalError",

@@ -40,8 +40,11 @@ read off the spectrum its margin reports: numlin.sym_spectrum decomposes
 each form once, and numlin.is_positive_spectrum or is_negative_spectrum
 gives the verdict. The certificates, the search and the error field read
 an ErrorDynamics, which forms a - lc c, c^T theta c and the two Lyapunov
-forms and takes each of their spectra once. A CubicObserverDesign checks
-its parts against gain_lc, and check_pairing gain_lc against the plant.
+forms and takes each of their spectra once. certify_stability builds the
+one ErrorDynamics of a certificate and returns it as Certificate.dynamics,
+which the loop certificate and the equilibrium search read. A
+CubicObserverDesign checks its parts against gain_lc, and check_pairing
+gain_lc against the plant.
 
 Asked for an equilibrium search, certify_stability counts the nonzero
 equilibria, which search_nonzero_equilibria computes exactly as the real
@@ -103,8 +106,8 @@ class CubicObserverDesign:
         theta = numlin.symmetrize(self.theta, "theta", (n_y, n_y))
         if not numlin.is_positive_spectrum(numlin.sym_spectrum(theta), semidefinite=True):
             raise ContractError("theta must be symmetric positive semidefinite")
-        gamma = float(self.gamma)
-        if gamma < 0.0 or not np.isfinite(gamma):
+        gamma = numlin.as_real(self.gamma, "gamma")
+        if gamma < 0.0:
             raise ContractError(f"gamma must be a nonnegative real, got {gamma}")
         if gamma == 0.0 and numlin.max_abs(nc) != 0.0:
             raise ContractError("gamma = 0 requires gain_nc = 0 (degenerate design)")
@@ -145,6 +148,8 @@ class Certificate:
     feedback_ok certifies the loop's composite quadratic form, which reads
     the observer through w = f^T p + p f only; all_ok alone certifies the
     cubic loop (example 3 has feedback_ok and not stability_ok).
+    dynamics is the ErrorDynamics every margin and verdict was read from;
+    it is not serialized, shown or compared.
     """
 
     hurwitz_ok: bool
@@ -152,6 +157,7 @@ class Certificate:
     damping_strict: bool
     damping_mode: str
     uniqueness_ok: bool
+    dynamics: "ErrorDynamics" = field(repr=False, compare=False)
     margins: dict = field(default_factory=dict)
     robustness_eps_max: float | None = None
     feedback_ok: bool | None = None
@@ -342,12 +348,16 @@ class ErrorDynamics:
     w = f^T p + p f and the damping form d = p nc c + c^T nc^T p, all
     read-only, after check_pairing. w_spectrum and d_spectrum, the ascending
     eigenvalues of the symmetric parts of w and d, abscissa, the spectral
-    abscissa of f, and g = f^{-1} nc are computed on first use and kept.
+    abscissa of f, g = f^{-1} nc and m = c g are computed on first use and
+    kept. Forms that overflow are refused when they are built, with one
+    NumericalError "error dynamics overflows", so no certificate, search or
+    field reads an inf.
     """
 
     sys: sysmodel.LinearSystem
     design: CubicObserverDesign
 
+    @numlin.refusing_overflow("error dynamics")
     def __post_init__(self):
         check_pairing(self.sys, self.design)
         c, p, nc = self.sys.c, self.design.lyapunov_p, self.design.gain_nc
@@ -387,6 +397,12 @@ class ErrorDynamics:
                 f"a - gain_lc c is singular, equilibrium search impossible: {exc}"
             ) from exc
         return numlin.finite(g, "equilibrium search")  # solve returns inf without raising
+
+    @cached_property
+    def m(self):
+        """M = c G, the n_y x n_y matrix whose real eigenpairs give the
+        nonzero equilibria (search_nonzero_equilibria)."""
+        return self.sys.c @ self.g
 
 
 def _rounding(k, eps):
@@ -477,7 +493,9 @@ def certify_stability(sys, design, equilibrium_search=False):
     also gain nonzero_equilibria_continuum, the dimension of the largest
     eigenspace that holds one (see _continuum). The certificate carries the
     design's robustness radius, robustness_bound(design), as
-    robustness_eps_max. Every margin and verdict reads one ErrorDynamics.
+    robustness_eps_max. Every margin and verdict reads one ErrorDynamics,
+    built here and returned as the certificate's dynamics; the search reads
+    the same one.
     """
     dyn = ErrorDynamics(sys, design)
     w_spectrum, d_spectrum = dyn.w_spectrum, dyn.d_spectrum
@@ -510,7 +528,7 @@ def certify_stability(sys, design, equilibrium_search=False):
     margins["uniqueness_min_eig"] = float(m_spectrum[0])
 
     if equilibrium_search:
-        roots = search_nonzero_equilibria(sys, design)
+        roots = search_nonzero_equilibria(dyn)
         margins["nonzero_equilibria_found"] = float(len(roots))
         dimension = _continuum(dyn, roots) if roots else 0
         if dimension > 1:
@@ -523,6 +541,7 @@ def certify_stability(sys, design, equilibrium_search=False):
         damping_strict=damping_strict,
         damping_mode=mode,
         uniqueness_ok=uniqueness_ok,
+        dynamics=dyn,
         margins=margins,
         robustness_eps_max=robustness_bound(design),
     )
@@ -574,7 +593,8 @@ def feedback_certificate(sys, design, k, equilibrium_search=False):
         psi(beta) = [ t      off    ]   t = (a-bk)^T p1 + p1 (a-bk),  off = p1 b k,
                     [ off^T  beta w ]   w = (a-lc c)^T p + p (a-lc c),
 
-    with p1 solving (a-bk)^T p1 + p1 (a-bk) = -I, and decomposes it once, at
+    with p1 solving (a-bk)^T p1 + p1 (a-bk) = -I and w and a - lc c read
+    from the observer certificate's dynamics, and decomposes it once, at
     the beta of FEEDBACK_BETA_GRID that _feedback_beta takes in closed form
     from the Schur complement. That spectrum gives the verdict feedback_ok,
     feedback_beta = beta where it holds, and feedback_psi_max_eig. The
@@ -598,7 +618,7 @@ def feedback_certificate(sys, design, k, equilibrium_search=False):
     p1 = numlin.solve_lyapunov(acl, np.eye(n))
     top_left = acl.T @ p1 + p1 @ acl
     off = p1 @ sys.b @ k
-    dyn = ErrorDynamics(sys, design)
+    dyn = base.dynamics
     beta = _feedback_beta(top_left, off, dyn.w)
     psi_spectrum = numlin.sym_spectrum(np.block([[top_left, off], [off.T, beta * dyn.w]]))
     feedback_ok = numlin.is_negative_spectrum(psi_spectrum)
@@ -649,8 +669,9 @@ def lyapunov_derivative_at(sys, design, e):
 
 
 @numlin.refusing_overflow("equilibrium search")
-def search_nonzero_equilibria(sys, design):
-    """Every nonzero equilibrium of the error dynamics, in closed form.
+def search_nonzero_equilibria(dyn):
+    """Every nonzero equilibrium of the error dynamics dyn, an ErrorDynamics
+    such as a certificate's dynamics, in closed form.
 
     An equilibrium e != 0 has f e = -s nc r with r = c e and s = r^T theta r,
     so r != 0 as f is invertible, and with G = f^{-1} nc and M = c G
@@ -660,10 +681,10 @@ def search_nonzero_equilibria(sys, design):
     The nonzero equilibria are exactly these points over the real eigenpairs
     (lambda, v) of M with lambda v^T theta v < 0, where r = +-t v and
     t^2 = -1 / (lambda v^T theta v). With one output M is a number m, and
-    roots exist iff m theta < 0, which is the paper's uniqueness test. One
-    np.linalg.solve gives G and one np.linalg.eig the eigenpairs of M. A
-    singular f is a NumericalError, and so is an overflow ("equilibrium
-    search overflows").
+    roots exist iff m theta < 0, which is the paper's uniqueness test. G and
+    M are dyn's, each formed once, and one np.linalg.eig gives the
+    eigenpairs of M. A singular f is a NumericalError, and so is an
+    overflow ("equilibrium search overflows").
 
     Three rules read the relative tolerance tol = EQUILIBRIUM_TOL:
 
@@ -682,11 +703,10 @@ def search_nonzero_equilibria(sys, design):
     certify_stability reports k as nonzero_equilibria_continuum. Roots come
     as pairs e, -e.
     """
-    dyn = ErrorDynamics(sys, design)
-    eigenvalues, eigenvectors = np.linalg.eig(sys.c @ dyn.g)
+    eigenvalues, eigenvectors = np.linalg.eig(dyn.m)
     roots = []
     for lam, v in zip(eigenvalues, eigenvectors.T.real):
-        k = lam.real * float(v @ design.theta @ v)
+        k = lam.real * float(v @ dyn.design.theta @ v)
         if abs(lam.imag) > EQUILIBRIUM_TOL * abs(lam) or not k < 0.0:
             continue
         e = np.sqrt(-1.0 / k) * (dyn.g @ v) / lam.real
@@ -703,14 +723,13 @@ def search_nonzero_equilibria(sys, design):
 
 
 def _continuum(dyn, roots):
-    """The dimension of the largest eigenspace of M = c f^{-1} nc that holds
-    one of roots, the nonzero equilibria of dyn: the nullity of M - lambda I
+    """The dimension of the largest eigenspace of M = dyn.m that holds one
+    of roots, the nonzero equilibria of dyn: the nullity of M - lambda I
     at each root's lambda = -1 / (r^T theta r), r = c e, as the number of
     its singular values at most EQUILIBRIUM_TOL max|M|. Above 1, the roots
     there represent a continuum of equilibria.
     """
-    c, theta = dyn.sys.c, dyn.design.theta
-    m = c @ dyn.g
+    c, theta, m = dyn.sys.c, dyn.design.theta, dyn.m
     dimension = 0
     for r in np.array(roots) @ c.T:
         singular = np.linalg.svd(m + np.eye(len(m)) / float(r @ theta @ r), compute_uv=False)

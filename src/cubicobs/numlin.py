@@ -32,13 +32,14 @@ ignore says why. Shape checks of the arrays the API is given are written
 only here too: as_matrix and as_vector take a shape (None for a free
 dimension) or size, and read input through as_array, one ContractError for
 ragged or non-numeric input. A count, such as a signal's dimension, is
-checked by as_count. A config file's numbers are not read here: the command
+checked by as_count, and a single real parameter, such as a step size, a
+design's gamma or a sinusoid's frequency, by as_real. A config file's numbers are not read here: the command
 line's one reader checks each against the config path it sits at, so that
 its refusal names that path.
 """
 
 import numbers
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -95,6 +96,19 @@ def as_count(value, name, least):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ContractError(f"{name} must be an integer of at least {least}, got {value!r}")
     return int(value)
+
+
+def as_real(value, name):
+    """value as a float, unless it is a bool, not a real number, or not
+    finite as a float: then ContractError "<name> must be a finite real
+    number, got <value!r>"."""
+    real = np.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with suppress(OverflowError):  # an int beyond the float range
+            real = float(value)
+    if not np.isfinite(real):
+        raise ContractError(f"{name} must be a finite real number, got {value!r}")
+    return real
 
 
 def as_matrix(values, name="matrix", shape=None):

@@ -43,8 +43,10 @@ class SimConfig:
     plant and the observer's internal model (the gains stay fixed), so the
     estimation error follows the perturbed error dynamics the robustness bound
     talks about. This is the only way a perturbed plant enters a run; eps = 0 or
-    None reproduces the nominal run bit for bit. A non-finite eps, or a grid of
-    more horizon / dt steps than a float64 array holds, is rejected.
+    None reproduces the nominal run bit for bit. horizon, dt and eps are read
+    by numlin.as_real, which refuses a bool, a non-number and a non-finite
+    value; a grid of more horizon / dt steps than a float64 array holds is
+    rejected too.
     """
 
     horizon: float
@@ -55,11 +57,11 @@ class SimConfig:
     eps: float | None = None
 
     def __post_init__(self):
-        horizon = float(self.horizon)
-        dt = float(self.dt)
-        if not np.isfinite(dt) or dt <= 0.0:
+        horizon = numlin.as_real(self.horizon, "horizon")
+        dt = numlin.as_real(self.dt, "dt")
+        if dt <= 0.0:
             raise ContractError(f"dt must be a positive real, got {dt}")
-        if not np.isfinite(horizon) or horizon < dt:
+        if horizon < dt:
             raise ContractError(
                 f"horizon must cover at least one step: horizon={horizon}, dt={dt}"
             )
@@ -71,10 +73,7 @@ class SimConfig:
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "dt", dt)
         if self.eps is not None:
-            eps = float(self.eps)
-            if not np.isfinite(eps):
-                raise ContractError("eps must be finite")
-            object.__setattr__(self, "eps", eps)
+            object.__setattr__(self, "eps", numlin.as_real(self.eps, "eps"))
 
 
 @dataclass

@@ -80,8 +80,9 @@ def observability_matrix(sys):
 class SinusoidInput:
     """u(t) = amplitude * sin(angular_frequency * t + phase), componentwise.
 
-    angular_frequency and phase must be finite. An array of times is one
-    np.sin over all of them, bit for bit the per-time values.
+    angular_frequency and phase must be finite real numbers, read by
+    numlin.as_real. An array of times is one np.sin over all of them, bit
+    for bit the per-time values.
     """
 
     amplitude: np.ndarray
@@ -93,10 +94,7 @@ class SinusoidInput:
         amp.setflags(write=False)
         object.__setattr__(self, "amplitude", amp)
         for name in ("angular_frequency", "phase"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value):
-                raise ContractError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, numlin.as_real(getattr(self, name), name))
 
     @property
     def dimension(self):

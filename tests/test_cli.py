@@ -302,7 +302,7 @@ EXTREME_VALUES = {
     "design, cubic_explicit c 1e200": (
         {"observer": {"type": "cubic_explicit", "gain_nc": [9.88, 11.5]},
          "system": {"c": [[1e200, 0.0]]}},
-        ["design"], 1, "certificate overflows",
+        ["design"], 1, "error dynamics overflows",
     ),
     "simulate, q 1e290 against x0 1e10": (
         {"observer": {"q": 1e290}, "sim": {"x0": [1e10, 1e10], "horizon": 0.1}},
@@ -1395,6 +1395,18 @@ def test_simulate_divergence_exits_one_with_partial_trace(
     assert doc["metrics"]["diverged_at"] == pytest.approx(5.53, abs=0.1)
     lines = out_csv.read_text().splitlines()
     assert 5000 < len(lines) < 6000  # partial rows up to the divergence time
+
+
+def test_simulate_out_of_memory_exits_one_with_one_line(write_config, capsys, monkeypatch):
+    # a grid too long to allocate, stubbed so that nothing large is allocated
+    def no_memory(*args):
+        raise MemoryError("cannot allocate the trace")
+
+    monkeypatch.setattr(cli, "simulate", no_memory)
+    code, out, err = run_cli(capsys, "simulate", write_config(base_config()))
+    assert code == 1
+    assert out == ""
+    assert err == "error: out of memory: cannot allocate the trace\n"
 
 
 def test_simulate_cli_overrides(write_config, capsys, tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cubicobs as co
-from cubicobs import cli, numlin
+from cubicobs import cli, examples, numlin
 from cubicobs import design as design_mod
 from conftest import random_observable_system, redraw_until_accepted, separated_stable_poles
 
@@ -218,6 +218,9 @@ def test_explicit_design_validation(fx1):
     design = co.explicit_cubic_design(sys, fx1.gain_lc, [[1.0], [2.0]], [[1.0]])
     for change, message in [
         ({"gamma": -1.0}, "^gamma must be a nonnegative real, got -1.0$"),
+        ({"gamma": "2"}, "^gamma must be a finite real number, got '2'$"),
+        ({"gamma": True}, "^gamma must be a finite real number, got True$"),
+        ({"gamma": np.inf}, "^gamma must be a finite real number, got inf$"),
         ({"lyapunov_p": -np.eye(2)}, "^lyapunov_p must be positive definite$"),
         ({"lyapunov_q": -np.eye(2)}, "^lyapunov_q must be positive definite$"),
     ]:
@@ -267,7 +270,9 @@ PAIRING_CALLS = {
     "feedback_certificate": lambda sys, d: co.feedback_certificate(sys, d, np.ones((1, sys.n))),
     "error_field": lambda sys, d: co.error_field(sys, d),
     "lyapunov_derivative_at": lambda sys, d: co.lyapunov_derivative_at(sys, d, np.ones(sys.n)),
-    "search_nonzero_equilibria": lambda sys, d: co.search_nonzero_equilibria(sys, d),
+    "search_nonzero_equilibria": lambda sys, d: co.search_nonzero_equilibria(
+        co.ErrorDynamics(sys, d)
+    ),
     "simulate_cubic_observer": lambda sys, d: co.simulate_cubic_observer(
         sys, d, co.SimConfig(horizon=0.1)
     ),
@@ -458,6 +463,50 @@ def test_certificates_carry_the_robustness_bound(fx1, designs1):
             assert cert.robustness_eps_max == bound
 
 
+def largest_certified_eps(q, p):
+    """The largest float eps at which q - 2 eps p passes the semidefinite
+    verdict, by bisection over the floats from [0, lambda_max(q) /
+    lambda_min(p)], whose upper end makes q - 2 eps p negative definite."""
+
+    def passes(eps):
+        return numlin.is_positive_spectrum(numlin.sym_spectrum(q - 2.0 * eps * p), True)
+
+    lo, hi = 0.0, float(numlin.sym_spectrum(q)[-1] / numlin.sym_spectrum(p)[0])
+    assert passes(lo) and not passes(hi)
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+    return lo
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["synthesized", "explicit"]),
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 8),
+    n_y=st.integers(1, 2),
+    q_decades=st.floats(0.0, 6.0),
+)
+def test_the_robustness_radius_is_certified_by_a_bisection(kind, seed, n, n_y, q_decades):
+    # eps_hat = lambda_min(q) / (2 lambda_max(p)) lies below the exact
+    # radius, the least eigenvalue of p^{-1} q over 2: q - 2 eps_hat p >= 0,
+    # and every eps up to eps_hat passes, for q of any conditioning
+    system, design = random_design(kind, seed, n, n_y, 1.0)
+    u, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    q = u @ np.diag(np.logspace(0.0, q_decades, n)) @ u.T
+    q = 0.5 * (q + q.T)
+    if kind == "synthesized":
+        design = co.synthesize_cubic_gain(system, design.gain_lc, q, design.theta, design.gamma)
+    else:
+        design = co.explicit_cubic_design(
+            system, design.gain_lc, design.gain_nc, design.theta, q=q, gamma=design.gamma
+        )
+    q, p = design.lyapunov_q, design.lyapunov_p
+    eps_hat = numlin.sym_spectrum(q)[0] / (2.0 * numlin.sym_spectrum(p)[-1])
+    assert co.certify_stability(system, design).robustness_eps_max == eps_hat
+    assert numlin.is_positive_spectrum(numlin.sym_spectrum(q - 2.0 * eps_hat * p), True)
+    assert largest_certified_eps(q, p) >= eps_hat
+
+
 def test_feedback_certificate_decoupled_case_passes_at_beta_one():
     # b = 0 and k = 0 leave plant and observer decoupled; the composite
     # form is block diagonal and already negative definite unscaled
@@ -584,16 +633,16 @@ def test_equilibrium_search_empty_for_certified_design(fx1, designs1):
     # M = -gamma c f^{-1} p^{-1} c^T theta for a synthesized gain, and the
     # Lyapunov equation makes f^{-1} p^{-1} negative definite in the
     # symmetric sense, so no eigenvalue of M is real and negative
-    assert co.search_nonzero_equilibria(fx1.system, designs1[1]) == []
+    assert co.search_nonzero_equilibria(co.ErrorDynamics(fx1.system, designs1[1])) == []
     for n in (2, 4, 8, 16, 32):
         # no one-output plant of random_design's passes the observability test at n = 32
         for n_y in (1, 2, 4) if n < 32 else (2, 4):
             system, design = random_design("synthesized", 100 * n + n_y, n, n_y, 1.0)
-            assert co.search_nonzero_equilibria(system, design) == []
+            assert co.search_nonzero_equilibria(co.ErrorDynamics(system, design)) == []
         system, design = scaling_design(n, n)
-        assert co.search_nonzero_equilibria(system, design) == []
+        assert co.search_nonzero_equilibria(co.ErrorDynamics(system, design)) == []
         linear = co.degenerate_linear(system, design.gain_lc, design.lyapunov_q)
-        assert co.search_nonzero_equilibria(system, linear) == []
+        assert co.search_nonzero_equilibria(co.ErrorDynamics(system, linear)) == []
 
 
 def test_equilibrium_search_finds_roots_of_flipped_design():
@@ -603,20 +652,20 @@ def test_equilibrium_search_finds_roots_of_flipped_design():
         fx = co.get_example(number)
         cubic = co.build_designs(fx)[1]
         flipped = flipped_design(fx.system, cubic)
-        roots = co.search_nonzero_equilibria(fx.system, flipped)
+        roots = co.search_nonzero_equilibria(co.ErrorDynamics(fx.system, flipped))
         assert len(roots) == 2
         assert np.array_equal(roots[1], -roots[0])
         for root in roots:
             assert np.linalg.norm(root) == pytest.approx(norm, rel=1e-5)
             assert root_rule_holds(fx.system, flipped, root)
-        again = co.search_nonzero_equilibria(fx.system, flipped)
+        again = co.search_nonzero_equilibria(co.ErrorDynamics(fx.system, flipped))
         assert all(np.array_equal(a, b) for a, b in zip(again, roots))
         # with one output M is the number m, and roots exist iff m theta < 0,
         # which is where the paper's uniqueness test fails
         for design in (cubic, flipped):
             dyn = design_mod.ErrorDynamics(fx.system, design)
             m = (fx.system.c @ np.linalg.solve(dyn.f, design.gain_nc)).item()
-            found = len(co.search_nonzero_equilibria(fx.system, design))
+            found = len(co.search_nonzero_equilibria(dyn))
             assert found == (2 if m * design.theta.item() < 0.0 else 0)
             assert co.certify_stability(fx.system, design).uniqueness_ok == (found == 0)
 
@@ -624,7 +673,7 @@ def test_equilibrium_search_finds_roots_of_flipped_design():
 def test_the_exact_set_matches_the_newton_reference_on_the_flipped_example(fx1, designs1):
     # the Newton reference finds the same two roots on example 1, from any seed
     flipped = flipped_design(fx1.system, designs1[1])
-    roots = co.search_nonzero_equilibria(fx1.system, flipped)
+    roots = co.search_nonzero_equilibria(co.ErrorDynamics(fx1.system, flipped))
     assert len(roots) == 2
     for seed in range(5):
         refs = sequential_search(fx1.system, flipped, seed=seed)
@@ -739,7 +788,7 @@ def root_rule_holds(system, design, root):
 )
 def test_the_exact_set_holds_every_root_the_newton_reference_finds(kind, seed, n, n_y, gamma):
     system, design = random_design(kind, seed, n, n_y, gamma)
-    roots = co.search_nonzero_equilibria(system, design)
+    roots = co.search_nonzero_equilibria(co.ErrorDynamics(system, design))
     for ref in sequential_search(system, design, seed=seed):
         gap = min((np.linalg.norm(root - ref) for root in roots), default=np.inf)
         assert gap <= 1e-6 * np.linalg.norm(ref)
@@ -783,7 +832,7 @@ def equilibria_margins(system, design):
 )
 def test_an_eigenvalue_of_m_counts_as_real_within_the_tolerance(b, found):
     system, design = m_design([[-1.0, -b], [b, -1.0]])
-    roots = co.search_nonzero_equilibria(system, design)
+    roots = co.search_nonzero_equilibria(co.ErrorDynamics(system, design))
     assert len(roots) == found
     want = {"nonzero_equilibria_found": float(found)}
     if found:
@@ -798,7 +847,7 @@ def test_a_repeated_eigenvalue_is_a_continuum_only_when_its_eigenspace_is():
     # M = -I: every e with |e| = 1 is an equilibrium; eig's two eigenvectors
     # give the representatives
     system, design = m_design(-np.eye(2))
-    assert len(co.search_nonzero_equilibria(system, design)) == 4
+    assert len(co.search_nonzero_equilibria(co.ErrorDynamics(system, design))) == 4
     rhs = co.error_field(system, design)
     assert np.abs(rhs([np.cos(0.3), np.sin(0.3)])).max() < 1e-15
     assert equilibria_margins(system, design) == {
@@ -823,7 +872,7 @@ def test_a_repeated_eigenvalue_is_a_continuum_only_when_its_eigenspace_is():
     # a defective -1 has one eigenvector, so one pair and no continuum: eig's
     # second eigenvector is the first to rounding, and gives the same pair
     system, design = m_design([[-1.0, 1.0], [0.0, -1.0]])
-    roots = co.search_nonzero_equilibria(system, design)
+    roots = co.search_nonzero_equilibria(co.ErrorDynamics(system, design))
     assert len(roots) == 2
     assert np.allclose(roots[0], [1.0, 0.0], rtol=0.0, atol=1e-15)
     assert equilibria_margins(system, design) == {"nonzero_equilibria_found": 2.0}
@@ -839,7 +888,7 @@ def test_the_search_refuses_a_singular_linear_part():
         np.zeros((2, 1)), np.ones((2, 1)), [[1.0]], 1.0, np.eye(2), np.eye(2)
     )
     with pytest.raises(co.NumericalError, match="singular"):
-        co.search_nonzero_equilibria(plant, design)
+        co.search_nonzero_equilibria(co.ErrorDynamics(plant, design))
     with pytest.raises(co.NumericalError, match="singular, uniqueness test impossible"):
         co.certify_stability(plant, design)
     # nearly singular: LAPACK returns an infinite f^{-1} nc without raising
@@ -848,7 +897,7 @@ def test_the_search_refuses_a_singular_linear_part():
         np.zeros((2, 1)), [[1e300], [0.0]], [[1.0]], 1.0, np.eye(2), np.eye(2)
     )
     with pytest.raises(co.NumericalError, match="^equilibrium search overflows$"):
-        co.search_nonzero_equilibria(plant, design)
+        co.search_nonzero_equilibria(co.ErrorDynamics(plant, design))
 
 
 # ---------------------------------------------------------------------------
@@ -913,7 +962,7 @@ def test_no_equilibrium_lies_inside_the_exclusion_radius(kind, seed, n, n_y, gam
     system, design = random_design(kind, seed, n, n_y, gamma)
     radius = exclusion_radius(system, design)
     assert radius > 0.0
-    for root in co.search_nonzero_equilibria(system, design):
+    for root in co.search_nonzero_equilibria(co.ErrorDynamics(system, design)):
         assert np.linalg.norm(root) >= radius
     if not np.isfinite(radius):
         return
@@ -936,13 +985,13 @@ def test_no_equilibrium_lies_inside_the_exclusion_radius(kind, seed, n, n_y, gam
 
 @pytest.fixture
 def search_calls(monkeypatch):
-    """The designs certify_stability hands to the equilibrium search."""
+    """The error dynamics certify_stability hands to the equilibrium search."""
     calls = []
     search = design_mod.search_nonzero_equilibria
 
-    def counting(sys, design):
-        calls.append(design)
-        return search(sys, design)
+    def counting(dyn):
+        calls.append(dyn)
+        return search(dyn)
 
     monkeypatch.setattr(design_mod, "search_nonzero_equilibria", counting)
     return calls
@@ -964,7 +1013,7 @@ def test_certified_designs_are_searched_too(fx1, fx2, designs1, designs2, search
         assert cert.margins["equilibrium_exclusion_radius"] == design_mod.STATE_NORM_LIMIT
     assert designs1[0].is_degenerate
     assert system32.n_outputs == 2
-    assert search_calls == [design for _, design in designs]
+    assert [dyn.design for dyn in search_calls] == [design for _, design in designs]
 
 
 def test_explicit_and_flipped_designs_are_still_searched(
@@ -975,7 +1024,7 @@ def test_explicit_and_flipped_designs_are_still_searched(
     cert = co.certify_stability(fx3.system, cubic3, equilibrium_search=True)
     assert cert.margins["nonzero_equilibria_found"] == 0.0
     assert 0.05 < cert.margins["equilibrium_exclusion_radius"] < 0.06
-    assert search_calls == [cubic3]
+    assert [dyn.design for dyn in search_calls] == [cubic3]
 
     search_calls.clear()
     flipped2 = flipped_design(fx2.system, designs2[1])
@@ -983,22 +1032,24 @@ def test_explicit_and_flipped_designs_are_still_searched(
     assert cert.margins["equilibrium_exclusion_radius"] < 2.0
     # the pair at |e| = 8744 that a search from radii 0.1 to 10 missed
     assert cert.margins["nonzero_equilibria_found"] == 2.0
-    assert search_calls == [flipped2]
+    assert [dyn.design for dyn in search_calls] == [flipped2]
 
     flipped = flipped_design(fx1.system, designs1[1])
     search_calls.clear()
     cert = co.certify_stability(fx1.system, flipped, equilibrium_search=True)
     assert cert.margins["nonzero_equilibria_found"] == 2.0
-    assert search_calls == [flipped]
+    (searched,) = search_calls
+    assert searched is cert.dynamics and searched.design is flipped
 
 
 def test_feedback_certificate_hands_the_design_to_the_search(fx1, designs1, search_calls):
-    # the certificate hands the search the design alone, and it reports both
-    # of the flipped design's roots
+    # the certificate hands the search the dynamics of the design alone, the
+    # observer certificate's own, and it reports both of the flipped design's roots
     flipped = flipped_design(fx1.system, designs1[1])
     cert = co.feedback_certificate(fx1.system, flipped, [[1.0, 2.0]], equilibrium_search=True)
     assert cert.margins["nonzero_equilibria_found"] == 2.0
-    assert search_calls == [flipped]
+    (searched,) = search_calls
+    assert searched is cert.dynamics and searched.design is flipped
     # the two roots lie at |e| = 0.549, outside the radius of 0.158
     assert 0.15 < cert.margins["equilibrium_exclusion_radius"] < 0.16
 
@@ -1038,20 +1089,22 @@ def test_the_scaled_frobenius_norm_neither_overflows_nor_underflows():
 
 
 def test_certifying_an_explicit_design_whose_forms_overflow_is_refused():
-    # c' theta c overflows although the builder's products do not: every
-    # design entry point refuses that with one NumericalError, not a warning
+    # c' theta c overflows although the builder's products do not: the
+    # ErrorDynamics every certificate, search and field reads refuses that
+    # with one NumericalError, not a warning and an inf
     plant = co.LinearSystem(a=[[0.0, 1.0], [0.0, 0.0]], b=[[0.0], [1.0]], c=[[1e200, 0.0]])
     lc = co.place_poles_single_output(plant, [-2.0, -5.0])
     design = co.explicit_cubic_design(plant, lc, [[9.88], [11.5]], 10.0, gamma=2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for call, what in (
-            (lambda: co.certify_stability(plant, design), "certificate"),
-            (lambda: co.feedback_certificate(plant, design, [[1.0, 2.0]]), "certificate"),
-            (lambda: co.lyapunov_derivative_at(plant, design, [1.0, 1.0]), "Lyapunov derivative"),
-            (lambda: co.search_nonzero_equilibria(plant, design), "equilibrium search"),
+        for call in (
+            lambda: co.certify_stability(plant, design),
+            lambda: co.feedback_certificate(plant, design, [[1.0, 2.0]]),
+            lambda: co.lyapunov_derivative_at(plant, design, [1.0, 1.0]),
+            lambda: co.error_field(plant, design),
+            lambda: co.search_nonzero_equilibria(co.ErrorDynamics(plant, design)),
         ):
-            with pytest.raises(co.NumericalError, match=f"^{what} overflows$"):
+            with pytest.raises(co.NumericalError, match="^error dynamics overflows$"):
                 call()
 
 
@@ -1218,6 +1271,44 @@ def test_the_design_command_decomposes_theta_once(eigen_calls, tmp_path, case):
     assert times_decomposed(eigen_calls["eigvalsh"], theta) == 1
     counts = (len(eigen_calls["eigvalsh"]), len(eigen_calls["eigvals"]))
     assert counts == DESIGN_COMMAND_EIGEN_CALLS[case]
+
+
+def recorded_calls(monkeypatch, owner, name):
+    """The first argument of every call to owner.name from now on."""
+    seen = []
+    original = getattr(owner, name)
+
+    def recording(first, *args, **kwargs):
+        seen.append(first)
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return seen
+
+
+@pytest.mark.parametrize("search", [False, True])
+@pytest.mark.parametrize("number", [1, 2, 3])
+def test_a_certificate_builds_one_error_dynamics(monkeypatch, number, search):
+    # the observer certificate's dynamics is the one the loop certificate
+    # (example 3) and the equilibrium search read
+    fx = co.get_example(number)
+    cubic = co.build_designs(fx)[1]
+    built = recorded_calls(monkeypatch, design_mod.ErrorDynamics, "__post_init__")
+    cert = examples.certify(fx.system, cubic, fx.feedback_k, search)
+    assert (fx.feedback_k is not None) == (cert.feedback_ok is not None)
+    assert len(built) == 1 and built[0] is cert.dynamics
+    assert cert.dynamics.design is cubic
+
+
+def test_a_searched_certificate_solves_with_f_twice(monkeypatch, fx1, designs1):
+    # the uniqueness test's solve(f, nc c) and G = f^{-1} nc, which the
+    # search and the continuum test both read, through M = c G
+    flipped = flipped_design(fx1.system, designs1[1])
+    solved = recorded_calls(monkeypatch, np.linalg, "solve")
+    cert = examples.certify(fx1.system, flipped, None, True)
+    assert cert.margins["nonzero_equilibria_found"] == 2.0
+    assert len(solved) == 2
+    assert all(a is cert.dynamics.f for a in solved)
 
 
 def stabilized_loop(kind, seed, n, n_y, n_u, gain):

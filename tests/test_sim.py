@@ -335,10 +335,26 @@ def test_non_finite_eps_is_rejected(fx1, designs1):
     _, cubic = designs1
     cfg = replace(fx1.sim, horizon=1.0)
     for eps in (np.inf, -np.inf, np.nan):
-        with pytest.raises(co.ContractError, match="eps must be finite"):
+        with pytest.raises(co.ContractError, match="^eps must be a finite real number, got "):
             co.SimConfig(horizon=1.0, eps=eps)
-        with pytest.raises(co.ContractError, match="eps must be finite"):
+        with pytest.raises(co.ContractError, match="^eps must be a finite real number, got "):
             co.simulate_perturbed(fx1.system, cubic, eps, cfg)
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        (name, bad)
+        for name in ("horizon", "dt", "eps")
+        for bad in (True, "1", None, [1.0], np.array(1.0), np.nan, 10**400)
+        if not (name == "eps" and bad is None)  # eps = None means unperturbed
+    ],
+)
+def test_sim_config_numbers_must_be_finite_real_numbers(name, bad):
+    # a bool or a string is not coerced to a number
+    args = {"horizon": 1.0, "dt": 1e-3, name: bad}
+    with pytest.raises(co.ContractError, match=f"^{name} must be a finite real number, got "):
+        co.SimConfig(**args)
 
 
 def test_divergence_during_observer_run_is_reported(fx1):

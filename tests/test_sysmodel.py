@@ -95,6 +95,18 @@ def test_sinusoid_input_values():
     t = 0.8
     assert sig.sample(t)[0] == pytest.approx(2.0 * np.sin(3.0 * t + 0.5), rel=1e-15)
     assert sig.dimension == 1
+    sig = SinusoidInput([1.0], np.int64(2), np.float32(0.5))
+    assert (sig.angular_frequency, sig.phase) == (2.0, 0.5)
+    assert type(sig.angular_frequency) is float and type(sig.phase) is float
+
+
+@pytest.mark.parametrize("name", ["angular_frequency", "phase"])
+@pytest.mark.parametrize("bad", [True, np.True_, "0.5", None, [1.0], np.nan, -np.inf, 10**400])
+def test_sinusoid_parameters_must_be_finite_real_numbers(name, bad):
+    # a bool or a string is not coerced to a number
+    args = {"amplitude": [1.0], "angular_frequency": 1.0, "phase": 0.0, name: bad}
+    with pytest.raises(ContractError, match=f"^{name} must be a finite real number, got "):
+        SinusoidInput(**args)
 
 
 def test_constant_input():
