@@ -40,7 +40,13 @@ import numpy as np
 
 from . import numlin, serialize
 from .design import place_poles_single_output
-from .errors import ConfigError, ContractError, DivergenceError, ObserverToolkitError
+from .errors import (
+    ConfigError,
+    ContractError,
+    DimensionError,
+    DivergenceError,
+    ObserverToolkitError,
+)
 from .examples import build_design, certify, compute_bundle, gamma_sweep, simulate
 from .sim import SimConfig, compute_metrics
 from .sysmodel import (
@@ -246,7 +252,7 @@ def build_system(cfg):
     b = _numbers(doc["b"], "system.b", (None, None)) if "b" in doc else np.zeros((len(a), 1))
     try:
         return LinearSystem(a=a, b=b, c=c)
-    except ObserverToolkitError as exc:
+    except (ContractError, DimensionError) as exc:  # a NumericalError is no config fault
         raise ConfigError(f"system: {exc}")
 
 

@@ -27,7 +27,8 @@ certify_stability evaluates three conditions against a candidate design:
   damping_ok     the cubic term never helps the error grow:
                  p nc c + c^T nc^T p negative (semi)definite
   uniqueness_ok  the origin is the unique equilibrium, via positive
-                 semidefiniteness of c^T theta c (a - lc c)^{-1} nc c in the
+                 semidefiniteness of the n x n matrix S G c, with
+                 S = c^T theta c and G = (a - lc c)^{-1} nc, in the
                  symmetrized quadratic-form sense
 
 The damping mode is decided by the design, not chosen: the constructive
@@ -227,14 +228,11 @@ def place_poles_single_output(sys, desired):
     e_n = np.zeros(n)
     e_n[-1] = 1.0
     # huge poles or a nearly unobservable c overflow phi(a), l or l c
-    with numlin.refusing_overflow("pole placement"):
+    with numlin.refusing("pole placement"):
         phi = np.zeros((n, n))
         for ck in coeffs:  # Horner on the matrix argument
             phi = phi @ a + ck * np.eye(n)
-        try:
-            l = phi @ np.linalg.solve(obs, e_n)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"observability matrix is singular: {exc}") from exc
+        l = phi @ np.linalg.solve(obs, e_n)
         # solve returns inf without raising
         closed = numlin.finite(a - l.reshape(n, 1) @ sys.c, "pole placement")
 
@@ -247,7 +245,7 @@ def place_poles_single_output(sys, desired):
     return l.reshape(n, 1)
 
 
-@numlin.refusing_overflow("design")
+@numlin.refusing("design")
 def _build(sys, gain_lc, gain_nc, theta, gamma, q, synthesized):
     """The one path from observer parameters to a CubicObserverDesign.
 
@@ -257,10 +255,10 @@ def _build(sys, gain_lc, gain_nc, theta, gamma, q, synthesized):
     """
     n_y = sys.n_outputs
     lc = numlin.as_columns(gain_lc, "gain_lc", (sys.n, n_y))
-    gamma = float(gamma)
+    gamma = numlin.as_real(gamma, "gamma")
     if gain_nc is not None:
         gain_nc = numlin.as_columns(gain_nc, "gain_nc", (sys.n, n_y))
-    elif not 0.0 < gamma < np.inf:
+    elif not gamma > 0.0:
         raise ContractError(
             f"gamma must be strictly positive, got {gamma}; "
             "use degenerate_linear() for the zero-gain observer"
@@ -269,7 +267,7 @@ def _build(sys, gain_lc, gain_nc, theta, gamma, q, synthesized):
     theta = theta * np.eye(n_y) if theta.ndim == 0 else theta
     theta = numlin.symmetrize(theta, "theta", (n_y, n_y))
     c = sys.c
-    with numlin.refusing_overflow("a - gain_lc c"):
+    with numlin.refusing("a - gain_lc c"):
         f = sys.a - lc @ c
     try:
         p = numlin.solve_lyapunov(f, q)
@@ -279,7 +277,7 @@ def _build(sys, gain_lc, gain_nc, theta, gamma, q, synthesized):
             f"{numlin.spectral_abscissa(f):.6g} >= 0"
         ) from exc
     if gain_nc is None:
-        with numlin.refusing_overflow("constructive gain"):
+        with numlin.refusing("constructive gain"):
             gain_nc = -gamma * np.linalg.solve(p, c.T @ theta)
             s = c.T @ theta @ c
             residual = numlin.max_abs(p @ gain_nc @ c + c.T @ gain_nc.T @ p + 2.0 * gamma * s)
@@ -357,7 +355,7 @@ class ErrorDynamics:
     sys: sysmodel.LinearSystem
     design: CubicObserverDesign
 
-    @numlin.refusing_overflow("error dynamics")
+    @numlin.refusing("error dynamics")
     def __post_init__(self):
         check_pairing(self.sys, self.design)
         c, p, nc = self.sys.c, self.design.lyapunov_p, self.design.gain_nc
@@ -388,14 +386,10 @@ class ErrorDynamics:
         return numlin.spectral_abscissa(self.f)
 
     @cached_property
+    @numlin.refusing("equilibrium search")
     def g(self):
         """G = f^{-1} nc: NumericalError when f is singular or G overflows."""
-        try:
-            g = np.linalg.solve(self.f, self.design.gain_nc)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"a - gain_lc c is singular, equilibrium search impossible: {exc}"
-            ) from exc
+        g = np.linalg.solve(self.f, self.design.gain_nc)
         return numlin.finite(g, "equilibrium search")  # solve returns inf without raising
 
     @cached_property
@@ -478,7 +472,7 @@ def _frob(m):
     return np.ldexp(np.linalg.norm(np.ldexp(m, -k)), k).item()
 
 
-@numlin.refusing_overflow("certificate")
+@numlin.refusing("certificate")
 def certify_stability(sys, design, equilibrium_search=False):
     """Evaluate the stability conditions for a cubic observer design.
 
@@ -493,9 +487,11 @@ def certify_stability(sys, design, equilibrium_search=False):
     also gain nonzero_equilibria_continuum, the dimension of the largest
     eigenspace that holds one (see _continuum). The certificate carries the
     design's robustness radius, robustness_bound(design), as
-    robustness_eps_max. Every margin and verdict reads one ErrorDynamics,
-    built here and returned as the certificate's dynamics; the search reads
-    the same one.
+    robustness_eps_max. uniqueness_ok and uniqueness_min_eig read the
+    symmetric part of the n x n matrix S G c = s f^{-1} nc c, which is not
+    the search's n_y x n_y M = c G. Every margin and verdict reads one
+    ErrorDynamics, built here and returned as the certificate's dynamics;
+    the search reads the same one.
     """
     dyn = ErrorDynamics(sys, design)
     w_spectrum, d_spectrum = dyn.w_spectrum, dyn.d_spectrum
@@ -516,16 +512,11 @@ def certify_stability(sys, design, equilibrium_search=False):
         "damping_min_eig": float(d_spectrum[0]),
     }
 
-    try:
-        with numlin.refusing_overflow("uniqueness test"):
-            m = dyn.s @ np.linalg.solve(dyn.f, design.gain_nc @ sys.c)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"a - gain_lc c is singular, uniqueness test impossible: {exc}"
-        ) from exc
-    m_spectrum = numlin.sym_spectrum(m)
-    uniqueness_ok = numlin.is_positive_spectrum(m_spectrum, semidefinite=True)
-    margins["uniqueness_min_eig"] = float(m_spectrum[0])
+    with numlin.refusing("uniqueness test"):
+        sgc = dyn.s @ np.linalg.solve(dyn.f, design.gain_nc @ sys.c)
+    sgc_spectrum = numlin.sym_spectrum(sgc)
+    uniqueness_ok = numlin.is_positive_spectrum(sgc_spectrum, semidefinite=True)
+    margins["uniqueness_min_eig"] = float(sgc_spectrum[0])
 
     if equilibrium_search:
         roots = search_nonzero_equilibria(dyn)
@@ -565,15 +556,15 @@ def _feedback_beta(t, off, w):
     sigma = tol max diag(-t), as |psi|_2 >= max diag(-t); sigma is raised by
     0.1% so that a tie, which rounding decides, takes the larger power. By
     the Schur complement that holds exactly when the Cholesky factors
-    -t - sigma I = M M^T and -w = L L^T of the symmetric parts exist and
-    beta > beta_min = lambda_max(y y^T) with y = L^-1 [(M^-1 off)^T,
+    -t - sigma I = U U^T and -w = L L^T of the symmetric parts exist and
+    beta > beta_min = lambda_max(y y^T) with y = L^-1 [(U^-1 off)^T,
     sqrt(sigma) I]; without them no beta passes, and beta is 1.
     """
     sigma = 1.001 * numlin.DEFINITENESS_TOL * np.max(-np.diag(t))
     try:
-        m = np.linalg.cholesky(-0.5 * (t + t.T) - sigma * np.eye(len(t)))
+        u = np.linalg.cholesky(-0.5 * (t + t.T) - sigma * np.eye(len(t)))
         l = np.linalg.cholesky(-0.5 * (w + w.T))
-        z = np.hstack([np.linalg.solve(m, off).T, np.sqrt(sigma) * np.eye(len(w))])
+        z = np.hstack([np.linalg.solve(u, off).T, np.sqrt(sigma) * np.eye(len(w))])
         y = np.linalg.solve(l, z)
     except np.linalg.LinAlgError:
         return FEEDBACK_BETA_GRID[0]
@@ -584,7 +575,7 @@ def _feedback_beta(t, off, w):
     return next((b for b in FEEDBACK_BETA_GRID if b > beta_min), FEEDBACK_BETA_GRID[-1])
 
 
-@numlin.refusing_overflow("feedback certificate")
+@numlin.refusing("feedback certificate")
 def feedback_certificate(sys, design, k, equilibrium_search=False):
     """Certify observer-based state feedback u = -k xhat around the design.
 
@@ -652,7 +643,7 @@ def error_field(sys, design):
     return rhs
 
 
-@numlin.refusing_overflow("Lyapunov derivative")
+@numlin.refusing("Lyapunov derivative")
 def lyapunov_derivative_at(sys, design, e):
     """Evaluate dV/dt of V = e^T p e at a single error point.
 
@@ -668,7 +659,7 @@ def lyapunov_derivative_at(sys, design, e):
     return vdot_cubic, vdot_linear
 
 
-@numlin.refusing_overflow("equilibrium search")
+@numlin.refusing("equilibrium search")
 def search_nonzero_equilibria(dyn):
     """Every nonzero equilibrium of the error dynamics dyn, an ErrorDynamics
     such as a certificate's dynamics, in closed form.
@@ -683,8 +674,8 @@ def search_nonzero_equilibria(dyn):
     t^2 = -1 / (lambda v^T theta v). With one output M is a number m, and
     roots exist iff m theta < 0, which is the paper's uniqueness test. G and
     M are dyn's, each formed once, and one np.linalg.eig gives the
-    eigenpairs of M. A singular f is a NumericalError, and so is an
-    overflow ("equilibrium search overflows").
+    eigenpairs of M. A singular f ("equilibrium search failed: ...") and an
+    overflow ("equilibrium search overflows") are each a NumericalError.
 
     Three rules read the relative tolerance tol = EQUILIBRIUM_TOL:
 

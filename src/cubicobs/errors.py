@@ -1,9 +1,12 @@
 """Exception types shared across the toolkit.
 
 All domain failures derive from ObserverToolkitError so callers (and the
-command line front end) can separate them from programming errors. Config
-parsing problems get their own class because they map to a different exit
-code than runtime failures.
+command line front end) can separate them from programming errors. A
+numerical failure, a numpy overflow flag or a LAPACK error alike, is a
+NumericalError, raised by numlin.refusing: no FloatingPointError or
+np.linalg.LinAlgError escapes the package. Config parsing problems get
+their own class because they map to a different exit code than runtime
+failures.
 """
 
 

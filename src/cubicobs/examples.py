@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numlin
 from .design import (
     certify_stability,
     degenerate_linear,
@@ -197,7 +198,7 @@ def gamma_sweep(sys, gain_lc, q, theta, gammas, cfg, feedback_k=None):
     Rows come back sorted by gamma regardless of input order, one per
     distinct value, -0.0 counting as 0.0; negative entries are rejected.
     """
-    values = sorted({float(g) + 0.0 for g in gammas})
+    values = sorted({numlin.as_real(g, "gamma") + 0.0 for g in gammas})
     if values and values[0] < 0.0:
         raise ContractError(f"gamma values must be nonnegative, got {values[0]}")
     rows = []

@@ -20,10 +20,12 @@ verdict for Q, 1000*Q and 1e-12*Q. require_definite adds, where a
 spectrum must carry a solve or a margin, that its smallest eigenvalue is
 not subnormal.
 
-The package's one floating-point policy is refusing_overflow(what): around
-a named site or a public entry point, a numpy overflow, invalid or divide
-flag is one NumericalError "<what> overflows", never a RuntimeWarning.
-LAPACK, np.poly and einsum raise no flag, so their results pass through
+The package's one numerical-failure policy is refusing(what): around a
+named site or a public entry point, a numpy overflow, invalid or divide
+flag is one NumericalError "<what> overflows", never a RuntimeWarning, and
+a LAPACK failure one NumericalError "<what> failed: <LAPACK's message>",
+never a raw LinAlgError; every LAPACK call runs inside one. LAPACK,
+np.poly and einsum raise no flag, so their results pass through
 finite(values, what), which raises the same error on an inf or NaN. The
 trace's V = e'Pe is such an einsum: p > 0 makes its NaN inf - inf, read as
 +inf, refused on a row within the divergence limit and kept only on the
@@ -63,19 +65,23 @@ LYAPUNOV_SIGN_MAX_ITER = 100
 
 
 @contextmanager
-def refusing_overflow(what):
+def refusing(what):
     """Run a block, or as a decorator a call, with numpy's overflow, invalid and
-    divide flags raising; any of them is one NumericalError "<what> overflows"."""
+    divide flags raising: any of them is one NumericalError "<what> overflows",
+    and a LAPACK failure one NumericalError "<what> failed: <its message>". A
+    NumericalError from inside passes unchanged, so the innermost name wins."""
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
             yield
         except FloatingPointError as exc:
             raise NumericalError(f"{what} overflows") from exc
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"{what} failed: {exc}") from exc
 
 
 def finite(values, what):
     """values, unless an entry is inf or NaN: then one NumericalError
-    "<what> overflows", as refusing_overflow gives for a raised flag."""
+    "<what> overflows", as refusing gives for a raised flag."""
     if not np.isfinite(values).all():
         raise NumericalError(f"{what} overflows")
     return values
@@ -162,7 +168,8 @@ def max_abs(m):
 def rank(m, rtol):
     """Numerical rank of m: how many of its singular values exceed rtol
     times the largest; 0 for an empty or zero m."""
-    sv = np.linalg.svd(m, compute_uv=False)
+    with refusing("rank test"):
+        sv = np.linalg.svd(m, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.count_nonzero(sv > rtol * sv[0]))
@@ -199,10 +206,8 @@ def eigenvalues(m):
     conjugate pairs (property of the underlying real Schur iteration).
     """
     m = require_square(m)
-    try:
+    with refusing("eigenvalue iteration"):  # non-convergence is rare but real
         vals = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:  # non-convergence is rare but real
-        raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
     order = np.lexsort((vals.imag, vals.real))
     return vals[order]
 
@@ -222,10 +227,8 @@ def sym_spectrum(m):
     sym = 0.5 * (m + m.T)
     if not np.isfinite(sym).all():
         raise ContractError("matrix contains non-finite entries")
-    try:
+    with refusing("symmetric eigensolve"):
         return np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"symmetric eigensolve failed: {exc}") from exc
 
 
 def is_positive_spectrum(w, semidefinite=False):
@@ -284,10 +287,11 @@ def solve_lyapunov(f, q):
         )
     require_definite(sym_spectrum(q), ContractError, "q must be symmetric positive definite")
 
-    if f.shape[0] <= LYAPUNOV_DIRECT_MAX_N:
-        p = _lyapunov_by_kronecker(f, q)
-    else:
-        p = _lyapunov_by_sign(f, q)
+    with refusing("Lyapunov solve"):
+        if f.shape[0] <= LYAPUNOV_DIRECT_MAX_N:
+            p = _lyapunov_by_kronecker(f, q)
+        else:
+            p = _lyapunov_by_sign(f, q)
     residual = max_abs(f.T @ p + p @ f + q)
     if not residual <= LYAPUNOV_RESIDUAL_RTOL * max_abs(q):  # NaN fails too
         raise NumericalError(
@@ -305,10 +309,7 @@ def _lyapunov_by_kronecker(f, q):
     eye = np.eye(n)
     # row-major vec: vec(F^T P) = (F^T (x) I) vec(P), vec(P F) = (I (x) F^T) vec(P)
     lhs = np.kron(f.T, eye) + np.kron(eye, f.T)
-    try:
-        p_vec = np.linalg.solve(lhs, -q.reshape(-1))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Lyapunov system is singular: {exc}") from exc
+    p_vec = np.linalg.solve(lhs, -q.reshape(-1))
     return 0.5 * (p_vec.reshape(n, n) + p_vec.reshape(n, n).T)
 
 
@@ -324,10 +325,7 @@ def _lyapunov_by_sign(f, q):
     n = f.shape[0]
     a, x = f, q
     for _ in range(LYAPUNOV_SIGN_MAX_ITER):
-        try:
-            a_inv = np.linalg.inv(a)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"Lyapunov sign iterate is singular: {exc}") from exc
+        a_inv = np.linalg.inv(a)
         c = np.exp(np.linalg.slogdet(a)[1] / n)
         a_next = 0.5 * (a / c + c * a_inv)
         x = 0.5 * (x / c + c * (a_inv.T @ x @ a_inv))

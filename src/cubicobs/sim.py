@@ -257,7 +257,7 @@ def _bind_config(sys, cfg):
     return x0, xhat0, signal
 
 
-@numlin.refusing_overflow("simulation")
+@numlin.refusing("simulation")
 def _run_joint(sys, design, cfg, feedback_k=None):
     """Run the joint (x, xhat) field m z + bstack u - [0; w gain_nc r], with
     r = y - c xhat, w = r' theta r and, under feedback, u = -feedback_k xhat,
@@ -350,7 +350,7 @@ def _assemble_trace(sys, times, states, inputs, feedback_k, lyapunov_p):
     x = states[:, :n]
     xhat = states[:, n:]
     errors = x - xhat
-    with numlin.refusing_overflow("plant output c x"):  # a huge c on a finite state
+    with numlin.refusing("plant output c x"):  # a huge c on a finite state
         outputs = x @ sys.c.T
     if feedback_k is None:
         inputs = inputs[: times.size].copy()  # out of the drive table
@@ -424,7 +424,7 @@ def _cumulative_trapezoid(times, values):
     return out
 
 
-@numlin.refusing_overflow("metrics")
+@numlin.refusing("metrics")
 def compute_metrics(trace, lqr_weights=None):
     """Evaluate peak, overshoot, settling, and cumulative squared error.
 

@@ -27,7 +27,7 @@ from .errors import ContractError
 OBSERVABILITY_RTOL = 1e-9
 
 
-@numlin.refusing_overflow("observability matrix")
+@numlin.refusing("observability matrix")
 def _observability_blocks(a, c):
     n = a.shape[0]
     blocks = [c]

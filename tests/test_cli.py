@@ -10,6 +10,7 @@ import ast
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -266,6 +267,11 @@ EXTREME_VALUES = {
     "design, c 1e-308": (
         {"system": {"c": [[1e-308, 0.0]]}}, ["design"], 1, "pole placement overflows"
     ),
+    # a numerical failure, not a config fault: exit 1, not 2
+    "design, observability matrix 1e400": (
+        {"system": {"a": [[0.0, 1e200], [0.0, 0.0]], "c": [[1e200, 0.0]]}},
+        ["design"], 1, "observability matrix overflows",
+    ),
     "simulate, x0 1e200": (
         {"sim": {"x0": [1e200, 2e200]}}, ["simulate"], 1, "trajectory diverged"
     ),
@@ -336,6 +342,68 @@ def test_extreme_values_give_one_error_line(write_config, capsys, tmp_path, case
     prefix = "config error: " if want == 2 else "error: "
     assert code == want
     assert err.count("\n") == 1 and err.startswith(prefix) and words in err, err
+
+
+# The LAPACK routines the package calls. Each is made to fail in turn at each
+# of its calls, and every command must then end in one error line, never a
+# traceback.
+LAPACK_ROUTINES = ("eig", "eigvals", "eigvalsh", "svd", "solve", "inv", "slogdet")
+
+
+def lapack_commands(write_config):
+    """(name, argv) of commands that reach every call of LAPACK_ROUTINES:
+    n = 12 runs the Lyapunov sign iteration, and the flipped cubic gain has
+    nonzero equilibria, so its search also measures their continuum."""
+    n = 12
+    feedback = base_config()
+    feedback["feedback"] = {"k": [[1.0, 2.0]]}
+    flipped = base_config()
+    flipped["observer"].update(type="cubic_explicit", gain_nc=[9.88, 11.5])
+    large = {
+        "system": {"a": (np.eye(n, k=1) - np.eye(n)).tolist(), "c": [[1.0] + [0.0] * (n - 1)]},
+        "observer": {"type": "cubic", "gain_lc": [0.0] * n},
+    }
+    example = write_config(base_config(), "example.json")
+    return [
+        ("design", ["design", example]),
+        ("design, search", ["design", example, "--equilibrium-search"]),
+        ("design, feedback", ["design", write_config(feedback, "feedback.json")]),
+        ("design, flipped, search", ["design", write_config(flipped, "flipped.json"),
+                                     "--equilibrium-search"]),
+        ("design, n = 12", ["design", write_config(large, "large.json")]),
+        ("simulate", ["simulate", example]),
+    ]
+
+
+@pytest.mark.parametrize("routine", LAPACK_ROUTINES)
+def test_a_failing_lapack_routine_ends_in_one_error_line(
+    write_config, capsys, tmp_path, monkeypatch, routine
+):
+    real = getattr(np.linalg, routine)
+    calls, fail_at = [0], [0]
+
+    def failing(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == fail_at[0]:
+            raise np.linalg.LinAlgError(f"{routine} forced to fail")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, routine, failing)
+    refused = 0
+    for name, argv in lapack_commands(write_config):
+        argv += ["--out", str(tmp_path / "out.txt")]
+        calls[0] = fail_at[0] = 0
+        assert run_cli(capsys, *argv)[0] in (0, 1)
+        for k in range(1, calls[0] + 1):
+            calls[0], fail_at[0] = 0, k
+            code, out, err = run_cli(capsys, *argv)
+            if "forced to fail" not in err:  # _feedback_beta's verdict: no beta passes
+                assert (routine, name) == ("solve", "design, feedback"), (k, err)
+                continue
+            assert (code, out) == (1, ""), (name, k)
+            assert re.fullmatch(f"error: [^\\n]+ failed: {routine} forced to fail\\n", err), err
+            refused += 1
+    assert refused
 
 
 # Designs with an extreme but valid value: the equilibrium search's closed
@@ -1560,6 +1628,9 @@ def test_sweep_gamma_rejects_bad_values(write_config, capsys):
     fx = examples.get_example(1)
     with pytest.raises(ContractError, match="^gamma values must be nonnegative, got -1.0$"):
         examples.gamma_sweep(fx.system, fx.gain_lc, fx.q, fx.theta, [1.0, -1.0], fx.sim)
+    for gamma in (True, "0.5", np.nan):
+        with pytest.raises(ContractError, match=f"^gamma must be a finite real number, got {gamma!r}$"):
+            examples.gamma_sweep(fx.system, fx.gain_lc, fx.q, fx.theta, [1.0, gamma], fx.sim)
     code, _, err = run_cli(
         capsys, "sweep-gamma", write_config(base_config()), "--gammas", "a,b"
     )

@@ -150,6 +150,13 @@ def test_synthesize_rejects_nonpositive_gamma(fx1):
     for gamma in (0.0, -1.0):
         with pytest.raises(co.ContractError):
             co.synthesize_cubic_gain(fx1.system, fx1.gain_lc, fx1.q, fx1.theta, gamma)
+    # a bool, a string or a non-finite number is no gamma, for either builder
+    for gamma in (True, "2", np.nan, np.inf):
+        message = f"^gamma must be a finite real number, got {gamma!r}$"
+        with pytest.raises(co.ContractError, match=message):
+            co.synthesize_cubic_gain(fx1.system, fx1.gain_lc, fx1.q, fx1.theta, gamma)
+        with pytest.raises(co.ContractError, match=message):
+            co.explicit_cubic_design(fx1.system, fx1.gain_lc, [[1.0], [2.0]], [[1.0]], gamma=gamma)
 
 
 def test_synthesize_rejects_indefinite_theta(fx1):
@@ -881,15 +888,24 @@ def test_a_repeated_eigenvalue_is_a_continuum_only_when_its_eigenspace_is():
     assert equilibria_margins(system, design) == {"nonzero_equilibria_found": 4.0}
 
 
+def test_a_failing_eigensolve_refuses_the_equilibrium_search(fx1, designs1, monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("eig forced to fail")
+
+    monkeypatch.setattr(np.linalg, "eig", failing)
+    with pytest.raises(co.NumericalError, match="^equilibrium search failed: eig forced to fail$"):
+        co.certify_stability(fx1.system, designs1[1], equilibrium_search=True)
+
+
 def test_the_search_refuses_a_singular_linear_part():
     # lc = 0 leaves f = a, the singular double integrator
     plant = double_integrator()
     design = co.CubicObserverDesign(
         np.zeros((2, 1)), np.ones((2, 1)), [[1.0]], 1.0, np.eye(2), np.eye(2)
     )
-    with pytest.raises(co.NumericalError, match="singular"):
+    with pytest.raises(co.NumericalError, match="^equilibrium search failed: Singular matrix$"):
         co.search_nonzero_equilibria(co.ErrorDynamics(plant, design))
-    with pytest.raises(co.NumericalError, match="singular, uniqueness test impossible"):
+    with pytest.raises(co.NumericalError, match="^uniqueness test failed: Singular matrix$"):
         co.certify_stability(plant, design)
     # nearly singular: LAPACK returns an infinite f^{-1} nc without raising
     plant = co.LinearSystem(a=[[1e-300, 0.0], [1.0, -1.0]], b=[[0.0], [1.0]], c=[[1.0, 1.0]])

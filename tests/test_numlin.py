@@ -394,7 +394,7 @@ def test_every_public_numlin_function_has_a_caller_in_the_package():
     assert sorted(public - called) == []
 
 
-def test_refusing_overflow_turns_each_raised_flag_into_one_numerical_error():
+def test_refusing_turns_each_raised_flag_and_lapack_failure_into_one_numerical_error():
     before = np.geterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -404,18 +404,29 @@ def test_refusing_overflow_turns_each_raised_flag_into_one_numerical_error():
             lambda: np.array([1.0]) / 0.0,  # divide
         ):
             with pytest.raises(NumericalError, match="^the block overflows$"):
-                with numlin.refusing_overflow("the block"):
+                with numlin.refusing("the block"):
                     flagged()
 
-        @numlin.refusing_overflow("the call")
+        @numlin.refusing("the call")
         def scaled(x):
             return x * 10.0
 
         with pytest.raises(NumericalError, match="^the call overflows$"):
             scaled(np.array([1e308]))
         assert scaled(np.array([1.0]))[0] == 10.0
-        with numlin.refusing_overflow("an underflow"):  # not a flag it raises
+        with numlin.refusing("an underflow"):  # not a flag it raises
             assert (np.array([1e-308]) * 1e-308)[0] == 0.0
+        with pytest.raises(NumericalError, match="^the solve failed: Singular matrix$"):
+            with numlin.refusing("the solve"):
+                np.linalg.solve(np.zeros((2, 2)), np.ones(2))
+        # the innermost name wins, for either kind of failure
+        for failing, words in (
+            (lambda: np.array([1e308]) * 10.0, "^the inner step overflows$"),
+            (lambda: np.linalg.inv(np.zeros((2, 2))), "^the inner step failed: Singular matrix$"),
+        ):
+            with pytest.raises(NumericalError, match=words):
+                with numlin.refusing("the outer call"), numlin.refusing("the inner step"):
+                    failing()
     assert np.geterr() == before
 
 
@@ -424,7 +435,7 @@ def test_refusing_overflow_turns_each_raised_flag_into_one_numerical_error():
 ERRSTATE_SITES = [
     ("design", "_exclusion_radius"),
     ("design", "_feedback_beta"),
-    ("numlin", "refusing_overflow"),
+    ("numlin", "refusing"),
     ("numlin", "symmetrize"),
     ("sim", "_rk4"),
     ("sim", "compute_metrics"),
@@ -441,7 +452,7 @@ def test_np_errstate_appears_only_in_the_policy_and_its_named_ignores():
                 function = node.name
             if isinstance(node, ast.Attribute) and node.attr == "errstate":
                 sites.append((path.stem, function))
-                if function != "refusing_overflow":
+                if function != "refusing":
                     k = node.lineno - 2
                     while lines[k].lstrip().startswith("#"):
                         k -= 1
@@ -454,9 +465,30 @@ def test_np_errstate_appears_only_in_the_policy_and_its_named_ignores():
     assert sorted(sites) == ERRSTATE_SITES
 
 
-# The words of the refusal whose one home is numlin: finite and
-# refusing_overflow write "<what> overflows".
-HOMED_REFUSALS = {"NumericalError": ("overflows",)}
+# Where np.linalg.LinAlgError may be caught: the policy itself, and the
+# feedback certificate, for which a failed Cholesky factor is the verdict.
+LINALG_ERROR_SITES = [("design", "_feedback_beta"), ("numlin", "refusing")]
+
+
+def test_a_lapack_failure_is_caught_only_by_the_policy_and_one_verdict():
+    sites = []
+    for path in sorted(Path(numlin.__file__).parent.glob("*.py")):
+
+        def visit(node, function):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            if isinstance(node, ast.ExceptHandler) and "LinAlgError" in ast.unparse(node.type):
+                sites.append((path.stem, function))
+            for child in ast.iter_child_nodes(node):
+                visit(child, function)
+
+        visit(ast.parse(path.read_text()), None)
+    assert sorted(sites) == LINALG_ERROR_SITES
+
+
+# The words of the refusals whose one home is numlin: finite and refusing
+# write "<what> overflows", and refusing "<what> failed: <LAPACK's message>".
+HOMED_REFUSALS = {"NumericalError": ("overflows", "failed:")}
 
 # Where DimensionError may be raised outside numlin, whose as_matrix,
 # as_vector and require_square write every array shape and size refusal.
